@@ -25,7 +25,7 @@ from .geometry import Box, Halfspace, Triangle
 from .incidence import (build_box_cover, cover_bound, find_kkk,
                         incidences_bruteforce, interval_audit, verify_cover)
 from .instances import Instance, load_instance, save_instance
-from .levels import (CensusRow, census_schedule, depth, depth_census,
+from .levels import (CensusRow, census_schedule, depth_census, depths,
                      iterated_log2, level, shallow_census)
 from .reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                          orthants_to_halfspaces, pointline_to_5d,
@@ -164,7 +164,6 @@ def _cmd_cover(args) -> int:
 
 def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
-    graph = incidences_bruteforce(inst.points, inst.ranges)
     k = args.k or inst.k or 2
     if args.kind == "interval":
         try:
@@ -184,6 +183,7 @@ def _cmd_audit(args) -> int:
                          "last_block_term": rep.last_block_term})
         print(f"I={rep.incidences} bound={rep.bound} holds={rep.holds}")
         return EXIT_OK if rep.holds else EXIT_INTEGRITY
+    graph = incidences_bruteforce(inst.points, inst.ranges)
     if args.kind == "fat":
         return _audit_fat(args, inst, graph)
     if args.kind == "rect":
@@ -281,11 +281,11 @@ def _cmd_census(args) -> int:
         else:
             f0 = {"linear": lambda r: r,
                   "fat": lambda r: r * max(1, iterated_log2(r))}[args.f0]
-            depths = [depth(p, inst.ranges) for p in inst.points]
+            values = depths(inst.points, inst.ranges)
             first = True
             for r in sweep:
                 row = depth_census(inst.points, inst.ranges, k, r, f0,
-                                   args.budget, precomputed_depths=depths,
+                                   args.budget, precomputed_depths=values,
                                    skip_free_check=not first)
                 first = False
                 rows.append(row)

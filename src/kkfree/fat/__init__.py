@@ -9,8 +9,8 @@ from .quadtree import (MAX_LEVEL, SHIFTS, QuadtreeSquare, alignment_level,
 from .slanted import (CurtainStructure, QueryStats, SlantedRangeTree,
                       build_curtain_structure, curtain_query)
 from .structure import (DEFAULT_DELTA, FatQueryStats, FatReportStructure,
-                        FatTriangle, FrameMap, build_fat_structure, fat_query,
-                        make_frame, min_angle)
+                        FrameMap, build_fat_structure, fat_query, make_frame,
+                        min_angle)
 
 __all__ = [
     "MAX_LEVEL", "SHIFTS", "QuadtreeSquare", "alignment_level", "bbox_of",
@@ -18,6 +18,6 @@ __all__ = [
     "is_aligned", "shift_align", "stabbing_points", "CurtainStructure",
     "QueryStats", "SlantedRangeTree", "build_curtain_structure",
     "curtain_query", "DEFAULT_DELTA", "FatQueryStats", "FatReportStructure",
-    "FatTriangle", "FrameMap", "build_fat_structure", "fat_query",
-    "make_frame", "min_angle", "curtain_dnc_audit",
+    "FrameMap", "build_fat_structure", "fat_query", "make_frame", "min_angle",
+    "curtain_dnc_audit",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import InvalidInputError
-from ..geometry import Point, Triangle, cross
+from ..geometry import Point, Triangle, cross, predicate
 from ..reductions import apex_cell_constraints
 from .quadtree import SHIFTS, centroid_square, diameter_sq_of
 from .slanted import QueryStats, SlantedRangeTree
@@ -24,18 +24,6 @@ from .slanted import QueryStats, SlantedRangeTree
 FAT_LEAF_SIZE = 48
 CURTAIN_LEAF_SIZE = 8
 DEFAULT_DELTA = math.pi / 6
-
-
-@dataclass(frozen=True)
-class FatTriangle(Triangle):
-    """Triangle with a declared minimum-angle bound (radians)."""
-
-    min_angle_bound: float = 0.0
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.min_angle_bound < 0:
-            raise InvalidInputError("negative fatness bound")
 
 
 def min_angle(tri: Triangle) -> float:
@@ -277,8 +265,9 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
     stratum = structure.strata[stratum_index]
     shift = stratum.shift
     verts = [(x + shift, y + shift) for x, y in frame_verts]
+    in_query = predicate(Triangle(*(Point(v) for v in verts)))
     out: set[int] = set()
-    _query_node(stratum, stratum.root, verts, out, stats)
+    _query_node(stratum, stratum.root, verts, in_query, out, stats)
     stats.reported = len(out)
     return sorted(out), stats
 
@@ -294,8 +283,8 @@ def _aligned_stratum(frame_verts, diam_sq) -> int:
     return 0
 
 
-def _query_node(stratum: FatStratum, node: _FatNode, verts, out: set,
-                stats: FatQueryStats):
+def _query_node(stratum: FatStratum, node: _FatNode, verts, in_query,
+                out: set, stats: FatQueryStats):
     stats.nodes_visited += 1
     rel = _tri_bbox_relation(verts, node.bbox)
     if rel == "disjoint":
@@ -307,19 +296,19 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, out: set,
         coords = stratum.coords
         for i in stratum.dfs_order[node.start:node.end]:
             stats.point_tests += 1
-            if _tri_contains_xy(verts, coords[i]):
+            if in_query(coords[i]):
                 out.add(i)
         return
-    if _tri_contains_xy(verts, node.apex):
+    if in_query(node.apex):
         stats.curtain_answers += 1
-        _apex_answer(stratum, node, verts, out, stats)
+        _apex_answer(stratum, node, verts, in_query, out, stats)
         return
-    _query_node(stratum, node.inside, verts, out, stats)
-    _query_node(stratum, node.outside, verts, out, stats)
+    _query_node(stratum, node.inside, verts, in_query, out, stats)
+    _query_node(stratum, node.outside, verts, in_query, out, stats)
 
 
-def _apex_answer(stratum: FatStratum, node: _FatNode, verts, out: set,
-                 stats: FatQueryStats):
+def _apex_answer(stratum: FatStratum, node: _FatNode, verts, in_query,
+                 out: set, stats: FatQueryStats):
     gx, gy = node.apex
     coords = stratum.coords
     for a in range(3):
@@ -337,23 +326,12 @@ def _apex_answer(stratum: FatStratum, node: _FatNode, verts, out: set,
             out.update(hits)
     for i in node.axis_pts:
         stats.point_tests += 1
-        if _tri_contains_xy(verts, coords[i]):
+        if in_query(coords[i]):
             out.add(i)
 
 
 # ---------------------------------------------------------------------------
-# exact triangle/box predicates on coordinate pairs
-
-def _tri_contains_xy(verts, xy) -> bool:
-    (x, y) = xy
-    s = []
-    for a in range(3):
-        ux, uy = verts[a]
-        vx, vy = verts[(a + 1) % 3]
-        val = (vx - ux) * (y - uy) - (vy - uy) * (x - ux)
-        s.append((val > 0) - (val < 0))
-    return all(v >= 0 for v in s) or all(v <= 0 for v in s)
-
+# exact triangle/box relation
 
 def _tri_bbox_relation(verts, bbox) -> str:
     """Exact SAT classification: "disjoint", "covered" (box inside the

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from typing import Union
+from operator import mul
+from typing import Callable, Iterator, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputError
 
@@ -319,113 +320,180 @@ def norm_sq(coords: tuple[Rat, ...]) -> Rat:
     return sum(c * c for c in coords)
 
 
-def in_bounds(x: Rat, lo: Rat | None, hi: Rat | None) -> bool:
-    """Closed-interval membership with None as +-infinity."""
-    if lo is not None and x < lo:
-        return False
-    if hi is not None and x > hi:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
-# containment
+# containment: one compiled predicate per range
 
-def _check_dim(r, p: Point):
-    if r.dim != p.dim:
-        raise DimensionMismatchError(
-            f"range dimension {r.dim} vs point dimension {p.dim}")
+Coords = tuple[Rat, ...]
+Predicate = Callable[[Coords], bool]
 
 
 @singledispatch
-def contains(r: Range, p: Point) -> bool:
-    """True iff p lies in the closed range r (exact arithmetic)."""
+def predicate(r: Range) -> Predicate:
+    """Compile r into a closed-containment test on coordinate tuples.
+
+    Per-range data is computed once here; the returned closure takes the
+    ``coords`` of a point of dimension ``r.dim`` and checks no dimension, so
+    callers check dimensions once per instance (see ``compile_ranges``).
+    """
     raise InvalidInputError(f"unsupported range type: {type(r).__name__}")
 
 
-@contains.register
-def _(r: Box, p: Point) -> bool:
-    _check_dim(r, p)
-    return all(in_bounds(x, lo, hi)
-               for x, lo, hi in zip(p.coords, r.lows, r.highs))
+@predicate.register
+def _(r: Box) -> Predicate:
+    # Only bounded sides are kept.
+    lows = [(i, lo) for i, lo in enumerate(r.lows) if lo is not None]
+    highs = [(i, hi) for i, hi in enumerate(r.highs) if hi is not None]
+
+    def test(c: Coords) -> bool:
+        for i, lo in lows:
+            if c[i] < lo:
+                return False
+        for i, hi in highs:
+            if c[i] > hi:
+                return False
+        return True
+    return test
 
 
-@contains.register
-def _(r: Halfspace, p: Point) -> bool:
-    _check_dim(r, p)
-    side = r.boundary.side_of(p)
-    return side >= 0 if r.side == "upper" else side <= 0
+@predicate.register
+def _(r: Halfspace) -> Predicate:
+    slopes, offset = r.boundary.slopes, r.boundary.offset
+    last = len(slopes)
+    # map stops at the end of the slopes: only x_1..x_{d-1} enter the sum.
+    if r.side == "upper":
+        return lambda c: c[last] >= offset + sum(map(mul, slopes, c))
+    return lambda c: c[last] <= offset + sum(map(mul, slopes, c))
 
 
-@contains.register
-def _(r: LinearHalfspace, p: Point) -> bool:
-    _check_dim(r, p)
-    value = dot(r.coeffs, p.coords)
-    return value <= r.rhs if r.sense == "le" else value >= r.rhs
+@predicate.register
+def _(r: LinearHalfspace) -> Predicate:
+    coeffs, rhs = r.coeffs, r.rhs
+    if r.sense == "le":
+        return lambda c: sum(map(mul, coeffs, c)) <= rhs
+    return lambda c: sum(map(mul, coeffs, c)) >= rhs
 
 
-@contains.register
-def _(r: Ball, p: Point) -> bool:
-    _check_dim(r, p)
-    return norm_sq(sub(p, r.center)) <= r.radius_sq
+@predicate.register
+def _(r: Ball) -> Predicate:
+    center, radius_sq = r.center.coords, r.radius_sq
+    return lambda c: sum((x - y) * (x - y)
+                         for x, y in zip(c, center)) <= radius_sq
 
 
-@contains.register
-def _(r: Wedge2, p: Point) -> bool:
-    _check_dim(r, p)
-    return p[1] <= r.a * p[0] + r.b and p[0] <= r.c
+@predicate.register
+def _(r: Wedge2) -> Predicate:
+    a, b, xmax = r.a, r.b, r.c
+    return lambda c: c[0] <= xmax and c[1] <= a * c[0] + b
 
 
-@contains.register
-def _(r: Wedge3, p: Point) -> bool:
-    _check_dim(r, p)
-    return p[1] <= r.a * p[0] + r.b and p[2] <= r.c
+@predicate.register
+def _(r: Wedge3) -> Predicate:
+    a, b, zmax = r.a, r.b, r.c
+    return lambda c: c[2] <= zmax and c[1] <= a * c[0] + b
 
 
-@contains.register
-def _(r: Curtain, p: Point) -> bool:
-    _check_dim(r, p)
-    return p[1] <= r.a * p[0] + r.b and in_bounds(p[0], r.lo, r.hi)
+@predicate.register
+def _(r: Curtain) -> Predicate:
+    a, b, lo, hi = r.a, r.b, r.lo, r.hi
+
+    def test(c: Coords) -> bool:
+        x = c[0]
+        if (lo is not None and x < lo) or (hi is not None and x > hi):
+            return False
+        return c[1] <= a * x + b
+    return test
 
 
-@contains.register
-def _(r: Triangle, p: Point) -> bool:
-    _check_dim(r, p)
-    s0 = _edge_side(r.v0, r.v1, p)
-    s1 = _edge_side(r.v1, r.v2, p)
-    s2 = _edge_side(r.v2, r.v0, p)
-    if r.signed_area2() == 0:
-        # Degenerate triangle: membership means lying on the segment hull.
-        return _on_degenerate(r, p)
-    return (s0 >= 0 and s1 >= 0 and s2 >= 0) or (s0 <= 0 and s1 <= 0 and s2 <= 0)
+@predicate.register
+def _(r: Triangle) -> Predicate:
+    v0, v1, v2 = (v.coords for v in r.vertices)
+    area2 = r.signed_area2()
+    if area2 == 0:
+        return _degenerate_triangle_predicate(r)
+    if area2 < 0:
+        v1, v2 = v2, v1
+    # p is on or left of the counter-clockwise edge (u, v) iff
+    # (v - u) x (p - u) = dx*y - dy*x + (dy*ux - dx*uy) >= 0.
+    (dx0, dy0, k0), (dx1, dy1, k1), (dx2, dy2, k2) = (
+        (vx - ux, vy - uy, (vy - uy) * ux - (vx - ux) * uy)
+        for (ux, uy), (vx, vy) in ((v0, v1), (v1, v2), (v2, v0)))
+
+    def test(c: Coords) -> bool:
+        x, y = c
+        return (dx0 * y - dy0 * x + k0 >= 0 and dx1 * y - dy1 * x + k1 >= 0
+                and dx2 * y - dy2 * x + k2 >= 0)
+    return test
 
 
-@contains.register
-def _(r: Line2, p: Point) -> bool:
-    _check_dim(r, p)
-    return p[1] == r.a * p[0] + r.b
-
-
-@contains.register
-def _(r: Polyhedron, p: Point) -> bool:
-    _check_dim(r, p)
-    return all(in_bounds(dot(nrm, p.coords), lo, hi)
-               for nrm, lo, hi in zip(r.normals, r.lows, r.highs))
-
-
-def _edge_side(u: Point, v: Point, p: Point) -> int:
-    val = cross(sub(v, u), sub(p, u))
-    return (val > 0) - (val < 0)
-
-
-def _on_degenerate(r: Triangle, p: Point) -> bool:
+def _degenerate_triangle_predicate(r: Triangle) -> Predicate:
+    # Zero area: membership means lying on one of the edge segments.
+    segments = []
     for u, v in ((r.v0, r.v1), (r.v1, r.v2), (r.v2, r.v0)):
-        if _edge_side(u, v, p) == 0:
-            xs = sorted((u[0], v[0]))
-            ys = sorted((u[1], v[1]))
-            if xs[0] <= p[0] <= xs[1] and ys[0] <= p[1] <= ys[1]:
-                return True
-    return False
+        (ux, uy), (vx, vy) = u.coords, v.coords
+        segments.append((ux, uy, vx - ux, vy - uy,
+                         min(ux, vx), max(ux, vx), min(uy, vy), max(uy, vy)))
+
+    def test(c: Coords) -> bool:
+        x, y = c
+        return any(dx * (y - uy) == dy * (x - ux)
+                   and xlo <= x <= xhi and ylo <= y <= yhi
+                   for ux, uy, dx, dy, xlo, xhi, ylo, yhi in segments)
+    return test
+
+
+@predicate.register
+def _(r: Line2) -> Predicate:
+    a, b = r.a, r.b
+    return lambda c: c[1] == a * c[0] + b
+
+
+@predicate.register
+def _(r: Polyhedron) -> Predicate:
+    if any(len(nrm) != r.dim for nrm in r.normals):
+        raise DimensionMismatchError(
+            "polyhedron normals of different dimensions")
+    slabs = tuple(zip(r.normals, r.lows, r.highs))
+
+    def test(c: Coords) -> bool:
+        for nrm, lo, hi in slabs:
+            value = sum(map(mul, nrm, c))
+            if (lo is not None and value < lo) or (hi is not None and value > hi):
+                return False
+        return True
+    return test
+
+
+def compile_ranges(points: Sequence[Point], ranges: Sequence[Range]
+                   ) -> tuple[list[Coords], Iterator[Predicate]]:
+    """The points' coordinate tuples, and an iterator that compiles one
+    predicate per range as it is reached, so one predicate lives at a time.
+
+    Dimensions are checked once per instance, not per pair: every point,
+    and every range as it is compiled, must have the first point's dimension.
+    """
+    d = points[0].dim if points else None
+    for idx, p in enumerate(points):
+        if p.dim != d:
+            raise DimensionMismatchError(
+                f"point {idx} has dimension {p.dim}, first point has {d}")
+
+    def tests() -> Iterator[Predicate]:
+        for idx, r in enumerate(ranges):
+            test = predicate(r)
+            if d is not None and r.dim != d:
+                raise DimensionMismatchError(
+                    f"range {idx} has dimension {r.dim}, first point has {d}")
+            yield test
+    return [p.coords for p in points], tests()
+
+
+def contains(r: Range, p: Point) -> bool:
+    """True iff p lies in the closed range r (exact arithmetic)."""
+    test = predicate(r)
+    if r.dim != p.dim:
+        raise DimensionMismatchError(
+            f"range dimension {r.dim} vs point dimension {p.dim}")
+    return test(p.coords)
 
 
 # ---------------------------------------------------------------------------
@@ -451,10 +519,6 @@ def dualize(obj: Point | Hyperplane) -> Hyperplane | Point:
 def point_above(p: Point, h: Hyperplane) -> bool:
     """Strictly above the hyperplane in the last coordinate."""
     return h.side_of(p) > 0
-
-
-def point_below(p: Point, h: Hyperplane) -> bool:
-    return h.side_of(p) < 0
 
 
 def lift(p: Point) -> Point:

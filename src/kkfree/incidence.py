@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 
 from .dyadic import canonical_decomposition
 from .errors import (InvalidInputError, NotApplicableError,
                      UnknownVerdictError)
-from .geometry import Box, Point, Range, contains
+from .geometry import Box, Point, Range, compile_ranges
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -52,13 +53,33 @@ class IncidenceGraph:
 
 
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
-    """The defining oracle: test every (point, range) pair exactly."""
+    """The defining oracle: test every (point, range) pair exactly.
+
+    Dimensions are checked once per instance; each range is compiled once
+    and its predicate run over all point coordinates.
+    """
+    coords, tests = compile_ranges(points, ranges)
     edges = set()
-    for j, r in enumerate(ranges):
-        for i, p in enumerate(points):
-            if contains(r, p):
-                edges.add((i, j))
+    for j, test in enumerate(tests):
+        edges.update((i, j) for i, c in enumerate(coords) if test(c))
     return IncidenceGraph(len(points), len(ranges), frozenset(edges))
+
+
+def require_free(points: list[Point], ranges: list[Range], k: int,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> IncidenceGraph:
+    """The oracle's incidence graph, once its K_{k,k} search says "free".
+
+    Raises NotApplicableError with the witness when a K_{k,k} is found, and
+    UnknownVerdictError when the search budget runs out.
+    """
+    graph = incidences_bruteforce(points, ranges)
+    verdict = find_kkk(graph, k, node_budget)
+    if verdict.found:
+        raise NotApplicableError("graph contains K_{k,k}",
+                                 witness=(verdict.points, verdict.ranges))
+    if verdict.status == "unknown":
+        raise UnknownVerdictError("K_{k,k} search budget exhausted")
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +350,7 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     """
     if any(p.dim != 1 for p in points) or any(b.dim != 1 for b in intervals):
         raise InvalidInputError("interval audit is one-dimensional")
-    graph = incidences_bruteforce(points, intervals)
-    verdict = find_kkk(graph, k, node_budget)
-    if verdict.found:
-        raise NotApplicableError("graph contains K_{k,k}",
-                                 witness=(verdict.points, verdict.ranges))
-    if verdict.status == "unknown":
-        raise UnknownVerdictError("K_{k,k} search budget exhausted")
+    graph = require_free(points, intervals, k, node_budget)
 
     n, m = len(points), len(intervals)
     order = sorted(range(n), key=lambda i: (points[i][0], i))
@@ -348,12 +363,11 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
         lo = points[idxs[0]][0]
         hi = points[idxs[-1]][0]
         containing = boundary = inc = 0
-        for j, box in enumerate(intervals):
-            blo, bhi = box.lows[0], box.highs[0]
-            block_inc = sum(1 for i in idxs if (i, j) in graph.edges)
+        # Only intervals holding a point of the block meet it.
+        meeting = Counter(j for i in idxs for j in graph.ranges_of_point(i))
+        for j, block_inc in meeting.items():
+            blo, bhi = intervals[j].lows[0], intervals[j].highs[0]
             inc += block_inc
-            if block_inc == 0:
-                continue  # interval does not meet this block
             covers = ((blo is None or blo <= lo)
                       and (bhi is None or bhi >= hi))
             endpoint_in = ((blo is not None and lo <= blo <= hi)
@@ -384,10 +398,11 @@ def shatter_trace_count(points: list[Point], ranges: list[Range],
                         k: int | None = None) -> ShatterCount:
     """Count distinct traces {P ∩ f : f in F}; with k, also the number of
     ranges containing more than k points."""
+    coords, tests = compile_ranges(points, ranges)
     traces = set()
     heavy = 0 if k is not None else None
-    for r in ranges:
-        trace = frozenset(i for i, p in enumerate(points) if contains(r, p))
+    for test in tests:
+        trace = frozenset(i for i, c in enumerate(coords) if test(c))
         traces.add(trace)
         if k is not None and len(trace) > k:
             heavy += 1

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InvalidInputError, NotApplicableError, UnknownVerdictError
-from .geometry import Halfspace, Hyperplane, Point, Range, Rat, contains
-from .incidence import (DEFAULT_NODE_BUDGET, find_kkk,
-                        incidences_bruteforce)
+from .errors import InvalidInputError
+from .geometry import (Halfspace, Hyperplane, Point, Predicate, Range, Rat,
+                       compile_ranges)
+from .incidence import DEFAULT_NODE_BUDGET, require_free
 
 
 def level(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
@@ -30,9 +30,24 @@ def level_above(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
     return sum(1 for h in hyperplanes if h.side_of(p) <= 0)
 
 
-def depth(p: Point, shapes: Sequence[Range]) -> int:
-    """Number of shapes containing p (closed containment)."""
-    return sum(1 for s in shapes if contains(s, p))
+def depth(p: Point, shapes: Sequence[Range],
+          tests: Sequence[Predicate] | None = None) -> int:
+    """Number of shapes containing p (closed containment).
+
+    ``tests`` lists the shapes' compiled predicates when the caller reuses
+    them over many points (see ``depths``); without it the shapes are
+    compiled for this call.
+    """
+    if tests is None:
+        tests = compile_ranges([p], shapes)[1]
+    c = p.coords
+    return sum(1 for test in tests if test(c))
+
+
+def depths(points: list[Point], shapes: Sequence[Range]) -> list[int]:
+    """Depth of every point, compiling each shape once."""
+    tests = list(compile_ranges(points, shapes)[1])
+    return [depth(p, shapes, tests) for p in points]
 
 
 @dataclass(frozen=True)
@@ -73,7 +88,7 @@ def depth_partition(points: list[Point], shapes: Sequence[Range],
     m = len(shapes)
     if not (1 <= r <= max(m, 1)):
         raise InvalidInputError("need 1 <= r <= m")
-    values = tuple(depth(p, shapes) for p in points)
+    values = tuple(depths(points, shapes))
     return _partition_from_values(values, Fraction(m) / Fraction(r))
 
 
@@ -129,16 +144,6 @@ def _band_counts(values: Sequence[int], m: int, r: Rat) -> tuple[int, int]:
     return half_open, closed
 
 
-def _require_free(points, ranges, k, node_budget):
-    graph = incidences_bruteforce(points, ranges)
-    verdict = find_kkk(graph, k, node_budget)
-    if verdict.found:
-        raise NotApplicableError("graph contains K_{k,k}",
-                                 witness=(verdict.points, verdict.ranges))
-    if verdict.status == "unknown":
-        raise UnknownVerdictError("K_{k,k} search budget exhausted")
-
-
 def shallow_census(points: list[Point], halfspaces: list[Halfspace], k: int,
                    r: Rat, node_budget: int = DEFAULT_NODE_BUDGET,
                    precomputed_levels: Sequence[int] | None = None,
@@ -158,7 +163,7 @@ def shallow_census(points: list[Point], halfspaces: list[Halfspace], k: int,
     if Fraction(r) > Fraction(m, 2 * k):
         raise InvalidInputError("need r <= m/(2k)")
     if not skip_free_check:
-        _require_free(points, halfspaces, k, node_budget)
+        require_free(points, halfspaces, k, node_budget)
     if precomputed_levels is None:
         bounds = [h.boundary for h in halfspaces]
         precomputed_levels = [level(p, bounds) for p in points]
@@ -181,9 +186,9 @@ def depth_census(points: list[Point], shapes: list[Range], k: int, r: Rat,
     if Fraction(r) > Fraction(m, 2 * k):
         raise InvalidInputError("need r <= m/(2k)")
     if not skip_free_check:
-        _require_free(points, shapes, k, node_budget)
+        require_free(points, shapes, k, node_budget)
     if precomputed_depths is None:
-        precomputed_depths = [depth(p, shapes) for p in points]
+        precomputed_depths = depths(points, shapes)
     observed, closed = _band_counts(precomputed_depths, m, r)
     reference = float(k) * union_complexity(float(Fraction(r)))
     ratio = observed / reference if reference else None

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, UnsupportedInputError
 from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
-                       contains, dot, lift, lift_ball)
+                       dot, lift, lift_ball, predicate)
 from .incidence import incidences_bruteforce
 
 
@@ -385,11 +385,11 @@ class OriginTriangleReduction:
             ok = ok and (expected == actual)
             seen.update((i, j) for i, j in src.edges if i in local)
         vertical = set(self.vertical_indices)
+        tests = [predicate(t) for t in self.source_triangles]
         for i, j in src.edges:
             if i in vertical:
                 # Vertical-ray special case: re-checked directly.
-                ok = ok and contains(self.source_triangles[j],
-                                     self.source_points[i])
+                ok = ok and tests[j](self.source_points[i].coords)
                 seen.add((i, j))
         ok = ok and (seen == set(src.edges))
         self.certificate.verified = ok

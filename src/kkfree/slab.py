@@ -18,7 +18,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError
-from .geometry import Box, Curtain, Point, in_bounds
+from .geometry import Box, Curtain, Point, predicate
 from .incidence import incidences_bruteforce
 
 
@@ -272,8 +272,7 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     if d < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
     coords = [p.coords for p in points]
-    bounds = [(bx.lows, bx.highs) for bx in boxes]
-    root = _box_node(coords, bounds, b, 0)
+    root = _box_node(coords, list(boxes), b, 0)
     total = root.subtree_total()
     return RecursionReport("box", b, k, total, root)
 
@@ -282,13 +281,12 @@ def _as_points(coords: list[tuple]) -> list[Point]:
     return [Point(c) for c in coords]
 
 
-def _box_node(coords: list[tuple], boxes: list[tuple], b: int,
+def _box_node(coords: list[tuple], boxes: list[Box], b: int,
               depth: int) -> SlabNode:
     d = len(coords[0]) if coords else 0
     n = len(coords)
     if d == 2:
-        rects = [Box(lo, hi) for lo, hi in boxes]
-        sub = rect_audit(_as_points(coords), rects, b, 1)
+        sub = rect_audit(_as_points(coords), boxes, b, 1)
         node = sub.root
         node.kind = "rect-base" if node.kind == "split" else node.kind
         _shift_depth(node, depth)
@@ -301,11 +299,12 @@ def _box_node(coords: list[tuple], boxes: list[tuple], b: int,
     coords = [coords[i] for i in order]
     xs = [c[0] for c in coords]
     cuts = _slab_cuts(n, b)
-    inside: list[list[tuple]] = [[] for _ in range(b)]
-    long_per_slab: list[list[tuple]] = [[] for _ in range(b)]
+    inside: list[list[Box]] = [[] for _ in range(b)]
+    long_per_slab: list[list[Box]] = [[] for _ in range(b)]
     vertices = 0
     assigned = 0  # endpoints handed to exactly one child slab each
-    for lows, highs in boxes:
+    for box in boxes:
+        lows, highs = box.lows, box.highs
         alpha, beta = _coverage(xs, lows[0], highs[0])
         if alpha > beta:
             continue
@@ -319,12 +318,13 @@ def _box_node(coords: list[tuple], boxes: list[tuple], b: int,
             vertices += 1 << (d - 1)
             assigned += 1 << (d - 1)
         for s in owners:
-            inside[s].append((lows, highs))
-        proj = (lows[1:], highs[1:])
+            inside[s].append(box)
+        proj = None
         for s in range(_slab_of(cuts, alpha), _slab_of(cuts, beta) + 1):
             if s in owners:
                 continue
             # Slab s is covered in full: project out the leading axis.
+            proj = proj or Box(lows[1:], highs[1:])
             long_per_slab[s].append(proj)
     node = SlabNode("split", depth, d, n, len(boxes),
                     charged=sum(len(g) for g in long_per_slab),
@@ -342,12 +342,11 @@ def _box_node(coords: list[tuple], boxes: list[tuple], b: int,
     return node
 
 
-def _brute_boxes(coords: list[tuple], boxes: list[tuple]) -> int:
+def _brute_boxes(coords: list[tuple], boxes: list[Box]) -> int:
     total = 0
-    for lows, highs in boxes:
-        for c in coords:
-            if all(in_bounds(x, lo, hi) for x, lo, hi in zip(c, lows, highs)):
-                total += 1
+    for box in boxes:
+        test = predicate(box)
+        total += sum(1 for c in coords if test(c))
     return total
 
 
@@ -378,9 +377,10 @@ def _curtain_node(pts: list[Point], curtains: list[Curtain],
                   depth: int) -> SlabNode:
     n = len(pts)
     if n <= 4 or not curtains:
-        attributed = sum(1 for c in curtains for p in pts
-                         if in_bounds(p[0], c.lo, c.hi)
-                         and p[1] <= c.a * p[0] + c.b)
+        attributed = 0
+        for c in curtains:
+            test = predicate(c)
+            attributed += sum(1 for p in pts if test(p.coords))
         return SlabNode("leaf", depth, 2, n, len(curtains),
                         charged=len(curtains), attributed=attributed)
     xs = [p[0] for p in pts]
@@ -399,8 +399,9 @@ def _curtain_node(pts: list[Point], curtains: list[Curtain],
             right.append(c)
         else:
             charged += 1
+            test = predicate(c)
             attributed += sum(1 for t in range(alpha, beta + 1)
-                              if pts[t][1] <= c.a * pts[t][0] + c.b)
+                              if test(pts[t].coords))
     node = SlabNode("split", depth, 2, n, len(curtains),
                     charged=charged, attributed=attributed,
                     inside_counts=(len(left), len(right)))

@@ -9,7 +9,11 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
-                             interval, lift, lift_ball, point_above, pt)
+                             interval, lift, lift_ball, point_above,
+                             predicate, pt)
+from kkfree.incidence import incidences_bruteforce
+
+from conftest import reference_contains
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)
@@ -124,19 +128,6 @@ def test_degenerate_interval():
         interval(2, 1)
 
 
-def _triangle_oracle(tri: Triangle, p: Point) -> bool:
-    # Independent check: solve p = v0 + s*(v1-v0) + t*(v2-v0) exactly.
-    ax, ay = tri.v1[0] - tri.v0[0], tri.v1[1] - tri.v0[1]
-    bx, by = tri.v2[0] - tri.v0[0], tri.v2[1] - tri.v0[1]
-    px, py = p[0] - tri.v0[0], p[1] - tri.v0[1]
-    det = ax * by - ay * bx
-    if det == 0:
-        return False  # oracle handles nondegenerate triangles only
-    s = F(px * by - py * bx) / det
-    t = F(ax * py - ay * px) / det
-    return s >= 0 and t >= 0 and s + t <= 1
-
-
 @given(st.data())
 @settings(max_examples=200)
 def test_triangle_containment_vs_barycentric(data):
@@ -147,7 +138,7 @@ def test_triangle_containment_vs_barycentric(data):
     if tri.signed_area2() == 0:
         return
     p = Point((data.draw(rationals), data.draw(rationals)))
-    assert contains(tri, p) == _triangle_oracle(tri, p)
+    assert contains(tri, p) == reference_contains(tri, p)
 
 
 def test_polyhedron_strips():
@@ -161,3 +152,144 @@ def test_linear_halfspace_senses():
     ge = LinearHalfspace((1, 1), 2, "ge")
     assert contains(ge, pt(1, 1))
     assert not contains(ge, pt(0, 0))
+
+
+# ---------------------------------------------------------------------------
+# compiled predicates against the test reference
+
+# Small grid of ints and Fractions, so boundary hits are frequent.
+grid = st.one_of(st.integers(-3, 3),
+                 st.fractions(min_value=-3, max_value=3, max_denominator=3))
+maybe = st.one_of(st.none(), grid)
+
+
+def _grid_point(data, d):
+    return Point(tuple(data.draw(grid) for _ in range(d)))
+
+
+def _sorted_bounds(data):
+    lo, hi = data.draw(maybe), data.draw(maybe)
+    if lo is not None and hi is not None and lo > hi:
+        lo, hi = hi, lo
+    return lo, hi
+
+
+# Each builder draws a range and a point on its boundary.
+
+def _box(data):
+    bounds = [_sorted_bounds(data) for _ in range(data.draw(st.integers(1, 3)))]
+    box = Box(tuple(lo for lo, _ in bounds), tuple(hi for _, hi in bounds))
+    corner = tuple(lo if lo is not None else hi if hi is not None else 0
+                   for lo, hi in bounds)
+    return box, Point(corner)
+
+
+def _halfspace(data):
+    d = data.draw(st.integers(2, 3))
+    h = Hyperplane(tuple(data.draw(grid) for _ in range(d - 1)), data.draw(grid))
+    prefix = _grid_point(data, d - 1).coords
+    side = data.draw(st.sampled_from(["upper", "lower"]))
+    return Halfspace(h, side), Point(prefix + (h.height_at(prefix),))
+
+
+def _linear_halfspace(data):
+    d = data.draw(st.integers(1, 3))
+    coeffs = tuple(data.draw(grid) for _ in range(d))
+    if not any(coeffs):
+        coeffs = (1,) + coeffs[1:]
+    q = _grid_point(data, d)
+    sense = data.draw(st.sampled_from(["le", "ge"]))
+    return LinearHalfspace(coeffs, sum(a * b for a, b in zip(coeffs, q)), sense), q
+
+
+def _ball(data):
+    d = data.draw(st.integers(1, 3))
+    center, q = _grid_point(data, d), _grid_point(data, d)
+    return Ball(center, sum((a - b) ** 2 for a, b in zip(center, q))), q
+
+
+def _wedge2(data):
+    a, b, c = (data.draw(grid) for _ in range(3))
+    return Wedge2(a, b, c), Point((c, a * c + b))
+
+
+def _wedge3(data):
+    a, b, c, x = (data.draw(grid) for _ in range(4))
+    return Wedge3(a, b, c), Point((x, a * x + b, c))
+
+
+def _curtain(data):
+    a, b = data.draw(grid), data.draw(grid)
+    lo, hi = _sorted_bounds(data)
+    x = lo if lo is not None else hi if hi is not None else data.draw(grid)
+    return Curtain(a, b, lo, hi), Point((x, a * x + b))
+
+
+def _triangle(data):
+    v0, v1 = _grid_point(data, 2), _grid_point(data, 2)
+    shape = data.draw(st.sampled_from(["any", "collinear", "coincident"]))
+    if shape == "collinear":
+        t = data.draw(grid)
+        v2 = Point(tuple(a + t * (b - a) for a, b in zip(v0, v1)))
+    elif shape == "coincident":
+        v2 = v0
+    else:
+        v2 = _grid_point(data, 2)
+    mid = Point(tuple(F(a + b) / 2 for a, b in zip(v1, v2)))
+    return Triangle(v0, v1, v2), mid
+
+
+def _line(data):
+    a, b, x = (data.draw(grid) for _ in range(3))
+    return Line2(a, b), Point((x, a * x + b))
+
+
+def _polyhedron(data):
+    d = data.draw(st.integers(1, 3))
+    normals = tuple(_grid_point(data, d).coords
+                    for _ in range(data.draw(st.integers(1, 3))))
+    bounds = [_sorted_bounds(data) for _ in normals]
+    q = _grid_point(data, d)
+    bounds[0] = (sum(a * b for a, b in zip(normals[0], q)), bounds[0][1])
+    return (Polyhedron(normals, tuple(lo for lo, _ in bounds),
+                       tuple(hi for _, hi in bounds)), q)
+
+
+BUILDERS = {"box": _box, "halfspace": _halfspace,
+            "linear-halfspace": _linear_halfspace, "ball": _ball,
+            "wedge2": _wedge2, "wedge3": _wedge3, "curtain": _curtain,
+            "triangle": _triangle, "line": _line, "polyhedron": _polyhedron}
+
+
+@given(st.sampled_from(sorted(BUILDERS)), st.data())
+@settings(max_examples=600)
+def test_predicate_matches_reference(kind, data):
+    r, on_boundary = BUILDERS[kind](data)
+    points = [on_boundary] + [_grid_point(data, r.dim) for _ in range(5)]
+    test = predicate(r)
+    for p in points:
+        assert test(p.coords) == reference_contains(r, p), (r, p)
+
+
+def test_triangle_orientation_and_degenerate_cases():
+    ccw = Triangle(pt(0, 0), pt(4, 0), pt(0, 4))
+    cw = Triangle(pt(0, 0), pt(0, 4), pt(4, 0))
+    for tri in (ccw, cw):
+        test = predicate(tri)
+        assert test((2, 2)) and test((1, 1)) and test((0, 0))
+        assert not test((3, 2))
+    # Collinear vertices: only the segment hull counts, not the whole line.
+    flat = predicate(Triangle(pt(0, 0), pt(2, 2), pt(1, 1)))
+    assert flat((F(1, 2), F(1, 2))) and flat((2, 2))
+    assert not flat((3, 3)) and not flat((1, 0))
+    point = predicate(Triangle(pt(1, 1), pt(1, 1), pt(1, 1)))
+    assert point((1, 1)) and not point((1, 2))
+
+
+def test_oracle_checks_every_dimension_once():
+    square = box2(0, 1, 0, 1)
+    with pytest.raises(DimensionMismatchError):
+        incidences_bruteforce([pt(0, 0), pt(1, 1), pt(0, 0, 0)], [square])
+    with pytest.raises(DimensionMismatchError):
+        incidences_bruteforce([pt(0, 0), pt(1, 1)],
+                              [square, square, Box((0, 0, 0), (1, 1, 1))])
