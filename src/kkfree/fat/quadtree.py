@@ -1,8 +1,10 @@
 """Quadtree squares, shift alignment, centroid splitting, stabbing grids.
 
 Quadtree squares are half-open dyadic cells of the unit square; all
-membership tests are exact on rationals.  Diameters are carried squared so
-comparisons against powers of two stay exact.
+membership tests are exact on rationals.  A coordinate x = num/den lies in
+column floor(x * 2^l) = ``cell_key(num, den, l)`` of level l, so cell
+decisions are integer shifts and compares.  Diameters are carried squared
+so comparisons against powers of two stay exact.
 """
 
 from __future__ import annotations
@@ -56,19 +58,20 @@ class QuadtreeSquare:
         return (self.x0 <= x < self.x0 + side
                 and self.y0 <= y < self.y0 + side)
 
-    def contains_point(self, p: Point) -> bool:
-        return self.contains_xy(p[0], p[1])
-
     def children(self) -> tuple["QuadtreeSquare", ...]:
         lv, i, j = self.level + 1, 2 * self.i, 2 * self.j
         return (QuadtreeSquare(lv, i, j), QuadtreeSquare(lv, i + 1, j),
                 QuadtreeSquare(lv, i, j + 1), QuadtreeSquare(lv, i + 1, j + 1))
 
 
-def square_containing(x: Rat, y: Rat, level: int) -> QuadtreeSquare:
-    scale = 1 << level
-    return QuadtreeSquare(level, math.floor(Fraction(x) * scale),
-                          math.floor(Fraction(y) * scale))
+def cell_key(num: int, den: int, level: int) -> int:
+    """floor(num / den * 2^level), the cell index of num/den at ``level``."""
+    return (num << level) // den
+
+
+def _cell_of(x: Rat, level: int) -> int:
+    x = Fraction(x)
+    return cell_key(x.numerator, x.denominator, level)
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +125,18 @@ def is_aligned(bbox: BBox, diam_sq: Rat) -> bool:
     if not (0 <= xlo and 0 <= ylo and xhi < 1 and yhi < 1):
         raise InvalidInputError("shape must lie inside the unit square")
     level = alignment_level(diam_sq)
-    sq = square_containing(xlo, ylo, level)
-    side = sq.side
-    return xhi < sq.x0 + side and yhi < sq.y0 + side
+    # The upper corner stays in the lower corner's cell iff its cell index
+    # is not larger.
+    return (_cell_of(xhi, level) <= _cell_of(xlo, level)
+            and _cell_of(yhi, level) <= _cell_of(ylo, level))
+
+
+def aligned_shift_index(bbox: BBox, diam_sq: Rat) -> int | None:
+    """Index into SHIFTS of the first shift aligning the shape, or None."""
+    for idx, shift in enumerate(SHIFTS):
+        if is_aligned(tuple(c + shift for c in bbox), diam_sq):
+            return idx
+    return None
 
 
 def shift_align(bbox: BBox, diam_sq: Rat) -> Fraction:
@@ -135,12 +147,10 @@ def shift_align(bbox: BBox, diam_sq: Rat) -> Fraction:
     per axis is shorter than a third of the side, so it can reject at most
     one shift per axis.
     """
-    for shift in SHIFTS:
-        shifted = (bbox[0] + shift, bbox[1] + shift,
-                   bbox[2] + shift, bbox[3] + shift)
-        if is_aligned(shifted, diam_sq):
-            return shift
-    raise IntegrityError("no diagonal third-shift aligns the shape")
+    idx = aligned_shift_index(bbox, diam_sq)
+    if idx is None:
+        raise IntegrityError("no diagonal third-shift aligns the shape")
+    return SHIFTS[idx]
 
 
 # ---------------------------------------------------------------------------
@@ -155,49 +165,52 @@ def centroid_square(points_xy: list[tuple[Rat, Rat]],
     no strictly smaller square below it qualifies.  Since the four half-open
     children partition a cell, the returned square then holds fewer than
     4n/5 points, and the complement holds at most 4n/5.  Point multisets
-    that never separate (coincident locations) stop at ``max_level``; the
-    explicit rebalance loop below the descent only engages in that
-    degenerate case.
+    that never separate (coincident locations) stop at ``max_level``, where
+    the square may hold more than 4n/5 points; callers handle that case.
     """
     sq, _inside = centroid_square_with_members(points_xy, max_level)
     return sq
 
 
 def centroid_square_with_members(points_xy, max_level: int = MAX_LEVEL):
-    n = len(points_xy)
-    if n < 1:
+    """The centroid square and the points inside it, in input order."""
+    pts = list(points_xy)
+    if not pts:
         raise InvalidInputError("need at least one point")
-    for x, y in points_xy:
+    for x, y in pts:
         if not (0 <= x < 1 and 0 <= y < 1):
             raise InvalidInputError("points must lie in the unit square")
-    need = Fraction(n, 5)
-    sq = QuadtreeSquare(0, 0, 0)
-    members = list(points_xy)
-    while sq.level < max_level:
-        nxt = _qualifying_child(sq, members, need)
-        if nxt is None:
-            break
-        sq, members = nxt
-    # Rebalance guard: with duplicate-heavy inputs the capped square may hold
-    # more than 4n/5 points; descend toward the heaviest child then.
-    while len(members) > Fraction(4 * n, 5) and sq.level < max_level:
-        best = None
-        for child in sq.children():
-            inside = [p for p in members if child.contains_xy(p[0], p[1])]
-            if best is None or len(inside) > len(best[1]):
-                best = (child, inside)
-        if not best or not best[1]:
-            break
-        sq, members = best
-    return sq, members
+    keys = [(_cell_of(x, max_level), _cell_of(y, max_level)) for x, y in pts]
+    level, i, j, members = centroid_descent(keys, range(len(pts)), max_level)
+    return QuadtreeSquare(level, i, j), [pts[m] for m in members]
 
 
-def _qualifying_child(sq: QuadtreeSquare, members, need: Fraction):
-    for child in sq.children():
-        inside = [p for p in members if child.contains_xy(p[0], p[1])]
-        if len(inside) >= need:
-            return child, inside
-    return None
+def centroid_descent(keys, members, bits: int):
+    """The centroid descent of ``centroid_square`` on integer cell keys.
+
+    ``keys[m]`` is the pair of level-``bits`` cell indices of member m, so
+    the child of a level-l cell holding m is read off bit ``bits - l - 1``
+    of each key, and the descent stops at level ``bits``.  Returns
+    ``(level, i, j, inside)`` with the members of square (level, i, j) in
+    their input order.
+    """
+    n = len(members)
+    level = i = j = 0
+    members = list(members)
+    while level < bits:
+        bit = bits - level - 1
+        buckets = ([], [], [], [])
+        for m in members:
+            kx, ky = keys[m]
+            buckets[(kx >> bit & 1) | (ky >> bit & 1) << 1].append(m)
+        # Scan order (i, j), (i+1, j), (i, j+1), (i+1, j+1): child c sits
+        # at offset (c & 1, c >> 1).
+        c = next((c for c in range(4) if 5 * len(buckets[c]) >= n), None)
+        if c is None:
+            break
+        level, i, j = level + 1, 2 * i + (c & 1), 2 * j + (c >> 1)
+        members = buckets[c]
+    return level, i, j, members
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,8 @@ from fractions import Fraction
 from ..errors import InvalidInputError
 from ..geometry import Point, Triangle, cross, predicate
 from ..reductions import apex_cell_constraints
-from .quadtree import SHIFTS, centroid_square, diameter_sq_of
+from .quadtree import (MAX_LEVEL, SHIFTS, QuadtreeSquare, aligned_shift_index,
+                       bbox_of, cell_key, centroid_descent, diameter_sq_of)
 from .slanted import QueryStats, SlantedRangeTree
 
 FAT_LEAF_SIZE = 48
@@ -60,10 +61,6 @@ class FrameMap:
         return ((Fraction(p[0]) - self.origin[0]) * self.scale,
                 (Fraction(p[1]) - self.origin[1]) * self.scale)
 
-    def header(self) -> dict:
-        return {"origin": [str(self.origin[0]), str(self.origin[1])],
-                "scale": str(self.scale)}
-
 
 def make_frame(points: list[Point]) -> FrameMap:
     if not points:
@@ -96,10 +93,17 @@ class _FatNode:
 
 @dataclass
 class FatStratum:
+    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den)."""
+
     shift: Fraction
     root: _FatNode | None
     dfs_order: list[int]
-    coords: list[tuple[Fraction, Fraction]]
+    xy: list[tuple[int, int]]
+    den: int
+
+    def point(self, i: int) -> tuple[Fraction, Fraction]:
+        x, y = self.xy[i]
+        return (Fraction(x, self.den), Fraction(y, self.den))
 
 
 @dataclass
@@ -172,64 +176,83 @@ def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
             raise InvalidInputError("fat structure needs planar points")
     frame = make_frame(points)
     base = [frame.to_frame(p) for p in points]
+    # One denominator for every frame coordinate and every shift, so each
+    # stratum's coordinates are integer numerators over it.
+    den = math.lcm(*(s.denominator for s in SHIFTS),
+                   *(c.denominator for xy in base for c in xy))
+    nums = [(_over(x, den), _over(y, den)) for x, y in base]
     structure = FatReportStructure(frame, delta, len(points), leaf_size, [])
     for shift in SHIFTS:
-        coords = [(x + shift, y + shift) for x, y in base]
-        stratum = FatStratum(shift, None, [], coords)
+        off = _over(shift, den)
+        xy = [(x + off, y + off) for x, y in nums]
+        stratum = FatStratum(shift, None, [], xy, den)
         if points:
-            stratum.root = _build_node(stratum, list(range(len(points))),
+            keys = [(cell_key(x, den, MAX_LEVEL), cell_key(y, den, MAX_LEVEL))
+                    for x, y in xy]
+            stratum.root = _build_node(stratum, keys, list(range(len(points))),
                                        leaf_size, curtain_leaf, structure)
         structure.strata.append(stratum)
     return structure
 
 
-def _build_node(stratum: FatStratum, idxs: list[int], leaf_size: int,
-                curtain_leaf: int, structure: FatReportStructure) -> _FatNode:
+def _over(c: Fraction, den: int) -> int:
+    """The numerator of c over ``den``, a multiple of its denominator."""
+    return c.numerator * (den // c.denominator)
+
+
+def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
+                idxs: list[int], leaf_size: int, curtain_leaf: int,
+                structure: FatReportStructure) -> _FatNode:
+    """``keys[i]`` holds the level-MAX_LEVEL cell indices of point i."""
     node = _FatNode()
     node.count = len(idxs)
-    coords = stratum.coords
-    node.bbox = (min(coords[i][0] for i in idxs),
-                 min(coords[i][1] for i in idxs),
-                 max(coords[i][0] for i in idxs),
-                 max(coords[i][1] for i in idxs))
+    xy, den = stratum.xy, stratum.den
+    xs = [xy[i][0] for i in idxs]
+    ys = [xy[i][1] for i in idxs]
+    node.bbox = (Fraction(min(xs), den), Fraction(min(ys), den),
+                 Fraction(max(xs), den), Fraction(max(ys), den))
     node.start = len(stratum.dfs_order)
-    distinct = len({coords[i] for i in idxs}) > 1
+    distinct = len({xy[i] for i in idxs}) > 1
     if len(idxs) <= leaf_size or not distinct:
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
         if not distinct and len(idxs) > leaf_size:
             structure.degenerate = True
         return node
-    sq = centroid_square([coords[i] for i in idxs])
-    inside_idx = [i for i in idxs if sq.contains_xy(*coords[i])]
-    outside_idx = [i for i in idxs if not sq.contains_xy(*coords[i])]
+    level, sq_i, sq_j, inside_idx = centroid_descent(keys, idxs, MAX_LEVEL)
+    drop = MAX_LEVEL - level
+    outside_idx = [i for i in idxs if keys[i][0] >> drop != sq_i
+                   or keys[i][1] >> drop != sq_j]
     if not inside_idx or not outside_idx:
         # Degenerate split; keep the node a leaf to guarantee termination.
         structure.degenerate = True
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
         return node
-    node.square = sq
-    gx, gy = sq.center
-    node.apex = (gx, gy)
+    node.square = QuadtreeSquare(level, sq_i, sq_j)
+    node.apex = node.square.center
+    # Scaled by den * 2^(level+1), the apex (gx, gy), every point and 1
+    # itself (``unit``) are integers, so a slope dy / |dx| and the value
+    # -1 / |x - apex_x| = -unit / |dx| are each one Fraction of two ints.
+    unit = den << (level + 1)
+    gx, gy = (2 * sq_i + 1) * den, (2 * sq_j + 1) * den
     pos_entries, neg_entries, axis_pts = [], [], []
     for i in idxs:
-        x, y = coords[i]
-        if x > gx:
-            big_x = x - gx
-            pos_entries.append(((y - gy) / big_x, Fraction(-1) / big_x, i))
-        elif x < gx:
-            big_x = gx - x
-            neg_entries.append(((y - gy) / big_x, Fraction(-1) / big_x, i))
+        dx = (xy[i][0] << (level + 1)) - gx
+        dy = (xy[i][1] << (level + 1)) - gy
+        if dx:
+            big_x = abs(dx)
+            entries = pos_entries if dx > 0 else neg_entries
+            entries.append((Fraction(dy, big_x), Fraction(-unit, big_x), i))
         else:
             axis_pts.append(i)
     node.pos_tree = SlantedRangeTree(pos_entries, curtain_leaf) if pos_entries else None
     node.neg_tree = SlantedRangeTree(neg_entries, curtain_leaf) if neg_entries else None
     node.axis_pts = tuple(axis_pts)
-    node.inside = _build_node(stratum, inside_idx, leaf_size, curtain_leaf,
-                              structure)
-    node.outside = _build_node(stratum, outside_idx, leaf_size, curtain_leaf,
-                               structure)
+    node.inside = _build_node(stratum, keys, inside_idx, leaf_size,
+                              curtain_leaf, structure)
+    node.outside = _build_node(stratum, keys, outside_idx, leaf_size,
+                               curtain_leaf, structure)
     node.end = len(stratum.dfs_order)
     return node
 
@@ -257,8 +280,9 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
                   for x, y in frame_verts)
     stratum_index = 0
     if in_core:
-        diam_sq = diameter_sq_of(frame_verts)
-        stratum_index = _aligned_stratum(frame_verts, diam_sq)
+        aligned = aligned_shift_index(bbox_of(frame_verts),
+                                      diameter_sq_of(frame_verts))
+        stratum_index = 0 if aligned is None else aligned
     else:
         stats.out_of_frame = True
     stats.stratum = stratum_index
@@ -272,17 +296,6 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
     return sorted(out), stats
 
 
-def _aligned_stratum(frame_verts, diam_sq) -> int:
-    from .quadtree import bbox_of, is_aligned
-    bbox = bbox_of(frame_verts)
-    for idx, shift in enumerate(SHIFTS):
-        shifted = (bbox[0] + shift, bbox[1] + shift,
-                   bbox[2] + shift, bbox[3] + shift)
-        if is_aligned(shifted, diam_sq):
-            return idx
-    return 0
-
-
 def _query_node(stratum: FatStratum, node: _FatNode, verts, in_query,
                 out: set, stats: FatQueryStats):
     stats.nodes_visited += 1
@@ -293,10 +306,9 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, in_query,
         out.update(stratum.dfs_order[node.start:node.end])
         return
     if node.inside is None:  # leaf
-        coords = stratum.coords
         for i in stratum.dfs_order[node.start:node.end]:
             stats.point_tests += 1
-            if in_query(coords[i]):
+            if in_query(stratum.point(i)):
                 out.add(i)
         return
     if in_query(node.apex):
@@ -310,7 +322,6 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, in_query,
 def _apex_answer(stratum: FatStratum, node: _FatNode, verts, in_query,
                  out: set, stats: FatQueryStats):
     gx, gy = node.apex
-    coords = stratum.coords
     for a in range(3):
         va, vb = verts[a], verts[(a + 1) % 3]
         a_local = (va[0] - gx, va[1] - gy)
@@ -326,7 +337,7 @@ def _apex_answer(stratum: FatStratum, node: _FatNode, verts, in_query,
             out.update(hits)
     for i in node.axis_pts:
         stats.point_tests += 1
-        if in_query(coords[i]):
+        if in_query(stratum.point(i)):
             out.add(i)
 
 

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkfree import generators as gens
 from kkfree.errors import InvalidInputError
@@ -100,6 +102,73 @@ def test_centroid_balance(rng):
         for child in sq.children():
             cnt = sum(1 for p in pts if child.contains_xy(*p))
             assert 5 * cnt < n or sq.level == MAX_LEVEL
+
+
+def _reference_centroid(points, max_level):
+    """The Fraction scan the integer descent replaced: each child square's
+    members are found by comparing coordinates with its exact corners."""
+    def inside(level, i, j, p):
+        side = F(1, 1 << level)
+        return (i * side <= p[0] < (i + 1) * side
+                and j * side <= p[1] < (j + 1) * side)
+
+    def children(level, i, j):
+        return [(level + 1, 2 * i + di, 2 * j + dj)
+                for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))]
+
+    n = len(points)
+    sq, members = (0, 0, 0), list(points)
+    while sq[0] < max_level:
+        for child in children(*sq):
+            sub = [p for p in members if inside(*child, p)]
+            if 5 * len(sub) >= n:
+                sq, members = child, sub
+                break
+        else:
+            break
+    # The former rebalance guard, copied as it was.  It cannot start: after
+    # the break the four children each hold < n/5, so the square holds
+    # < 4n/5, and at the cap the level test fails.
+    while 5 * len(members) > 4 * n and sq[0] < max_level:
+        best = None
+        for child in children(*sq):
+            sub = [p for p in members if inside(*child, p)]
+            if best is None or len(sub) > len(best[1]):
+                best = (child, sub)
+        sq, members = best
+    return sq, members
+
+
+# Coordinates k / 2^d (dyadic cell edges at every level up to d) and
+# k / (3 * 2^d) (the third-shifted strata), all inside [0, 1).
+_coords = st.integers(0, 7).flatmap(
+    lambda d: st.sampled_from([1 << d, 3 << d]).flatmap(
+        lambda den: st.builds(F, st.integers(0, den - 1), st.just(den))))
+_points = st.tuples(_coords, _coords)
+
+
+@given(st.lists(_points, min_size=1, max_size=6), st.data(),
+       st.sampled_from([0, 1, 2, 3, 5, MAX_LEVEL]))
+@settings(max_examples=400)
+def test_centroid_matches_fraction_reference(pool, data, max_level):
+    # Drawing the points from a small pool makes duplicates common, and a
+    # small cap stops duplicate-heavy inputs above their separating level.
+    pts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+    sq, inside = centroid_square_with_members(pts, max_level)
+    (level, i, j), want = _reference_centroid(pts, max_level)
+    assert (sq.level, sq.i, sq.j) == (level, i, j)
+    assert inside == want
+
+
+@pytest.mark.parametrize("pts, entries, depth", [
+    (gens.random_points(random.Random(5), 200, 2, 250), 3124, 5),
+    ([pt(F(i, 7), F(i % 5, 9)) for i in range(150)] + [pt(1000, 1000)] * 3,
+     2226, 5),
+])
+def test_fat_structure_pinned_shape(pts, entries, depth):
+    # Values of the Fraction-coordinate build the integer build replaced.
+    s = build_fat_structure(pts)
+    assert (s.stored_entries(), s.max_depth()) == (entries, depth)
 
 
 # ---------------------------------------------------------------------------
