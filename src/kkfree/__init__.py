@@ -17,8 +17,8 @@ from .incidence import (BicliqueCover, BoxCoverBuild, CoverBound,
                         incidences_bruteforce, interval_audit,
                         shatter_trace_count, verify_cover)
 from .instances import Instance, load_instance, save_instance
-from .levels import (CensusRow, CensusSchedule, LevelProfile, census_schedule,
-                     depth, depth_census, depth_partition, level,
+from .levels import (CensusRow, CensusSchedule, LevelProfile, census_rows,
+                     census_schedule, depth, depth_census, level,
                      level_partition, shallow_census)
 from .reductions import (OriginTriangleReduction, Reduction,
                          ReductionCertificate, balls_to_halfspaces,

@@ -21,12 +21,12 @@ from . import generators as gens
 from .errors import KkfreeError, NotApplicableError, UnknownVerdictError
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
-from .geometry import Box, Halfspace, Triangle
+from .geometry import Box, Triangle
 from .incidence import (build_box_cover, cover_bound, find_kkk,
                         incidences_bruteforce, interval_audit, verify_cover)
 from .instances import Instance, load_instance, save_instance
-from .levels import (CensusRow, census_schedule, depth_census, depths,
-                     iterated_log2, level, shallow_census)
+from .levels import (CensusRow, census_schedule, depth_census,
+                     iterated_log2, shallow_census)
 from .reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                          orthants_to_halfspaces, pointline_to_5d,
                          polyhedra_to_boxes, threesided_to_orthants,
@@ -261,34 +261,15 @@ def _cmd_census(args) -> int:
     if not sweep:
         print("no admissible r (need m >= 4k)", file=sys.stderr)
         return EXIT_USAGE
-    rows = []
     try:
         if args.kind == "shallow":
-            for r in inst.ranges:
-                if not isinstance(r, Halfspace) or r.side != "upper":
-                    print("shallow census needs upper halfspaces",
-                          file=sys.stderr)
-                    return EXIT_USAGE
-            bounds = [h.boundary for h in inst.ranges]
-            levels = [level(p, bounds) for p in inst.points]
-            first = True
-            for r in sweep:
-                row = shallow_census(inst.points, inst.ranges, k, r,
-                                     args.budget, precomputed_levels=levels,
-                                     skip_free_check=not first)
-                first = False
-                rows.append(row)
+            rows = shallow_census(inst.points, inst.ranges, k, sweep,
+                                  args.budget)
         else:
             f0 = {"linear": lambda r: r,
                   "fat": lambda r: r * max(1, iterated_log2(r))}[args.f0]
-            values = depths(inst.points, inst.ranges)
-            first = True
-            for r in sweep:
-                row = depth_census(inst.points, inst.ranges, k, r, f0,
-                                   args.budget, precomputed_depths=values,
-                                   skip_free_check=not first)
-                first = False
-                rows.append(row)
+            rows = depth_census(inst.points, inst.ranges, k, sweep, f0,
+                                args.budget)
     except NotApplicableError as exc:
         print(f"not applicable: {exc} witness={exc.witness}")
         return EXIT_INTEGRITY

@@ -9,7 +9,7 @@ from typing import Callable
 
 from .errors import InvalidInputError
 from .geometry import Box, Line2, Point, pt
-from .incidence import incidences_bruteforce
+from .incidence import find_kkk, incidences_bruteforce
 from .levels import iterated_log2
 from .reductions import Reduction, pointline_to_5d
 
@@ -60,12 +60,9 @@ def verify_favorable(points: list[Point], boxes: list[Box],
     for j in range(len(boxes)):
         if len(graph.points_in_range(j)) < threshold:
             return FavorabilityVerdict(False, 1, (j,))
-    for j1 in range(len(boxes)):
-        for j2 in range(j1 + 1, len(boxes)):
-            shared = graph.points_in_range(j1) & graph.points_in_range(j2)
-            if len(shared) > 1:
-                return FavorabilityVerdict(
-                    False, 2, (j1, j2, tuple(sorted(shared)[:2])))
+    pair = find_kkk(graph, 2)
+    if pair.found:
+        return FavorabilityVerdict(False, 2, (*pair.ranges, pair.points))
     return FavorabilityVerdict(True, None, (),
                                incidence_floor=len(boxes) * threshold)
 

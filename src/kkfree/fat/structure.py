@@ -18,8 +18,8 @@ from fractions import Fraction
 from ..errors import InvalidInputError
 from ..geometry import Point, Triangle, cross, predicate
 from ..reductions import apex_cell_constraints
-from .quadtree import (MAX_LEVEL, SHIFTS, QuadtreeSquare, aligned_shift_index,
-                       bbox_of, cell_key, centroid_descent, diameter_sq_of)
+from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
+                       cell_key, centroid_descent, diameter_sq_of)
 from .slanted import QueryStats, SlantedRangeTree
 
 FAT_LEAF_SIZE = 48
@@ -80,14 +80,13 @@ def make_frame(points: list[Point]) -> FrameMap:
 # structure
 
 class _FatNode:
-    __slots__ = ("start", "end", "count", "bbox", "square", "apex",
-                 "pos_tree", "neg_tree", "axis_pts", "inside", "outside")
+    __slots__ = ("start", "end", "bbox", "apex", "pos_tree", "neg_tree",
+                 "axis_pts", "inside", "outside")
 
     def __init__(self):
         self.inside = self.outside = None
         self.pos_tree = self.neg_tree = None
         self.axis_pts = ()
-        self.square = None
         self.apex = None
 
 
@@ -205,7 +204,6 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
                 structure: FatReportStructure) -> _FatNode:
     """``keys[i]`` holds the level-MAX_LEVEL cell indices of point i."""
     node = _FatNode()
-    node.count = len(idxs)
     xy, den = stratum.xy, stratum.den
     xs = [xy[i][0] for i in idxs]
     ys = [xy[i][1] for i in idxs]
@@ -229,8 +227,8 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
         return node
-    node.square = QuadtreeSquare(level, sq_i, sq_j)
-    node.apex = node.square.center
+    node.apex = (Fraction(2 * sq_i + 1, 1 << (level + 1)),
+                 Fraction(2 * sq_j + 1, 1 << (level + 1)))
     # Scaled by den * 2^(level+1), the apex (gx, gy), every point and 1
     # itself (``unit``) are integers, so a slope dy / |dx| and the value
     # -1 / |x - apex_x| = -unit / |dx| are each one Fraction of two ints.

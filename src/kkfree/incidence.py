@@ -65,21 +65,19 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     return IncidenceGraph(len(points), len(ranges), frozenset(edges))
 
 
-def require_free(points: list[Point], ranges: list[Range], k: int,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> IncidenceGraph:
-    """The oracle's incidence graph, once its K_{k,k} search says "free".
+def require_free(graph: IncidenceGraph, k: int,
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> None:
+    """Return only when the K_{k,k} search says ``graph`` is free.
 
     Raises NotApplicableError with the witness when a K_{k,k} is found, and
     UnknownVerdictError when the search budget runs out.
     """
-    graph = incidences_bruteforce(points, ranges)
     verdict = find_kkk(graph, k, node_budget)
     if verdict.found:
         raise NotApplicableError("graph contains K_{k,k}",
                                  witness=(verdict.points, verdict.ranges))
     if verdict.status == "unknown":
         raise UnknownVerdictError("K_{k,k} search budget exhausted")
-    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +348,8 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     """
     if any(p.dim != 1 for p in points) or any(b.dim != 1 for b in intervals):
         raise InvalidInputError("interval audit is one-dimensional")
-    graph = require_free(points, intervals, k, node_budget)
+    graph = incidences_bruteforce(points, intervals)
+    require_free(graph, k, node_budget)
 
     n, m = len(points), len(intervals)
     order = sorted(range(n), key=lambda i: (points[i][0], i))

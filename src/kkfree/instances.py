@@ -114,7 +114,7 @@ def range_from_json(obj: dict[str, Any]) -> Range:
                        _opt_load(obj["lo"]), _opt_load(obj["hi"]))
     if kind == "triangle":
         vs = [Point((as_rat(v[0]), as_rat(v[1]))) for v in obj["vertices"]]
-        return Triangle(vs[0], vs[1], vs[2])
+        return Triangle(*vs)  # TypeError unless exactly three
     if kind == "line":
         return Line2(as_rat(obj["a"]), as_rat(obj["b"]))
     if kind == "polyhedron":
@@ -137,10 +137,26 @@ def instance_to_json(inst: Instance) -> dict[str, Any]:
 
 
 def instance_from_json(obj: dict[str, Any]) -> Instance:
-    points = [Point(tuple(as_rat(c) for c in row)) for row in obj["points"]]
-    ranges = [range_from_json(r) for r in obj["ranges"]]
-    return Instance(obj["dimension"], points, ranges, obj.get("k"),
-                    obj.get("provenance") or {})
+    """Decode an instance document; any malformed one raises
+    InvalidInputError."""
+    if not isinstance(obj, dict):
+        raise InvalidInputError("instance document must be a JSON object")
+    version = obj.get("format_version")
+    if version != FORMAT_VERSION:
+        raise InvalidInputError(f"unsupported format_version: {version!r}")
+    k = obj.get("k")
+    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
+        raise InvalidInputError(f"k must be an integer or null: {k!r}")
+    try:
+        points = [Point(tuple(as_rat(c) for c in row))
+                  for row in obj["points"]]
+        ranges = [range_from_json(r) for r in obj["ranges"]]
+        return Instance(obj["dimension"], points, ranges, k,
+                        obj.get("provenance") or {})
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise InvalidInputError(
+            f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
 def save_instance(inst: Instance, path) -> None:

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
-from .geometry import (Halfspace, Hyperplane, Point, Predicate, Range, Rat,
-                       compile_ranges)
-from .incidence import DEFAULT_NODE_BUDGET, require_free
+from .geometry import Halfspace, Hyperplane, Point, Range, Rat, compile_ranges
+from .incidence import (DEFAULT_NODE_BUDGET, IncidenceGraph,
+                        incidences_bruteforce, require_free)
 
 
 def level(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
@@ -30,24 +30,10 @@ def level_above(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
     return sum(1 for h in hyperplanes if h.side_of(p) <= 0)
 
 
-def depth(p: Point, shapes: Sequence[Range],
-          tests: Sequence[Predicate] | None = None) -> int:
-    """Number of shapes containing p (closed containment).
-
-    ``tests`` lists the shapes' compiled predicates when the caller reuses
-    them over many points (see ``depths``); without it the shapes are
-    compiled for this call.
-    """
-    if tests is None:
-        tests = compile_ranges([p], shapes)[1]
+def depth(p: Point, shapes: Sequence[Range]) -> int:
+    """Number of shapes containing p (closed containment)."""
     c = p.coords
-    return sum(1 for test in tests if test(c))
-
-
-def depths(points: list[Point], shapes: Sequence[Range]) -> list[int]:
-    """Depth of every point, compiling each shape once."""
-    tests = list(compile_ranges(points, shapes)[1])
-    return [depth(p, shapes, tests) for p in points]
+    return sum(1 for test in compile_ranges([p], shapes)[1] if test(c))
 
 
 @dataclass(frozen=True)
@@ -63,13 +49,7 @@ class LevelProfile:
     base_threshold: Fraction  # m/r
 
     def class_of(self, point_index: int) -> int:
-        v = self.values[point_index]
-        if v < self.base_threshold:
-            return 0
-        i = 1
-        while v >= (2 ** i) * self.base_threshold:
-            i += 1
-        return i
+        return _doubling_class(self.values[point_index], self.base_threshold)
 
 
 def level_partition(points: list[Point], hyperplanes: Sequence[Hyperplane],
@@ -79,33 +59,23 @@ def level_partition(points: list[Point], hyperplanes: Sequence[Hyperplane],
     if not (1 <= r <= max(m, 1)):
         raise InvalidInputError("need 1 <= r <= m")
     values = tuple(level(p, hyperplanes) for p in points)
-    return _partition_from_values(values, Fraction(m) / Fraction(r))
-
-
-def depth_partition(points: list[Point], shapes: Sequence[Range],
-                    r: Rat) -> LevelProfile:
-    """Same partition but by depth w.r.t. arbitrary shapes."""
-    m = len(shapes)
-    if not (1 <= r <= max(m, 1)):
-        raise InvalidInputError("need 1 <= r <= m")
-    values = tuple(depths(points, shapes))
-    return _partition_from_values(values, Fraction(m) / Fraction(r))
-
-
-def _partition_from_values(values: tuple[int, ...],
-                           base: Fraction) -> LevelProfile:
+    base = Fraction(m) / Fraction(r)
     buckets: dict[int, list[int]] = {}
     for idx, v in enumerate(values):
-        if v < base:
-            c = 0
-        else:
-            c = 1
-            while v >= (2 ** c) * base:
-                c += 1
-        buckets.setdefault(c, []).append(idx)
+        buckets.setdefault(_doubling_class(v, base), []).append(idx)
     top = max(buckets) if buckets else 0
     classes = tuple(tuple(buckets.get(c, ())) for c in range(top + 1))
     return LevelProfile(values, classes, base)
+
+
+def _doubling_class(v: int, base: Fraction) -> int:
+    """0 when v < base, else the i with 2^{i-1} base <= v < 2^i base."""
+    if v < base:
+        return 0
+    i = 1
+    while v >= (2 ** i) * base:
+        i += 1
+    return i
 
 
 # ---------------------------------------------------------------------------
@@ -144,55 +114,62 @@ def _band_counts(values: Sequence[int], m: int, r: Rat) -> tuple[int, int]:
     return half_open, closed
 
 
-def shallow_census(points: list[Point], halfspaces: list[Halfspace], k: int,
-                   r: Rat, node_budget: int = DEFAULT_NODE_BUDGET,
-                   precomputed_levels: Sequence[int] | None = None,
-                   skip_free_check: bool = False) -> CensusRow:
-    """Count points with level in [m/r, 2m/r) against the reference k * r^(d/2 floor).
+def census_rows(graph: IncidenceGraph, k: int, rs: Sequence[Rat],
+                reference: Callable[[float], float],
+                node_budget: int = DEFAULT_NODE_BUDGET) -> list[CensusRow]:
+    """One census row per r in ``rs``, from one K_{k,k}-free graph.
 
-    The halfspaces must be upper halfspaces; the graph must be K_{k,k}-free
-    and r at most m/(2k).  ``precomputed_levels`` lets sweeps reuse one level
-    computation; ``skip_free_check`` lets them verify freeness once.
+    A point's value is its degree in ``graph``: the number of ranges holding
+    it, which is its level for upper halfspaces and its depth for shapes.
+    Each row counts the values in [m/r, 2m/r) against k * reference(r).
+    Every r must lie in [1, m/(2k)]; that is checked before the search.
     """
-    m = len(halfspaces)
-    if any(h.side != "upper" for h in halfspaces):
+    if k < 1:
+        raise InvalidInputError("k must be >= 1")
+    m = graph.m
+    if any(not 1 <= Fraction(r) <= Fraction(m, 2 * k) for r in rs):
+        raise InvalidInputError("need 1 <= r <= m/(2k)")
+    require_free(graph, k, node_budget)
+    values = [0] * graph.n
+    for i, _ in graph.edges:
+        values[i] += 1
+    rows = []
+    for r in rs:
+        observed, closed = _band_counts(values, m, r)
+        ref = float(k) * reference(float(Fraction(r)))
+        ratio = observed / ref if ref else None
+        rows.append(CensusRow(r, observed, closed, ref, ratio))
+    return rows
+
+
+def shallow_census(points: list[Point], halfspaces: list[Halfspace], k: int,
+                   rs: Sequence[Rat],
+                   node_budget: int = DEFAULT_NODE_BUDGET) -> list[CensusRow]:
+    """Count points with level in [m/r, 2m/r) against the reference
+    k * r^(d/2 floor), one row per r in ``rs``.
+
+    The halfspaces must be upper halfspaces, so a point's level is the
+    number of halfspaces holding it; the graph must be K_{k,k}-free.
+    """
+    if not all(isinstance(h, Halfspace) and h.side == "upper"
+               for h in halfspaces):
         raise InvalidInputError("shallow census expects upper halfspaces")
     if not halfspaces:
         raise InvalidInputError("no halfspaces")
     d = halfspaces[0].dim
-    if Fraction(r) > Fraction(m, 2 * k):
-        raise InvalidInputError("need r <= m/(2k)")
-    if not skip_free_check:
-        require_free(points, halfspaces, k, node_budget)
-    if precomputed_levels is None:
-        bounds = [h.boundary for h in halfspaces]
-        precomputed_levels = [level(p, bounds) for p in points]
-    observed, closed = _band_counts(precomputed_levels, m, r)
-    reference = float(k) * float(Fraction(r)) ** (d // 2)
-    ratio = observed / reference if reference else None
-    return CensusRow(r, observed, closed, reference, ratio)
+    graph = incidences_bruteforce(points, halfspaces)
+    return census_rows(graph, k, rs, lambda r: r ** (d // 2), node_budget)
 
 
-def depth_census(points: list[Point], shapes: list[Range], k: int, r: Rat,
-                 union_complexity: Callable[[float], float],
-                 node_budget: int = DEFAULT_NODE_BUDGET,
-                 precomputed_depths: Sequence[int] | None = None,
-                 skip_free_check: bool = False) -> CensusRow:
+def depth_census(points: list[Point], shapes: list[Range], k: int,
+                 rs: Sequence[Rat], union_complexity: Callable[[float], float],
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> list[CensusRow]:
     """Count points with depth in [m/r, 2m/r) against k * F0(r) for a caller
-    supplied union-complexity reference F0."""
-    m = len(shapes)
+    supplied union-complexity reference F0, one row per r in ``rs``."""
     if not shapes:
         raise InvalidInputError("no shapes")
-    if Fraction(r) > Fraction(m, 2 * k):
-        raise InvalidInputError("need r <= m/(2k)")
-    if not skip_free_check:
-        require_free(points, shapes, k, node_budget)
-    if precomputed_depths is None:
-        precomputed_depths = depths(points, shapes)
-    observed, closed = _band_counts(precomputed_depths, m, r)
-    reference = float(k) * union_complexity(float(Fraction(r)))
-    ratio = observed / reference if reference else None
-    return CensusRow(r, observed, closed, reference, ratio)
+    graph = incidences_bruteforce(points, shapes)
+    return census_rows(graph, k, rs, union_complexity, node_budget)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,10 @@ from kkfree.fat import (build_curtain_structure, build_fat_structure,
 from kkfree.fat.quadtree import MAX_LEVEL
 from kkfree.geometry import (Ball, Hyperplane, Line2, Point, contains,
                              dualize, lift, lift_ball, point_above)
-from kkfree.incidence import (BicliqueCover, build_box_cover, cover_bound,
-                              find_kkk, incidences_bruteforce, interval_audit,
-                              verify_cover)
-from kkfree.levels import level, level_above, shallow_census
+from kkfree.incidence import (BicliqueCover, IncidenceGraph, build_box_cover,
+                              cover_bound, find_kkk, incidences_bruteforce,
+                              interval_audit, verify_cover)
+from kkfree.levels import census_rows, level, level_above
 from kkfree.reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                                orthants_to_halfspaces, pointline_to_5d,
                                polyhedra_to_boxes, threesided_to_orthants,
@@ -418,15 +418,21 @@ def test_c08_shallow_census_trend():
         bounds = [h.boundary for h in halfplanes]
         for i in (0, 1, n // 2, n - 1):
             assert level(pts[i], bounds) == levels[i]
-        r = 2
-        while r <= n // (2 * k):
-            row = shallow_census(pts, halfplanes, k, r,
-                                 precomputed_levels=levels,
-                                 skip_free_check=True)
+        # The numpy matrix stands in for the oracle graph; census_rows runs
+        # its own K_{2,2} search on it and reads the levels as degrees.
+        m = len(halfplanes)
+        rows_i, cols_j = np.nonzero(contained)
+        graph = IncidenceGraph(n, m, frozenset(
+            zip(rows_i.tolist(), cols_j.tolist())))
+        sweep = [2 ** e for e in range(1, exp - 1)]  # 2, 4, ..., m/(2k)
+        rows = census_rows(graph, k, sweep, lambda r: r)
+        assert [row.observed for row in rows] == [
+            sum(1 for v in levels if F(m, r) <= v < 2 * F(m, r))
+            for r in sweep]
+        for row in rows:
             if row.ratio is not None:
                 worst = max(worst, row.ratio)
             rows_total += 1
-            r *= 2
     assert worst <= 32.0
     _report("C8 shallow census trend", True,
             f"{rows_total} census rows over n=m in 2^8..2^12; "

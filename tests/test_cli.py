@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from kkfree.cli import main
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
@@ -140,3 +142,59 @@ def test_census_csv_byte_identical(tmp_path):
     main(["--out-dir", str(d2), "census", "shallow", str(src), "--k", "2"])
     assert (d1 / "census_shallow.csv").read_bytes() == \
         (d2 / "census_shallow.csv").read_bytes()
+
+
+@pytest.mark.parametrize("r", ["0", "-2"])
+def test_census_rejects_r_below_one(tmp_path, capsys, r):
+    path = tmp_path / "c.json"
+    run(["gen", "census-halfplanes", "--n", 64, "--out", path], tmp_path)
+    capsys.readouterr()
+    assert run(["census", "shallow", path, "--k", 2, "--r", r], tmp_path) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "census_shallow.csv").exists()
+
+
+def _valid_instance_doc():
+    inst = Instance(2, [pt(0, 0), pt(1, 1)],
+                    [Triangle(pt(0, 0), pt(2, 0), pt(0, 2))], 2)
+    return instance_to_json(inst)
+
+
+def _drop_points(doc):
+    del doc["points"]
+    return doc
+
+
+def _two_vertex_triangle(doc):
+    doc["ranges"][0]["vertices"].pop()
+    return doc
+
+
+def _four_vertex_triangle(doc):
+    doc["ranges"][0]["vertices"].append(["1", "1"])
+    return doc
+
+
+def _future_version(doc):
+    doc["format_version"] = 99
+    return doc
+
+
+def _string_k(doc):
+    doc["k"] = "2"
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [_drop_points, lambda doc: [doc],
+                                    _two_vertex_triangle,
+                                    _four_vertex_triangle, _future_version,
+                                    _string_k],
+                         ids=["missing-points", "top-level-list",
+                              "two-vertex-triangle", "four-vertex-triangle",
+                              "format-version-99", "string-k"])
+def test_malformed_instance_is_a_usage_error(tmp_path, capsys, mutate):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(_valid_instance_doc())))
+    assert run(["count", path], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err

@@ -5,12 +5,13 @@ from fractions import Fraction as F
 import pytest
 
 from kkfree import generators as gens
-from kkfree.errors import InvalidInputError, NotApplicableError
-from kkfree.geometry import Ball, Halfspace, Hyperplane, pt
+from kkfree.errors import (InvalidInputError, NotApplicableError,
+                           UnknownVerdictError)
+from kkfree.geometry import Ball, Box, Halfspace, Hyperplane, Point, pt
 from kkfree.incidence import find_kkk, incidences_bruteforce
-from kkfree.levels import (census_schedule, depth, depth_census,
-                           iterated_log2, level, level_partition,
-                           shallow_census)
+from kkfree.levels import (CensusRow, census_rows, census_schedule, depth,
+                           depth_census, iterated_log2, level,
+                           level_partition, shallow_census)
 
 
 def test_level_worked():
@@ -70,7 +71,7 @@ def test_level_partition_partitions(rng):
 def test_shallow_census_all_zero():
     pts = [pt(0, -100), pt(1, -50)]
     halfspaces = [Halfspace(Hyperplane((0,), 0), "upper") for _ in range(8)]
-    row = shallow_census(pts, halfspaces, 2, 2)
+    [row] = shallow_census(pts, halfspaces, 2, [2])
     assert row.observed == 0
 
 
@@ -80,7 +81,7 @@ def test_shallow_census_band_and_reference():
     halfspaces = [Halfspace(Hyperplane((s,), 0), "upper")
                   for s in (1, -1, 2, -2, 3, -3, 4, -4)]
     pts = [pt(0, 1), pt(50, -10 ** 6)]
-    row = shallow_census(pts, halfspaces, 2, 2)
+    [row] = shallow_census(pts, halfspaces, 2, [2])
     assert row.observed == 0 and row.observed_closed == 1
     assert row.reference == 4.0  # k * r^(d//2) = 2 * 2
 
@@ -89,20 +90,25 @@ def test_shallow_census_requires_upper():
     pts = [pt(0, 0)]
     lower = [Halfspace(Hyperplane((0,), 0), "lower")] * 4
     with pytest.raises(InvalidInputError):
-        shallow_census(pts, lower, 1, 2)
+        shallow_census(pts, lower, 1, [2])
+
+
+def test_shallow_census_rejects_non_halfspaces():
+    with pytest.raises(InvalidInputError):
+        shallow_census([pt(0, 0)], [Box((0, 0), (1, 1))] * 4, 1, [2])
 
 
 def test_shallow_census_rejects_kkk():
     pts = [pt(0, 10), pt(1, 10)]
     halfspaces = [Halfspace(Hyperplane((0,), 0), "upper")] * 8
     with pytest.raises(NotApplicableError):
-        shallow_census(pts, halfspaces, 2, 2)
+        shallow_census(pts, halfspaces, 2, [2])
 
 
 def test_depth_census_disjoint_shapes():
     shapes = [Ball(pt(10 * i, 0), 1) for i in range(8)]
     pts = [pt(10 * i, 0) for i in range(4)]
-    row = depth_census(pts, shapes, 2, 2, lambda r: r)
+    [row] = depth_census(pts, shapes, 2, [2], lambda r: r)
     assert row.observed == 0  # band [4, 8): depths are all <= 1
 
 
@@ -113,11 +119,98 @@ def test_census_constructed_family():
     bounds = [h.boundary for h in halfplanes]
     levels = [level(p, bounds) for p in pts]
     assert max(levels) >= 8  # the summit is genuinely deep
-    for r in (2, 4, 8, 16):
-        row = shallow_census(pts, halfplanes, 2, r,
-                             precomputed_levels=levels,
-                             skip_free_check=True)
+    rows = shallow_census(pts, halfplanes, 2, [2, 4, 8, 16])
+    assert [row.r for row in rows] == [2, 4, 8, 16]
+    for row in rows:
         assert row.ratio is None or row.ratio <= 32
+
+
+def _row_from_values(values, m, k, r, reference):
+    lo = F(m) / F(r)
+    observed = sum(1 for v in values if lo <= v < 2 * lo)
+    closed = sum(1 for v in values if lo <= v <= 2 * lo)
+    ref = float(k) * reference(float(F(r)))
+    return CensusRow(r, observed, closed, ref, observed / ref if ref else None)
+
+
+def _census_cases():
+    """(name, points, ranges, per-point values, reference) over seeded
+    halfplane, 3D halfspace and ball instances.  Each random instance has
+    three deep points among shallow ones, so small k finds a K_{k,k} and
+    larger k leaves a free graph whose bands are not all empty."""
+    pts, halfplanes = gens.census_halfplane_instance(32)
+    bounds = [h.boundary for h in halfplanes]
+    yield ("census-halfplanes", pts, halfplanes,
+           [level(p, bounds) for p in pts], lambda r: r)
+    for seed in (1, 7919):
+        rng = random.Random(seed)
+        for d in (2, 3):
+            hs = gens.random_halfspaces(rng, 24, d, side="upper")
+            pts = [Point(tuple(rng.randint(-1000, 1000) for _ in range(d - 1))
+                         + (rng.randint(-20000, 40000) if i < 3
+                            else rng.randint(-20000, -10000),))
+                   for i in range(16)]
+            bounds = [h.boundary for h in hs]
+            yield (f"halfspaces-d{d}-{seed}", pts, hs,
+                   [level(p, bounds) for p in pts],
+                   lambda r, d=d: r ** (d // 2))
+            balls = gens.random_balls(rng, 24, d, 100, 200)
+            pts = (gens.random_points(rng, 3, d, 30)
+                   + gens.random_points(rng, 13, d, 300))
+            yield (f"balls-d{d}-{seed}", pts, balls,
+                   [depth(p, balls) for p in pts], lambda r: 2 * r)
+
+
+def test_census_rows_match_per_point_oracle():
+    statuses = set()
+    hits = 0
+    for name, pts, ranges, values, reference in _census_cases():
+        m = len(ranges)
+        graph = incidences_bruteforce(pts, ranges)
+        shallow = isinstance(ranges[0], Halfspace)
+        for k, budget in ((2, 200_000), (4, 200_000), (6, 200_000), (6, 3)):
+            rs = [F(r, 2) for r in range(2, m // k + 1)]
+            verdict = find_kkk(graph, k, budget)
+            status = verdict.status
+            statuses.add(status)
+            if shallow:
+                run = lambda: shallow_census(pts, ranges, k, rs, budget)
+            else:
+                run = lambda: depth_census(pts, ranges, k, rs, reference,
+                                           budget)
+            direct = lambda: census_rows(graph, k, rs, reference, budget)
+            if status == "free":
+                want = [_row_from_values(values, m, k, r, reference)
+                        for r in rs]
+                assert run() == want, (name, k)
+                assert direct() == want, (name, k)
+                hits += sum(row.observed for row in want)
+            else:
+                error = (NotApplicableError if status == "found"
+                         else UnknownVerdictError)
+                for call in (run, direct):
+                    with pytest.raises(error) as caught:
+                        call()
+                    if status == "found":
+                        assert caught.value.witness == (verdict.points,
+                                                        verdict.ranges)
+    assert statuses == {"free", "found", "unknown"}
+    assert hits > 0
+
+
+def test_census_rows_rejects_r_before_search():
+    # The graph holds a K_{2,2}, so only an up-front r check gives
+    # InvalidInputError rather than NotApplicableError.
+    pts = [pt(0, 10), pt(1, 10)]
+    graph = incidences_bruteforce(
+        pts, [Halfspace(Hyperplane((0,), 0), "upper")] * 8)
+    for rs in ([0], [-2], [F(1, 2)], [2, 3], [1, 2, 0]):
+        with pytest.raises(InvalidInputError):
+            census_rows(graph, 2, rs, lambda r: r)
+    with pytest.raises(InvalidInputError):
+        census_rows(graph, 0, [1], lambda r: r)
+    with pytest.raises(NotApplicableError):
+        census_rows(graph, 2, [1, 2], lambda r: r)
 
 
 # ---------------------------------------------------------------------------
