@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import generators as gens
-from .errors import KkfreeError, NotApplicableError, UnknownVerdictError
+from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
+                     UnknownVerdictError)
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
 from .geometry import Box, Triangle
@@ -55,6 +56,14 @@ def _out_path(args, name: str) -> str:
     d = _out_dir(args)
     os.makedirs(d, exist_ok=True)
     return os.path.join(d, name)
+
+
+def _instance_k(args, inst) -> int:
+    """The --k option, else the instance's k, else 2."""
+    k = (inst.k or 2) if args.k is None else args.k
+    if k < 1:
+        raise InvalidInputError(f"k must be >= 1: {k}")
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +136,7 @@ def _cmd_kkk(args) -> int:
 
 def _cmd_cover(args) -> int:
     inst = load_instance(args.instance)
+    k = _instance_k(args, inst)
     for r in inst.ranges:
         if not isinstance(r, Box):
             print("cover requires a box instance", file=sys.stderr)
@@ -136,7 +146,6 @@ def _cmd_cover(args) -> int:
     if not verify_cover(build.cover, graph):
         print("INTEGRITY: cover does not reproduce the oracle edge set")
         return EXIT_INTEGRITY
-    k = args.k or inst.k or 2
     res = find_kkk(graph, k, args.budget)
     if res.status == "unknown":
         print("unknown: biclique search budget exhausted")
@@ -164,7 +173,7 @@ def _cmd_cover(args) -> int:
 
 def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
-    k = args.k or inst.k or 2
+    k = _instance_k(args, inst)
     if args.kind == "interval":
         try:
             rep = interval_audit(inst.points, inst.ranges, k, args.budget)
@@ -255,7 +264,7 @@ def _cmd_census(args) -> int:
               f"log_star_m={iterated_log2(args.m)}")
         return EXIT_OK
     inst = load_instance(args.instance)
-    k = args.k or inst.k or 2
+    k = _instance_k(args, inst)
     m = inst.m
     sweep = args.r or _census_r_sweep(m, k)
     if not sweep:

@@ -109,11 +109,20 @@ def find_kkk(graph: IncidenceGraph, k: int,
              node_budget: int = DEFAULT_NODE_BUDGET) -> KkkResult:
     """Search for k points all contained in k common ranges.
 
-    k = 1 and k = 2 are decided directly; k >= 3 uses branch-and-bound over
-    k-subsets of the smaller side with an explicit node budget.
+    k = 1 is decided directly.  For k >= 2 the graph is first peeled to its
+    (k,k)-core, which holds every K_{k,k}; a depth-first search then picks
+    core ranges in ``(len(P_j), j)`` order, keeping the running intersection
+    of their point sets.  A node's children are the later ranges sharing at
+    least k points with that intersection, found by counting co-occurrences
+    over the ranges of its points; each child entered is one node.  The
+    witness is the first k-set of ranges in that order with k common points,
+    and its k smallest common points.  k = 2 always decides; for k >= 3 more
+    than ``node_budget`` nodes give "unknown".
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
+    if node_budget < 0:
+        raise InvalidInputError("node budget must be >= 0")
     if graph.m < k or graph.n < k:
         return KkkResult("free")
     if k == 1:
@@ -122,55 +131,85 @@ def find_kkk(graph: IncidenceGraph, k: int,
             return KkkResult("found", (i,), (j,))
         return KkkResult("free")
 
-    point_sets = [graph.points_in_range(j) for j in range(graph.m)]
-    if k == 2:
-        # Exact: count shared points per range pair.
-        rich = [j for j in range(graph.m) if len(point_sets[j]) >= 2]
-        for a, b in itertools.combinations(rich, 2):
-            common = point_sets[a] & point_sets[b]
-            if len(common) >= 2:
-                ps = tuple(sorted(common)[:2])
-                return KkkResult("found", ps, (a, b))
-        return KkkResult("free")
-
-    return _find_kkk_bb(graph, point_sets, k, node_budget)
-
-
-def _find_kkk_bb(graph: IncidenceGraph, point_sets, k: int,
-                 node_budget: int) -> KkkResult:
-    # Search over k-subsets of ranges, maintaining the running intersection
-    # of their point sets; prune when it drops below k.
-    candidates = sorted((j for j in range(graph.m) if len(point_sets[j]) >= k),
-                        key=lambda j: len(point_sets[j]))
-    if len(candidates) < k:
-        return KkkResult("free")
+    order, core, live_points, ranges_of = _kk_core(graph, k)
     nodes = 0
 
-    def search(start: int, chosen: list[int], inter: frozenset[int]):
+    def search(chosen: list[int], inter: frozenset[int], children):
+        # chosen and children are positions in order; inter is the set of
+        # core points common to the chosen ranges.
         nonlocal nodes
-        if len(chosen) == k:
-            return tuple(sorted(inter)[:k]), tuple(chosen)
-        for idx in range(start, len(candidates)):
-            if len(candidates) - idx < k - len(chosen):
+        need = k - len(chosen)
+        for idx, q in enumerate(children):
+            if len(children) - idx < need:
                 break
             nodes += 1
-            if nodes > node_budget:
+            if k > 2 and nodes > node_budget:
                 raise _BudgetExhausted
-            j = candidates[idx]
-            new = inter & point_sets[j] if chosen else point_sets[j]
-            if len(new) >= k:
-                hit = search(idx + 1, chosen + [j], new)
-                if hit is not None:
-                    return hit
+            new = inter & live_points[q] if chosen else live_points[q]
+            if need == 1:
+                return (tuple(sorted(new)[:k]),
+                        tuple(order[c] for c in chosen) + (order[q],))
+            shared = Counter(itertools.chain.from_iterable(
+                ranges_of[i][bisect_right(ranges_of[i], q):] for i in new))
+            hit = search(chosen + [q], new,
+                         sorted(c for c, t in shared.items() if t >= k))
+            if hit is not None:
+                return hit
         return None
 
     try:
-        hit = search(0, [], frozenset())
+        hit = search([], frozenset(), core)
     except _BudgetExhausted:
         return KkkResult("unknown", nodes=nodes)
     if hit is None:
         return KkkResult("free", nodes=nodes)
     return KkkResult("found", hit[0], hit[1], nodes=nodes)
+
+
+def _kk_core(graph: IncidenceGraph, k: int):
+    """Peel ``graph`` to its (k,k)-core in O(|E|).
+
+    The ranges holding at least k points are put in ``(len(P_j), j)``
+    order; the peel then repeatedly drops points in fewer than k live
+    ranges and ranges holding fewer than k live points.  Returns that
+    order, the ascending positions of the core ranges in it, each core
+    range's set of core points (by position) and each point's ascending
+    range positions.  A dropped range shares fewer than k points with the
+    core, so it never counts as a child.
+    """
+    point_sets = [graph.points_in_range(j) for j in range(graph.m)]
+    order = sorted((j for j in range(graph.m) if len(point_sets[j]) >= k),
+                   key=lambda j: (len(point_sets[j]), j))
+    range_points = [point_sets[j] for j in order]
+    ranges_of: list[list[int]] = [[] for _ in range(graph.n)]
+    for q, pts in enumerate(range_points):
+        for i in pts:
+            ranges_of[i].append(q)
+    range_deg = [len(pts) for pts in range_points]
+    point_deg = [len(qs) for qs in ranges_of]
+    range_alive = [True] * len(order)
+    point_alive = [d >= k for d in point_deg]
+    dead_points = [i for i, a in enumerate(point_alive) if not a]
+    dead_ranges: list[int] = []
+    while dead_points or dead_ranges:
+        for dead, neighbours, alive, deg, newly_dead in (
+                (dead_points, ranges_of, range_alive, range_deg, dead_ranges),
+                (dead_ranges, range_points, point_alive, point_deg,
+                 dead_points)):
+            while dead:
+                for x in neighbours[dead.pop()]:
+                    if alive[x]:
+                        deg[x] -= 1
+                        if deg[x] < k:
+                            alive[x] = False
+                            newly_dead.append(x)
+    core = [q for q, a in enumerate(range_alive) if a]
+    live_points = list(range_points)
+    for q in core:
+        if range_deg[q] < len(range_points[q]):
+            live_points[q] = frozenset(i for i in range_points[q]
+                                       if point_alive[i])
+    return order, core, live_points, ranges_of
 
 
 class _BudgetExhausted(Exception):

@@ -28,6 +28,15 @@ class Instance:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not _is_int(self.dimension) or self.dimension < 1:
+            raise InvalidInputError(
+                f"dimension must be a positive integer: {self.dimension!r}")
+        if self.k is not None and (not _is_int(self.k) or self.k < 1):
+            raise InvalidInputError(
+                f"k must be a positive integer or null: {self.k!r}")
+        if not isinstance(self.provenance, dict):
+            raise InvalidInputError(
+                f"provenance must be an object: {self.provenance!r}")
         for p in self.points:
             if p.dim != self.dimension:
                 raise InvalidInputError("point dimension mismatch")
@@ -42,6 +51,10 @@ class Instance:
     @property
     def m(self) -> int:
         return len(self.ranges)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _opt(v) -> str | None:
@@ -144,15 +157,12 @@ def instance_from_json(obj: dict[str, Any]) -> Instance:
     version = obj.get("format_version")
     if version != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported format_version: {version!r}")
-    k = obj.get("k")
-    if k is not None and (not isinstance(k, int) or isinstance(k, bool)):
-        raise InvalidInputError(f"k must be an integer or null: {k!r}")
     try:
         points = [Point(tuple(as_rat(c) for c in row))
                   for row in obj["points"]]
         ranges = [range_from_json(r) for r in obj["ranges"]]
-        return Instance(obj["dimension"], points, ranges, k,
-                        obj.get("provenance") or {})
+        return Instance(obj["dimension"], points, ranges, obj.get("k"),
+                        obj.get("provenance", {}))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
             ZeroDivisionError) as exc:
         raise InvalidInputError(

@@ -185,16 +185,70 @@ def _string_k(doc):
     return doc
 
 
+def _zero_k(doc):
+    doc["k"] = 0
+    return doc
+
+
+def _string_dimension(doc):
+    doc["dimension"] = "2"
+    return doc
+
+
+def _bool_dimension(doc):
+    doc["dimension"] = True
+    return doc
+
+
+def _list_provenance(doc):
+    doc["provenance"] = ["generator"]
+    return doc
+
+
 @pytest.mark.parametrize("mutate", [_drop_points, lambda doc: [doc],
                                     _two_vertex_triangle,
                                     _four_vertex_triangle, _future_version,
-                                    _string_k],
+                                    _string_k, _zero_k, _string_dimension,
+                                    _bool_dimension, _list_provenance],
                          ids=["missing-points", "top-level-list",
                               "two-vertex-triangle", "four-vertex-triangle",
-                              "format-version-99", "string-k"])
+                              "format-version-99", "string-k", "zero-k",
+                              "string-dimension", "bool-dimension",
+                              "list-provenance"])
 def test_malformed_instance_is_a_usage_error(tmp_path, capsys, mutate):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(mutate(_valid_instance_doc())))
     assert run(["count", path], tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert "dimension mismatch" not in err
+
+
+def _box_instance(tmp_path):
+    inst = Instance(1, [pt(x) for x in range(1, 7)],
+                    [Box((0,), (2,)), Box((3,), (6,))], 2)
+    path = tmp_path / "iv.json"
+    save_instance(inst, path)
+    return path
+
+
+@pytest.mark.parametrize("argv", [["cover"], ["audit", "interval"],
+                                  ["audit", "rect"], ["census", "shallow"]],
+                         ids=["cover", "audit-interval", "audit-rect",
+                              "census"])
+def test_zero_k_is_a_usage_error(tmp_path, capsys, argv):
+    path = _box_instance(tmp_path)
+    assert run([*argv, path, "--k", 0], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert "error: k must be >= 1" in err and "Traceback" not in err
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["iv.json"]
+
+
+@pytest.mark.parametrize("argv", [["kkk"], ["cover"], ["audit", "interval"]],
+                         ids=["kkk", "cover", "audit-interval"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
+    path = _box_instance(tmp_path)
+    assert run([*argv, path, "--k", 2, "--budget", -5], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert "error: node budget must be >= 0" in err
+    assert "Traceback" not in err

@@ -4,11 +4,14 @@ import random
 import pytest
 
 from kkfree import generators as gens
-from kkfree.errors import NotApplicableError
+from kkfree.errors import InvalidInputError, NotApplicableError
+from kkfree.extremal import elekes_grid
 from kkfree.geometry import box2, interval, pt
-from kkfree.incidence import (BicliqueCover, build_box_cover, cover_bound,
-                              find_kkk, incidences_bruteforce, interval_audit,
-                              shatter_trace_count, verify_cover)
+from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
+                              IncidenceGraph, KkkResult, build_box_cover,
+                              cover_bound, find_kkk, incidences_bruteforce,
+                              interval_audit, shatter_trace_count,
+                              verify_cover)
 
 from conftest import brute_edges
 
@@ -62,11 +65,141 @@ def test_find_kkk_vs_exhaustive(rng):
             assert res.status in ("found", "free")
             assert res.found == _exhaustive_kkk(g, k), (trial, k)
             if res.found:
-                common = frozenset.intersection(
-                    *[g.ranges_of_point(i) for i in res.points])
-                assert set(res.ranges) <= common
-                assert len(set(res.points)) == k
-                assert len(set(res.ranges)) == k
+                _assert_witness(g, res, k)
+
+
+def _random_graph(rng, n_max=24, m_max=24):
+    n, m = rng.randint(1, n_max), rng.randint(1, m_max)
+    density = rng.random() * 0.7
+    return IncidenceGraph(n, m, frozenset(
+        (i, j) for i in range(n) for j in range(m) if rng.random() < density))
+
+
+def _assert_witness(graph, res, k):
+    assert len(set(res.points)) == k and len(set(res.ranges)) == k
+    assert all((i, j) in graph.edges
+               for i in res.points for j in res.ranges)
+
+
+class _OutOfBudget(Exception):
+    pass
+
+
+def _reference_bb(graph, k, node_budget):
+    """The branch-and-bound that preceded core peeling: it tries every
+    later candidate at each depth and counts each try as a node."""
+    point_sets = [graph.points_in_range(j) for j in range(graph.m)]
+    candidates = sorted((j for j in range(graph.m)
+                         if len(point_sets[j]) >= k),
+                        key=lambda j: len(point_sets[j]))
+    if graph.n < k or len(candidates) < k:
+        return KkkResult("free")
+    nodes = 0
+
+    def search(start, chosen, inter):
+        nonlocal nodes
+        if len(chosen) == k:
+            return tuple(sorted(inter)[:k]), tuple(chosen)
+        for idx in range(start, len(candidates)):
+            if len(candidates) - idx < k - len(chosen):
+                break
+            nodes += 1
+            if nodes > node_budget:
+                raise _OutOfBudget
+            j = candidates[idx]
+            new = inter & point_sets[j] if chosen else point_sets[j]
+            if len(new) >= k:
+                hit = search(idx + 1, chosen + [j], new)
+                if hit is not None:
+                    return hit
+        return None
+
+    try:
+        hit = search(0, [], frozenset())
+    except _OutOfBudget:
+        return KkkResult("unknown", nodes=nodes)
+    if hit is None:
+        return KkkResult("free", nodes=nodes)
+    return KkkResult("found", hit[0], hit[1], nodes=nodes)
+
+
+def test_find_kkk_random_graphs_vs_exhaustive():
+    rng = random.Random(2024)
+    for trial in range(300):
+        g = _random_graph(rng, 14, 14)
+        for k in (2, 3, 4):
+            res = find_kkk(g, k)
+            assert res.status in ("found", "free"), (trial, k)
+            assert res.found == _exhaustive_kkk(g, k), (trial, k)
+            if res.found:
+                _assert_witness(g, res, k)
+
+
+def test_find_kkk_matches_reference_bb():
+    # Peeling keeps the candidates' relative order and every K_{k,k}, so
+    # the search meets the reference's first hit and enters a subset of
+    # the nodes it tried.  At k = 2 the reference runs without a budget
+    # and fixes the witness order.
+    rng = random.Random(77)
+    decided = 0
+    for trial in range(400):
+        g = _random_graph(rng)
+        for k in (2, 3, 4):
+            for budget in ((10**9,) if k == 2 else (1, 7, 40, 300, 200_000)):
+                ref = _reference_bb(g, k, budget)
+                res = find_kkk(g, k, budget)
+                if res.found:
+                    _assert_witness(g, res, k)
+                if ref.status == "unknown":
+                    continue
+                decided += 1
+                assert (res.status, res.points, res.ranges) == \
+                    (ref.status, ref.points, ref.ranges), (trial, k, budget)
+                if k >= 3:
+                    assert res.nodes <= ref.nodes, (trial, k, budget)
+    assert decided > 1000
+
+
+def test_find_kkk_budget_edge():
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(200):
+        g = _random_graph(rng)
+        for k in (3, 4):
+            full = find_kkk(g, k)
+            if full.nodes == 0:
+                continue
+            exact = find_kkk(g, k, full.nodes)
+            assert (exact.status, exact.points, exact.ranges, exact.nodes) == \
+                (full.status, full.points, full.ranges, full.nodes)
+            short = find_kkk(g, k, full.nodes - 1)
+            assert short.status == "unknown"
+            assert short.nodes == full.nodes
+            checked += 1
+    assert checked > 50
+
+
+def test_find_kkk_k2_ignores_budget():
+    pts = gens.random_points(random.Random(11), 30, 1, 20)
+    g = incidences_bruteforce(
+        pts, gens.random_intervals(random.Random(12), 30, 20, 10))
+    res = find_kkk(g, 2)
+    assert res.nodes > 0 and res.status != "unknown"
+    assert find_kkk(g, 2, node_budget=0) == res
+
+
+def test_find_kkk_rejects_negative_budget():
+    g = incidences_bruteforce([pt(0, 0)], [box2(-1, 1, -1, 1)])
+    for k in (1, 2, 3):
+        with pytest.raises(InvalidInputError):
+            find_kkk(g, k, node_budget=-1)
+
+
+def test_find_kkk_elekes_k3_free_at_default_budget():
+    points, lines = elekes_grid(9)
+    res = find_kkk(incidences_bruteforce(points, list(lines)), 3)
+    assert res.free
+    assert res.nodes <= DEFAULT_NODE_BUDGET
 
 
 def test_find_kkk_budget_returns_unknown():

@@ -168,7 +168,7 @@ def test_census_rows_match_per_point_oracle():
         m = len(ranges)
         graph = incidences_bruteforce(pts, ranges)
         shallow = isinstance(ranges[0], Halfspace)
-        for k, budget in ((2, 200_000), (4, 200_000), (6, 200_000), (6, 3)):
+        for k, budget in ((2, 200_000), (4, 200_000), (6, 200_000), (4, 1)):
             rs = [F(r, 2) for r in range(2, m // k + 1)]
             verdict = find_kkk(graph, k, budget)
             status = verdict.status
