@@ -416,7 +416,8 @@ def build_parser() -> _Parser:
                    help="fix halfspace orientation (random-halfspaces)")
     g.set_defaults(fn=_cmd_gen)
 
-    c = sub.add_parser("count", help="brute-force incidence count")
+    c = sub.add_parser("count",
+                       help="exact incidence count (candidate-index oracle)")
     c.add_argument("instance")
     c.set_defaults(fn=_cmd_count)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
+from math import isqrt
 from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
@@ -19,18 +20,30 @@ Rat = Union[int, Fraction]
 
 
 def as_rat(value) -> Rat:
-    """Coerce to an exact rational, keeping ints as ints."""
+    """Coerce to an exact rational, keeping ints as ints.
+
+    A string is read as an integer literal when ``int`` accepts it, else as
+    a ``Fraction`` literal; ``int`` accepts a subset of those, with the same
+    value.  ``bool`` is rejected: it is not a number in an instance.
+    """
+    if isinstance(value, bool):
+        raise InvalidInputError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, str):
-        return as_rat(Fraction(value))
+        try:
+            return int(value)
+        except ValueError:
+            return as_rat(Fraction(value))
     raise InvalidInputError(f"not an exact rational: {value!r}")
 
 
 def rat_str(value: Rat) -> str:
     """Serialize a rational as 'p' or 'p/q'."""
+    if type(value) is int:
+        return str(value)
     f = Fraction(value)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
@@ -485,6 +498,31 @@ def compile_ranges(points: Sequence[Point], ranges: Sequence[Range]
                     f"range {idx} has dimension {r.dim}, first point has {d}")
             yield test
     return [p.coords for p in points], tests()
+
+
+def x_extent(r: Range) -> tuple[Rat | None, Rat | None] | None:
+    """A closed interval ``(lo, hi)`` holding coordinate 0 of every point
+    of r, ``None`` for an unbounded side; ``None`` when r gives none.
+
+    A ball's half-width is an exact rational upper bound on its radius.
+    """
+    if isinstance(r, Box):
+        return r.lows[0], r.highs[0]
+    if isinstance(r, Curtain):
+        return r.lo, r.hi
+    if isinstance(r, Triangle):
+        xs = [v[0] for v in r.vertices]
+        return min(xs), max(xs)
+    if isinstance(r, Wedge2):
+        return None, r.c
+    if isinstance(r, Ball):
+        # sqrt(p/q) = sqrt(p q)/q < (isqrt(p q) + 1)/q.
+        rsq = Fraction(r.radius_sq)
+        reach = Fraction(isqrt(rsq.numerator * rsq.denominator) + 1,
+                         rsq.denominator)
+        x = r.center[0]
+        return x - reach, x + reach
+    return None
 
 
 def contains(r: Range, p: Point) -> bool:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .dyadic import canonical_decomposition
 from .errors import (InvalidInputError, NotApplicableError,
                      UnknownVerdictError)
-from .geometry import Box, Point, Range, compile_ranges
+from .geometry import Box, Line2, Point, Range, compile_ranges, x_extent
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -53,16 +53,63 @@ class IncidenceGraph:
 
 
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
-    """The defining oracle: test every (point, range) pair exactly.
+    """The defining oracle: every (point, range) pair, decided exactly.
 
-    Dimensions are checked once per instance; each range is compiled once
-    and its predicate run over all point coordinates.
+    Dimensions are checked once per instance and each range is compiled
+    once.  An exact candidate index drops only pairs that cannot be edges:
+    a range with an x-extent (``geometry.x_extent``) tests the points whose
+    coordinate 0 lies in it, found by bisecting the points sorted by that
+    coordinate, and a 2D line tests the points at ``(x, a x + b)`` for each
+    distinct x, when there are fewer distinct x than points.  Every other
+    range tests every point.  The compiled predicate decides each candidate.
     """
     coords, tests = compile_ranges(points, ranges)
+    candidates = _CandidateIndex(coords)
     edges = set()
-    for j, test in enumerate(tests):
-        edges.update((i, j) for i, c in enumerate(coords) if test(c))
+    for j, (r, test) in enumerate(zip(ranges, tests)):
+        cand = candidates.of(r) if coords else None
+        if cand is None:
+            edges.update((i, j) for i, c in enumerate(coords) if test(c))
+        else:
+            edges.update((i, j) for i in cand if test(coords[i]))
     return IncidenceGraph(len(points), len(ranges), frozenset(edges))
+
+
+class _CandidateIndex:
+    """Point indices sorted by coordinate 0 and, built on the first line,
+    the distinct x values and a coordinate -> indices map."""
+
+    def __init__(self, coords: list[tuple]):
+        self.coords = coords
+        self.by_x = sorted(range(len(coords)), key=lambda i: coords[i][0])
+        self.xs = [coords[i][0] for i in self.by_x]
+        self.lookup: tuple | None = None
+
+    def of(self, r: Range) -> list[int] | None:
+        """Indices of the points that may lie in r, or None for all."""
+        if isinstance(r, Line2):
+            return self._on_line(r)
+        extent = x_extent(r)
+        if extent is None:
+            return None
+        lo, hi = extent
+        start = 0 if lo is None else bisect_left(self.xs, lo)
+        stop = len(self.xs) if hi is None else bisect_right(self.xs, hi)
+        return self.by_x[start:stop]
+
+    def _on_line(self, r: Line2) -> list[int] | None:
+        if self.lookup is None:
+            distinct = list(dict.fromkeys(self.xs))
+            at: dict[tuple, list[int]] = {}
+            if len(distinct) < len(self.xs):
+                for i, c in enumerate(self.coords):
+                    at.setdefault(c, []).append(i)
+            self.lookup = (distinct, at)
+        distinct, at = self.lookup
+        if not at:
+            return None
+        a, b = r.a, r.b
+        return [i for x in distinct for i in at.get((x, a * x + b), ())]
 
 
 def require_free(graph: IncidenceGraph, k: int,
@@ -161,6 +208,10 @@ def find_kkk(graph: IncidenceGraph, k: int,
         hit = search([], frozenset(), core)
     except _BudgetExhausted:
         return KkkResult("unknown", nodes=nodes)
+    finally:
+        # search refers to itself through its closure cell; clearing the
+        # cell frees the search's data now instead of at the next gc pass.
+        del search
     if hit is None:
         return KkkResult("free", nodes=nodes)
     return KkkResult("found", hit[0], hit[1], nodes=nodes)
@@ -436,12 +487,7 @@ def shatter_trace_count(points: list[Point], ranges: list[Range],
                         k: int | None = None) -> ShatterCount:
     """Count distinct traces {P ∩ f : f in F}; with k, also the number of
     ranges containing more than k points."""
-    coords, tests = compile_ranges(points, ranges)
-    traces = set()
-    heavy = 0 if k is not None else None
-    for test in tests:
-        trace = frozenset(i for i, c in enumerate(coords) if test(c))
-        traces.add(trace)
-        if k is not None and len(trace) > k:
-            heavy += 1
-    return ShatterCount(len(traces), heavy)
+    graph = incidences_bruteforce(points, ranges)
+    traces = [graph.points_in_range(j) for j in range(graph.m)]
+    heavy = None if k is None else sum(len(t) > k for t in traces)
+    return ShatterCount(len(set(traces)), heavy)

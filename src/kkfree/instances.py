@@ -65,6 +65,22 @@ def _opt_load(v):
     return None if v is None else as_rat(v)
 
 
+def _items(v) -> list:
+    """A JSON array; a string or object in its place is malformed, not
+    iterated."""
+    if not isinstance(v, list):
+        raise InvalidInputError(f"expected an array, got {type(v).__name__}")
+    return v
+
+
+def _rats(v) -> tuple:
+    return tuple(as_rat(c) for c in _items(v))
+
+
+def _opt_rats(v) -> tuple:
+    return tuple(_opt_load(c) for c in _items(v))
+
+
 def range_to_json(r: Range) -> dict[str, Any]:
     if isinstance(r, Box):
         return {"type": "box", "lows": [_opt(v) for v in r.lows],
@@ -107,17 +123,15 @@ def range_to_json(r: Range) -> dict[str, Any]:
 def range_from_json(obj: dict[str, Any]) -> Range:
     kind = obj.get("type")
     if kind == "box":
-        return Box(tuple(_opt_load(v) for v in obj["lows"]),
-                   tuple(_opt_load(v) for v in obj["highs"]))
+        return Box(_opt_rats(obj["lows"]), _opt_rats(obj["highs"]))
     if kind == "halfspace":
-        return Halfspace(Hyperplane(tuple(as_rat(v) for v in obj["slopes"]),
+        return Halfspace(Hyperplane(_rats(obj["slopes"]),
                                     as_rat(obj["offset"])), obj["side"])
     if kind == "linear-halfspace":
-        return LinearHalfspace(tuple(as_rat(v) for v in obj["coeffs"]),
-                               as_rat(obj["rhs"]), obj["sense"])
+        return LinearHalfspace(_rats(obj["coeffs"]), as_rat(obj["rhs"]),
+                               obj["sense"])
     if kind == "ball":
-        return Ball(Point(tuple(as_rat(v) for v in obj["center"])),
-                    as_rat(obj["radius_sq"]))
+        return Ball(Point(_rats(obj["center"])), as_rat(obj["radius_sq"]))
     if kind == "wedge2":
         return Wedge2(as_rat(obj["a"]), as_rat(obj["b"]), as_rat(obj["c"]))
     if kind == "wedge3":
@@ -126,15 +140,13 @@ def range_from_json(obj: dict[str, Any]) -> Range:
         return Curtain(as_rat(obj["a"]), as_rat(obj["b"]),
                        _opt_load(obj["lo"]), _opt_load(obj["hi"]))
     if kind == "triangle":
-        vs = [Point((as_rat(v[0]), as_rat(v[1]))) for v in obj["vertices"]]
+        vs = [Point(_rats(v)) for v in _items(obj["vertices"])]
         return Triangle(*vs)  # TypeError unless exactly three
     if kind == "line":
         return Line2(as_rat(obj["a"]), as_rat(obj["b"]))
     if kind == "polyhedron":
-        return Polyhedron(tuple(tuple(as_rat(c) for c in nrm)
-                                for nrm in obj["normals"]),
-                          tuple(_opt_load(v) for v in obj["lows"]),
-                          tuple(_opt_load(v) for v in obj["highs"]))
+        return Polyhedron(tuple(_rats(nrm) for nrm in _items(obj["normals"])),
+                          _opt_rats(obj["lows"]), _opt_rats(obj["highs"]))
     raise InvalidInputError(f"unknown range type: {kind!r}")
 
 
@@ -158,9 +170,8 @@ def instance_from_json(obj: dict[str, Any]) -> Instance:
     if version != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported format_version: {version!r}")
     try:
-        points = [Point(tuple(as_rat(c) for c in row))
-                  for row in obj["points"]]
-        ranges = [range_from_json(r) for r in obj["ranges"]]
+        points = [Point(_rats(row)) for row in _items(obj["points"])]
+        ranges = [range_from_json(r) for r in _items(obj["ranges"])]
         return Instance(obj["dimension"], points, ranges, obj.get("k"),
                         obj.get("provenance", {}))
     except (AttributeError, IndexError, KeyError, TypeError, ValueError,
@@ -183,6 +194,7 @@ def load_instance(path) -> Instance:
     try:
         with open(path) as fh:
             obj = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, ValueError) as exc:
+        # ValueError covers bad JSON and bytes that are not UTF-8.
         raise InvalidInputError(f"cannot read instance file: {exc}") from exc
     return instance_from_json(obj)

@@ -224,6 +224,16 @@ def test_malformed_instance_is_a_usage_error(tmp_path, capsys, mutate):
     assert "dimension mismatch" not in err
 
 
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],
+                         ids=["not-utf8", "nested-too-deep"])
+def test_unreadable_instance_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert run(["count", path], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read instance file")
+
+
 def _box_instance(tmp_path):
     inst = Instance(1, [pt(x) for x in range(1, 7)],
                     [Box((0,), (2,)), Box((3,), (6,))], 2)

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -9,11 +10,11 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
-                             interval, lift, lift_ball, point_above,
-                             predicate, pt)
+                             as_rat, interval, lift, lift_ball,
+                             point_above, predicate, pt, rat_str)
 from kkfree.incidence import incidences_bruteforce
 
-from conftest import reference_contains
+from conftest import brute_edges, reference_contains
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)
@@ -269,6 +270,80 @@ def test_predicate_matches_reference(kind, data):
     test = predicate(r)
     for p in points:
         assert test(p.coords) == reference_contains(r, p), (r, p)
+
+
+@given(st.lists(st.sampled_from(sorted(BUILDERS)), min_size=1, max_size=4),
+       st.data())
+@settings(max_examples=400, deadline=None)
+def test_oracle_candidate_index_matches_reference(kinds, data):
+    # Ranges of one dimension, with points on their extent edges: boundary
+    # points, triangle vertices, ball points at the end of axis 0, points
+    # on each line; then duplicates.
+    drawn = [BUILDERS[kind](data) for kind in kinds]
+    d = drawn[0][0].dim
+    ranges = [r for r, _ in drawn if r.dim == d]
+    points = [q for r, q in drawn if r.dim == d]
+    for r in ranges:
+        if isinstance(r, Triangle):
+            points += r.vertices
+        elif isinstance(r, Ball):
+            # Just inside the sphere on axis 0: the radius rounded down to
+            # a multiple of 1/(1000 q) for radius_sq = p/q.
+            rsq, c = F(r.radius_sq), r.center.coords
+            reach = F(isqrt(rsq.numerator * rsq.denominator * 10**6),
+                      rsq.denominator * 1000)
+            points += [Point((c[0] + s * reach,) + c[1:]) for s in (-1, 1)]
+        elif isinstance(r, Line2):
+            points += [Point((x, r.a * x + r.b))
+                       for x in data.draw(st.lists(grid, max_size=3))]
+    points += [_grid_point(data, d) for _ in range(data.draw(st.integers(0, 5)))]
+    points += data.draw(st.lists(st.sampled_from(points), max_size=4))
+    assert incidences_bruteforce(points, ranges).edges == \
+        brute_edges(points, ranges), (ranges, points)
+
+
+def _fraction_as_rat(value):
+    """as_rat before its integer fast path: every string through Fraction."""
+    f = F(value)
+    return int(f) if f.denominator == 1 else f
+
+
+def _fraction_rat_str(value):
+    f = F(value)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+literals = st.one_of(
+    st.sampled_from(["1_000", " 12 ", "+5", "-0", "12.0", "1e3", "3/6",
+                     "1__0", "_1", "1_", "0x10", "", " ", "+-1", "1/0",
+                     "007", "-3/-4", "\u0661\u0662"]),
+    # At most five characters, so an exponent stays below e999.
+    st.text(alphabet="0123456789+-_./ e", max_size=5),
+    st.integers().map(str), st.fractions().map(str))
+
+
+@given(st.one_of(literals, st.integers(), st.fractions()))
+@settings(max_examples=500, deadline=None)
+def test_as_rat_and_rat_str_match_fraction_parse(value):
+    outcomes = []
+    for parse in (as_rat, _fraction_as_rat):
+        try:
+            got = parse(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            got = type(exc)
+        outcomes.append((got, type(got)))
+    assert outcomes[0] == outcomes[1], value
+    got = outcomes[0][0]
+    if not isinstance(got, type):
+        assert rat_str(got) == _fraction_rat_str(got)
+        assert as_rat(rat_str(got)) == got
+
+
+def test_rat_str_bool_and_as_rat_rejects_bool():
+    assert rat_str(True) == "1" and rat_str(False) == "0"
+    for value in (True, False):
+        with pytest.raises(InvalidInputError):
+            as_rat(value)
 
 
 def test_triangle_orientation_and_degenerate_cases():

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -200,6 +201,30 @@ def test_find_kkk_elekes_k3_free_at_default_budget():
     res = find_kkk(incidences_bruteforce(points, list(lines)), 3)
     assert res.free
     assert res.nodes <= DEFAULT_NODE_BUDGET
+
+
+def test_find_kkk_leaves_nothing_for_gc():
+    # The search must not keep its data alive in reference cycles: with gc
+    # off, a collection right after it finds no unreachable object.
+    points, lines = elekes_grid(6)
+    sparse = incidences_bruteforce(points, list(lines))
+    dense = _random_graph(random.Random(9), 20, 20)
+    cases = [(sparse, 2, DEFAULT_NODE_BUDGET), (sparse, 3, DEFAULT_NODE_BUDGET),
+             (sparse, 3, 5), (dense, 2, DEFAULT_NODE_BUDGET),
+             (dense, 3, DEFAULT_NODE_BUDGET)]
+    for graph, _, _ in cases:
+        graph.points_in_range(0)  # the graph's own lazy index, built now
+    statuses = set()
+    gc.collect()
+    gc.disable()
+    try:
+        for graph, k, budget in cases:
+            res = find_kkk(graph, k, budget)
+            statuses.add(res.status)
+            assert gc.collect() == 0, (k, budget, res.status)
+    finally:
+        gc.enable()
+    assert statuses == {"free", "found", "unknown"}
 
 
 def test_find_kkk_budget_returns_unknown():
