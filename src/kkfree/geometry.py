@@ -7,10 +7,11 @@ Ranges are closed: a point on the boundary is contained.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence, Union
 
@@ -18,13 +19,20 @@ from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputE
 
 Rat = Union[int, Fraction]
 
+# Largest decimal exponent magnitude a literal may carry (CPython's
+# int-to-str digit limit); a larger one would expand to a huge integer.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
 
 def as_rat(value) -> Rat:
     """Coerce to an exact rational, keeping ints as ints.
 
     A string is read as an integer literal when ``int`` accepts it, else as
     a ``Fraction`` literal; ``int`` accepts a subset of those, with the same
-    value.  ``bool`` is rejected: it is not a number in an instance.
+    value.  ``bool`` is rejected: it is not a number in an instance.  So is
+    a decimal exponent beyond +-4300, before ``Fraction`` expands it into an
+    integer of that many digits.
     """
     if isinstance(value, bool):
         raise InvalidInputError(f"not an exact rational: {value!r}")
@@ -36,7 +44,14 @@ def as_rat(value) -> Rat:
         try:
             return int(value)
         except ValueError:
-            return as_rat(Fraction(value))
+            pass
+        exp = _EXPONENT.search(value)
+        if exp is not None:
+            digits = exp[1].replace("_", "")
+            if len(digits) > _MAX_EXPONENT or int(digits) > _MAX_EXPONENT:
+                raise InvalidInputError(
+                    f"exponent beyond +-{_MAX_EXPONENT}: {value[:40]!r}")
+        return as_rat(Fraction(value))
     raise InvalidInputError(f"not an exact rational: {value!r}")
 
 
@@ -368,22 +383,38 @@ def _(r: Box) -> Predicate:
     return test
 
 
+def _integer_form(values: Sequence[Rat | None]) -> tuple[int | None, ...]:
+    """One constraint's constants times the lcm of their denominators.
+
+    The lcm is >= 1, so every inequality among the scaled values keeps its
+    direction and ``None`` (an unbounded side) stays ``None``; a compiled
+    test on integer points then runs on ``int`` only.
+    """
+    scale = lcm(*(v.denominator for v in values if v is not None))
+    return tuple(None if v is None else v.numerator * (scale // v.denominator)
+                 for v in values)
+
+
+def _linear_test(coeffs: tuple[int, ...], rhs: int, le: bool) -> Predicate:
+    if le:
+        return lambda c: sum(map(mul, coeffs, c)) <= rhs
+    return lambda c: sum(map(mul, coeffs, c)) >= rhs
+
+
 @predicate.register
 def _(r: Halfspace) -> Predicate:
-    slopes, offset = r.boundary.slopes, r.boundary.offset
-    last = len(slopes)
-    # map stops at the end of the slopes: only x_1..x_{d-1} enter the sum.
-    if r.side == "upper":
-        return lambda c: c[last] >= offset + sum(map(mul, slopes, c))
-    return lambda c: c[last] <= offset + sum(map(mul, slopes, c))
+    # Implicit form: x_d >= offset + slopes . x  iff
+    # (-L slopes, L) . x >= L offset, for the lcm L of the denominators.
+    *slopes, one, offset = _integer_form(
+        (*r.boundary.slopes, 1, r.boundary.offset))
+    coeffs = tuple(-s for s in slopes) + (one,)
+    return _linear_test(coeffs, offset, r.side == "lower")
 
 
 @predicate.register
 def _(r: LinearHalfspace) -> Predicate:
-    coeffs, rhs = r.coeffs, r.rhs
-    if r.sense == "le":
-        return lambda c: sum(map(mul, coeffs, c)) <= rhs
-    return lambda c: sum(map(mul, coeffs, c)) >= rhs
+    *coeffs, rhs = _integer_form((*r.coeffs, r.rhs))
+    return _linear_test(tuple(coeffs), rhs, r.sense == "le")
 
 
 @predicate.register
@@ -428,7 +459,7 @@ def _(r: Triangle) -> Predicate:
     # p is on or left of the counter-clockwise edge (u, v) iff
     # (v - u) x (p - u) = dx*y - dy*x + (dy*ux - dx*uy) >= 0.
     (dx0, dy0, k0), (dx1, dy1, k1), (dx2, dy2, k2) = (
-        (vx - ux, vy - uy, (vy - uy) * ux - (vx - ux) * uy)
+        _integer_form((vx - ux, vy - uy, (vy - uy) * ux - (vx - ux) * uy))
         for (ux, uy), (vx, vy) in ((v0, v1), (v1, v2), (v2, v0)))
 
     def test(c: Coords) -> bool:
@@ -465,7 +496,10 @@ def _(r: Polyhedron) -> Predicate:
     if any(len(nrm) != r.dim for nrm in r.normals):
         raise DimensionMismatchError(
             "polyhedron normals of different dimensions")
-    slabs = tuple(zip(r.normals, r.lows, r.highs))
+    slabs = []
+    for nrm, lo, hi in zip(r.normals, r.lows, r.highs):
+        *scaled, lo, hi = _integer_form((*nrm, lo, hi))
+        slabs.append((tuple(scaled), lo, hi))
 
     def test(c: Coords) -> bool:
         for nrm, lo, hi in slabs:

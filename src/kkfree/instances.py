@@ -167,7 +167,8 @@ def instance_from_json(obj: dict[str, Any]) -> Instance:
     if not isinstance(obj, dict):
         raise InvalidInputError("instance document must be a JSON object")
     version = obj.get("format_version")
-    if version != FORMAT_VERSION:
+    # True == 1 and 1.0 == 1 in Python; only the integer is a version.
+    if type(version) is not int or version != FORMAT_VERSION:
         raise InvalidInputError(f"unsupported format_version: {version!r}")
     try:
         points = [Point(_rats(row)) for row in _items(obj["points"])]

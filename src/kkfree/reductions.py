@@ -235,16 +235,17 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
             raise InvalidInputError("need 2D points")
     _require(lines, Line2, "non-vertical lines")
     min_pos: Rat | None = None
+    coords = [p.coords for p in points]
     for line in lines:
-        for p in points:
-            residual = p[1] - line.a * p[0] - line.b
+        a, b = line.a, line.b
+        for x, y in coords:
+            residual = y - a * x - b
             if residual != 0:
                 sq = residual * residual
                 if min_pos is None or sq < min_pos:
                     min_pos = sq
     eps = Fraction(1, 2) if min_pos is None else Fraction(min_pos) / 2
-    tgt_points = [Point((p[0] * p[0], p[1] * p[1], p[0] * p[1], p[0], p[1]))
-                  for p in points]
+    tgt_points = [Point((x * x, y * y, x * y, x, y)) for x, y in coords]
     tgt_halfspaces = [
         LinearHalfspace(
             (line.a * line.a, 1, -2 * line.a, 2 * line.a * line.b,

@@ -180,6 +180,16 @@ def _future_version(doc):
     return doc
 
 
+def _bool_version(doc):
+    doc["format_version"] = True
+    return doc
+
+
+def _float_version(doc):
+    doc["format_version"] = 1.0
+    return doc
+
+
 def _string_k(doc):
     doc["k"] = "2"
     return doc
@@ -208,11 +218,13 @@ def _list_provenance(doc):
 @pytest.mark.parametrize("mutate", [_drop_points, lambda doc: [doc],
                                     _two_vertex_triangle,
                                     _four_vertex_triangle, _future_version,
+                                    _bool_version, _float_version,
                                     _string_k, _zero_k, _string_dimension,
                                     _bool_dimension, _list_provenance],
                          ids=["missing-points", "top-level-list",
                               "two-vertex-triangle", "four-vertex-triangle",
-                              "format-version-99", "string-k", "zero-k",
+                              "format-version-99", "bool-format-version",
+                              "float-format-version", "string-k", "zero-k",
                               "string-dimension", "bool-dimension",
                               "list-provenance"])
 def test_malformed_instance_is_a_usage_error(tmp_path, capsys, mutate):

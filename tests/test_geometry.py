@@ -1,3 +1,5 @@
+import fractions
+import sys
 from fractions import Fraction as F
 from math import isqrt
 
@@ -368,3 +370,138 @@ def test_oracle_checks_every_dimension_once():
     with pytest.raises(DimensionMismatchError):
         incidences_bruteforce([pt(0, 0), pt(1, 1)],
                               [square, square, Box((0, 0, 0), (1, 1, 1))])
+
+
+def test_as_rat_bounds_the_exponent():
+    for literal in ("1e999999999", "1e-999999999", "1E4301", "-2.5e+4_301",
+                    "1e" + "0" * 5000 + "1"):
+        with pytest.raises(InvalidInputError):
+            as_rat(literal)
+    for literal in ("1e300", "-2.5e-3", "1e4300", "1e-4300", "3.5E+0_2"):
+        assert as_rat(literal) == _fraction_as_rat(literal), literal
+
+
+# ---------------------------------------------------------------------------
+# linear constraints compiled to integer forms
+
+# Unlike denominators: powers of four (the orthant map's 4^-r), thirds,
+# fifths and the 1/4096 grid of the fat triangles.
+DENOMINATORS = (1, 2, 3, 4, 5, 16, 64, 4096)
+
+
+def _rational(data):
+    return F(data.draw(st.integers(-40, 40)),
+             data.draw(st.sampled_from(DENOMINATORS)))
+
+
+def _on_grid(data, d, g):
+    # A point on the 1/g grid, with int coordinates when g is 1.
+    ns = (data.draw(st.integers(-6 * g, 6 * g)) for _ in range(d))
+    return tuple(n if g == 1 else F(n, g) for n in ns)
+
+
+def _cleared_linear_halfspace(data, g):
+    d = data.draw(st.integers(1, 3))
+    coeffs = tuple(_rational(data) for _ in range(d))
+    if not any(coeffs):
+        coeffs = (F(1, 3),) + coeffs[1:]
+    q = _on_grid(data, d, g)
+    sense = data.draw(st.sampled_from(["le", "ge"]))
+    return LinearHalfspace(coeffs, sum(a * x for a, x in zip(coeffs, q)),
+                           sense), [q]
+
+
+def _cleared_halfspace(data, g):
+    d = data.draw(st.integers(2, 3))
+    h = Hyperplane(tuple(_rational(data) for _ in range(d - 1)),
+                   _rational(data))
+    prefix = _on_grid(data, d - 1, g)
+    side = data.draw(st.sampled_from(["upper", "lower"]))
+    return Halfspace(h, side), [prefix + (h.height_at(prefix),)]
+
+
+def _cleared_polyhedron(data, g):
+    d = data.draw(st.integers(1, 3))
+    q = _on_grid(data, d, g)
+    normals, lows, highs = [], [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        nrm = tuple(_rational(data) for _ in range(d))
+        value = sum(a * x for a, x in zip(nrm, q))
+        # Each side unbounded, through q, or a rational distance beyond it.
+        lo, hi = (data.draw(st.sampled_from(
+            [None, value, value + sign * abs(_rational(data))]))
+            for sign in (-1, 1))
+        normals.append(nrm)
+        lows.append(lo)
+        highs.append(hi)
+    return Polyhedron(tuple(normals), tuple(lows), tuple(highs)), [q]
+
+
+def _cleared_triangle(data, g):
+    # Vertices on the 1/4096 grid; boundary points at the vertices and the
+    # edge midpoints.
+    vs = [Point(_on_grid(data, 2, 4096)) for _ in range(3)]
+    mids = [tuple(F(a + b) / 2 for a, b in zip(u, v))
+            for u, v in zip(vs, vs[1:] + vs[:1])]
+    return Triangle(*vs), [v.coords for v in vs] + mids
+
+
+def _orthant_halfspace(data, g):
+    # The orthant map's image: x/4^qx + y/4^qy + z/4^qz <= 3 on points
+    # (4^px, 4^py, 4^pz), on the boundary when p = q.
+    ranks = [data.draw(st.integers(0, 6)) for _ in range(3)]
+    return (LinearHalfspace(tuple(F(1, 4 ** r) for r in ranks), 3, "le"),
+            [tuple(4 ** r for r in ranks)])
+
+
+CLEARED = {"linear-halfspace": _cleared_linear_halfspace,
+           "halfspace": _cleared_halfspace, "polyhedron": _cleared_polyhedron,
+           "triangle": _cleared_triangle, "orthant-halfspace": _orthant_halfspace}
+
+
+@given(st.sampled_from(sorted(CLEARED)), st.sampled_from([1, 3, 4096]),
+       st.data())
+@settings(max_examples=300, deadline=None)
+def test_cleared_constants_keep_every_boundary(kind, g, data):
+    # Points exactly on each boundary and one grid step to either side
+    # along every axis, as ints (where integral) and as Fractions.
+    r, boundary = CLEARED[kind](data, g)
+    step = F(1, 4096) if kind == "triangle" else F(1, g)
+    test = predicate(r)
+    for q in boundary:
+        for axis in range(len(q)):
+            for delta in (0, -step, step):
+                moved = tuple(as_rat(x + delta) if i == axis else as_rat(x)
+                              for i, x in enumerate(q))
+                expected = reference_contains(r, Point(moved))
+                assert test(moved) == expected, (r, moved)
+                assert test(tuple(map(F, moved))) == expected, (r, moved)
+
+
+def test_integer_points_run_no_fraction_arithmetic():
+    ranges = [LinearHalfspace((F(1, 2), F(-1, 3)), F(1, 6), "le"),
+              LinearHalfspace((F(1, 4), F(1, 16)), F(5, 16), "ge"),
+              Halfspace(Hyperplane((F(2, 3),), F(1, 3)), "upper"),
+              Halfspace(Hyperplane((F(2, 3),), F(1, 3)), "lower"),
+              Polyhedron(((F(1, 2), F(1, 5)), (1, F(-1, 3))),
+                         (F(7, 10), None), (None, F(1, 3))),
+              Triangle(pt(F(1, 4096), 0), pt(2, F(3, 4096)), pt(F(1, 2), 3))]
+    points = [(x, y) for x in range(-1, 4) for y in range(-1, 4)]
+    expected = [[reference_contains(r, Point(p)) for p in points]
+                for r in ranges]
+    tests = [predicate(r) for r in ranges]
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        got = [[test(p) for p in points] for test in tests]
+    finally:
+        sys.setprofile(previous)
+    assert called == []
+    assert got == expected
+    assert any(map(any, got)) and not all(map(all, got))

@@ -64,7 +64,8 @@ def _mutate(doc, data):
     if op == "drop":
         del node[key]
     elif op == "retype":
-        node[key] = data.draw(ODD_VALUES)
+        # A copy: a later mutation must not edit the shared sample values.
+        node[key] = copy.deepcopy(data.draw(ODD_VALUES))
     elif op == "grow" and isinstance(node, list):
         node.append(inner)
     elif op == "wrap":
