@@ -11,8 +11,8 @@ per entry plus one light node per leaf-sized block.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from math import lcm
 
 from ..errors import InvalidInputError
 from ..geometry import Curtain, Point, Rat
@@ -34,6 +34,9 @@ class QueryStats:
 
 
 class _Node:
+    """``v_min``/``v_max`` are entry indices of the slice's least and
+    greatest value."""
+
     __slots__ = ("lo", "hi", "v_min", "v_max", "left", "right")
 
     def __init__(self, lo, hi, v_min, v_max, left=None, right=None):
@@ -46,40 +49,68 @@ class _Node:
 
 
 class SlantedRangeTree:
-    """Static structure over (key, value, payload) entries.
+    """Static structure over integer entries ``(kn, vn, q, payload)``: key
+    ``kn / q`` and value ``vn / q`` over one positive denominator ``q`` per
+    entry.
 
     ``query`` reports payloads with key in a closed interval (None ends are
-    unbounded) and value <= a * key + b, exactly.
+    unbounded) and value <= a * key + b, exactly.  It clears the
+    denominators of ``a`` and ``b`` once per query, so the walk compares
+    integers only.
     """
 
-    def __init__(self, entries: list[tuple[Rat, Rat, int]],
+    def __init__(self, entries: list[tuple[int, int, int, int]],
                  leaf_size: int = LEAF_SIZE):
         if leaf_size < 1:
             raise InvalidInputError("leaf size must be positive")
-        entries = sorted(entries, key=lambda e: (e[0], e[1], e[2]))
-        self.keys = [e[0] for e in entries]
-        self.values = [e[1] for e in entries]
-        self.payload = [e[2] for e in entries]
+        if any(e[2] <= 0 for e in entries):
+            raise InvalidInputError("entry denominators must be positive")
+        # Distinct fractions n/q and n'/q' differ by at least 1/(q q') >= 1/m,
+        # so (n * m) // q is strictly monotone in n/q: this sorts by the
+        # rationals (key, value, payload).
+        m = max((e[2] for e in entries), default=1) ** 2
+        entries = sorted(entries, key=lambda e: ((e[0] * m) // e[2],
+                                                 (e[1] * m) // e[2], e[3]))
+        self.kn = [e[0] for e in entries]
+        self.vn = [e[1] for e in entries]
+        self.q = [e[2] for e in entries]
+        self.payload = [e[3] for e in entries]
         self.leaf_size = leaf_size
         self.node_count = 0
-        self.root = self._build(0, len(entries)) if entries else None
+        v_rank = [(v * m) // q for v, q in zip(self.vn, self.q)]
+        self.root = self._build(0, len(entries), v_rank) if entries else None
 
-    def _build(self, lo: int, hi: int) -> _Node:
+    def _build(self, lo: int, hi: int, v_rank: list[int]) -> _Node:
         self.node_count += 1
         if hi - lo <= self.leaf_size:
-            vals = self.values[lo:hi]
-            return _Node(lo, hi, min(vals), max(vals))
+            return _Node(lo, hi, min(range(lo, hi), key=v_rank.__getitem__),
+                         max(range(lo, hi), key=v_rank.__getitem__))
         mid = (lo + hi) // 2
-        left = self._build(lo, mid)
-        right = self._build(mid, hi)
-        return _Node(lo, hi, min(left.v_min, right.v_min),
-                     max(left.v_max, right.v_max), left, right)
+        left = self._build(lo, mid, v_rank)
+        right = self._build(mid, hi, v_rank)
+        v_min = min(left.v_min, right.v_min, key=v_rank.__getitem__)
+        v_max = max(left.v_max, right.v_max, key=v_rank.__getitem__)
+        return _Node(lo, hi, v_min, v_max, left, right)
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self.kn)
 
     def stored_entries(self) -> int:
-        return len(self.keys) + self.node_count
+        return len(self.kn) + self.node_count
+
+    def _first_key(self, bound: Rat, above: bool) -> int:
+        """First index whose key is >= bound (> bound when ``above``)."""
+        num, den = bound.numerator, bound.denominator
+        kn, q = self.kn, self.q
+        lo, hi = 0, len(kn)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            diff = kn[mid] * den - num * q[mid]
+            if diff > 0 or (diff == 0 and not above):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def query(self, key_lo: Rat | None, key_hi: Rat | None, a: Rat, b: Rat,
               stats: QueryStats | None = None) -> list[int]:
@@ -87,51 +118,61 @@ class SlantedRangeTree:
         if self.root is None:
             return []
         stats = stats if stats is not None else QueryStats()
-        i0 = 0 if key_lo is None else bisect_left(self.keys, key_lo)
-        i1 = len(self.keys) if key_hi is None else bisect_right(self.keys, key_hi)
+        i0 = 0 if key_lo is None else self._first_key(key_lo, False)
+        i1 = len(self.kn) if key_hi is None else self._first_key(key_hi, True)
         if i0 >= i1:
             return []
+        # a = ca / cl and b = cb / cl; entry t is below the line iff
+        # vn[t] * cl <= ca * kn[t] + cb * q[t].
+        cl = lcm(a.denominator, b.denominator)
+        line = (a.numerator * (cl // a.denominator),
+                b.numerator * (cl // b.denominator), cl)
         out: list[int] = []
-        self._collect(self.root, i0, i1, a, b, out, stats)
+        self._collect(self.root, i0, i1, line, out, stats)
         stats.reported += len(out)
         return out
 
-    def _collect(self, node: _Node, i0: int, i1: int, a, b, out, stats):
+    def _test_slice(self, lo: int, hi: int, line, out, stats):
+        ca, cb, cl = line
+        kn, vn, q, payload = self.kn, self.vn, self.q, self.payload
+        for t in range(lo, hi):
+            stats.entry_tests += 1
+            if vn[t] * cl <= ca * kn[t] + cb * q[t]:
+                out.append(payload[t])
+
+    def _collect(self, node: _Node, i0: int, i1: int, line, out, stats):
         stats.nodes_visited += 1
         if i0 <= node.lo and node.hi <= i1:
-            self._report_below(node, a, b, out, stats, counted=True)
+            self._report_below(node, line, out, stats, counted=True)
             return
         if node.left is None:
-            for t in range(max(node.lo, i0), min(node.hi, i1)):
-                stats.entry_tests += 1
-                if self.values[t] <= a * self.keys[t] + b:
-                    out.append(self.payload[t])
+            self._test_slice(max(node.lo, i0), min(node.hi, i1), line, out,
+                             stats)
             return
         if i0 < node.left.hi:
-            self._collect(node.left, i0, i1, a, b, out, stats)
+            self._collect(node.left, i0, i1, line, out, stats)
         if i1 > node.right.lo:
-            self._collect(node.right, i0, i1, a, b, out, stats)
+            self._collect(node.right, i0, i1, line, out, stats)
 
-    def _report_below(self, node: _Node, a, b, out, stats, counted=False):
+    def _report_below(self, node: _Node, line, out, stats, counted=False):
         if not counted:
             stats.nodes_visited += 1
-        u_min, u_max = self.keys[node.lo], self.keys[node.hi - 1]
-        end_a = a * u_min + b
-        end_b = a * u_max + b
-        lo_val, hi_val = (end_a, end_b) if end_a <= end_b else (end_b, end_a)
-        if node.v_min > hi_val:
+        ca, cb, cl = line
+        kn, vn, q = self.kn, self.vn, self.q
+        # The line at the node's two end keys, each as num / (cl * q[end]);
+        # over the key extent it lies between them.
+        ends = [(ca * kn[e] + cb * q[e], q[e]) for e in (node.lo, node.hi - 1)]
+        t_min, t_max = node.v_min, node.v_max
+        if all(vn[t_min] * cl * qe > ye * q[t_min] for ye, qe in ends):
             return
-        if node.v_max <= lo_val:
+        if all(vn[t_max] * cl * qe <= ye * q[t_max] for ye, qe in ends):
             out.extend(self.payload[node.lo:node.hi])
             return
         if node.left is None:
-            for t in range(node.lo, node.hi):
-                stats.entry_tests += 1
-                if self.values[t] <= a * self.keys[t] + b:
-                    out.append(self.payload[t])
+            self._test_slice(node.lo, node.hi, line, out, stats)
             return
-        self._report_below(node.left, a, b, out, stats)
-        self._report_below(node.right, a, b, out, stats)
+        self._report_below(node.left, line, out, stats)
+        self._report_below(node.right, line, out, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +191,12 @@ class CurtainStructure:
 
 def build_curtain_structure(points: list[Point],
                             leaf_size: int = LEAF_SIZE) -> CurtainStructure:
-    entries = [(p[0], p[1], i) for i, p in enumerate(points)]
+    entries = []
+    for i, p in enumerate(points):
+        x, y = p[0], p[1]
+        q = lcm(x.denominator, y.denominator)
+        entries.append((x.numerator * (q // x.denominator),
+                        y.numerator * (q // y.denominator), q, i))
     return CurtainStructure(SlantedRangeTree(entries, leaf_size), len(points))
 
 

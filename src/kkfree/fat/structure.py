@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import InvalidInputError
-from ..geometry import Point, Triangle, cross, predicate
+from ..geometry import Point, Rat, Triangle, cross, predicate
 from ..reductions import apex_cell_constraints
 from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
                        cell_key, centroid_descent, diameter_sq_of)
@@ -65,15 +65,13 @@ class FrameMap:
 def make_frame(points: list[Point]) -> FrameMap:
     if not points:
         return FrameMap((Fraction(0), Fraction(0)), Fraction(1, 4))
-    xs = [Fraction(p[0]) for p in points]
-    ys = [Fraction(p[1]) for p in points]
-    extent = max(max(xs) - min(xs), max(ys) - min(ys), Fraction(0))
-    if extent == 0:
-        extent = Fraction(1)
+    xs = [p[0] for p in points]
+    ys = [p[1] for p in points]
+    x0, y0 = min(xs), min(ys)
+    extent = Fraction(max(max(xs) - x0, max(ys) - y0)) or Fraction(1)
     margin = extent / 20
     span = extent + 2 * margin
-    return FrameMap((min(xs) - margin, min(ys) - margin),
-                    Fraction(1, 4) / span)
+    return FrameMap((x0 - margin, y0 - margin), Fraction(1, 4) / span)
 
 
 # ---------------------------------------------------------------------------
@@ -92,17 +90,19 @@ class _FatNode:
 
 @dataclass
 class FatStratum:
-    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den)."""
+    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den).
+
+    A node's bounding box holds integer numerators over ``den`` too, and
+    its apex ``(ax, ay, s)`` sits at (ax / 2^s, ay / 2^s) with
+    ``s <= apex_bits``.
+    """
 
     shift: Fraction
     root: _FatNode | None
     dfs_order: list[int]
     xy: list[tuple[int, int]]
     den: int
-
-    def point(self, i: int) -> tuple[Fraction, Fraction]:
-        x, y = self.xy[i]
-        return (Fraction(x, self.den), Fraction(y, self.den))
+    apex_bits: int = 0
 
 
 @dataclass
@@ -174,12 +174,18 @@ def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
         if p.dim != 2:
             raise InvalidInputError("fat structure needs planar points")
     frame = make_frame(points)
-    base = [frame.to_frame(p) for p in points]
-    # One denominator for every frame coordinate and every shift, so each
-    # stratum's coordinates are integer numerators over it.
-    den = math.lcm(*(s.denominator for s in SHIFTS),
-                   *(c.denominator for xy in base for c in xy))
-    nums = [(_over(x, den), _over(y, den)) for x, y in base]
+    (ox, oy), scale = frame.origin, frame.scale
+    # One denominator for every frame coordinate (x - ox) * scale and every
+    # shift, so each stratum's coordinates are integer numerators over it:
+    # with x and ox integers over c, the numerator over c * scale's
+    # denominator is (x * c - ox * c) * scale's numerator.
+    c = math.lcm(ox.denominator, oy.denominator,
+                 *(v.denominator for p in points for v in p.coords))
+    den = math.lcm(c * scale.denominator, *(s.denominator for s in SHIFTS))
+    k = den // (c * scale.denominator) * scale.numerator
+    ox, oy = _over(ox, c), _over(oy, c)
+    nums = [((_over(p[0], c) - ox) * k, (_over(p[1], c) - oy) * k)
+            for p in points]
     structure = FatReportStructure(frame, delta, len(points), leaf_size, [])
     for shift in SHIFTS:
         off = _over(shift, den)
@@ -194,7 +200,7 @@ def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
     return structure
 
 
-def _over(c: Fraction, den: int) -> int:
+def _over(c: Rat, den: int) -> int:
     """The numerator of c over ``den``, a multiple of its denominator."""
     return c.numerator * (den // c.denominator)
 
@@ -207,8 +213,7 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
     xy, den = stratum.xy, stratum.den
     xs = [xy[i][0] for i in idxs]
     ys = [xy[i][1] for i in idxs]
-    node.bbox = (Fraction(min(xs), den), Fraction(min(ys), den),
-                 Fraction(max(xs), den), Fraction(max(ys), den))
+    node.bbox = (min(xs), min(ys), max(xs), max(ys))
     node.start = len(stratum.dfs_order)
     distinct = len({xy[i] for i in idxs}) > 1
     if len(idxs) <= leaf_size or not distinct:
@@ -227,11 +232,11 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
         return node
-    node.apex = (Fraction(2 * sq_i + 1, 1 << (level + 1)),
-                 Fraction(2 * sq_j + 1, 1 << (level + 1)))
+    node.apex = (2 * sq_i + 1, 2 * sq_j + 1, level + 1)
+    stratum.apex_bits = max(stratum.apex_bits, level + 1)
     # Scaled by den * 2^(level+1), the apex (gx, gy), every point and 1
     # itself (``unit``) are integers, so a slope dy / |dx| and the value
-    # -1 / |x - apex_x| = -unit / |dx| are each one Fraction of two ints.
+    # -1 / |x - apex_x| = -unit / |dx| are integers over |dx|.
     unit = den << (level + 1)
     gx, gy = (2 * sq_i + 1) * den, (2 * sq_j + 1) * den
     pos_entries, neg_entries, axis_pts = [], [], []
@@ -241,7 +246,7 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
         if dx:
             big_x = abs(dx)
             entries = pos_entries if dx > 0 else neg_entries
-            entries.append((Fraction(dy, big_x), Fraction(-unit, big_x), i))
+            entries.append((dy, -unit, big_x, i))
         else:
             axis_pts.append(i)
     node.pos_tree = SlantedRangeTree(pos_entries, curtain_leaf) if pos_entries else None
@@ -287,39 +292,61 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
     stratum = structure.strata[stratum_index]
     shift = stratum.shift
     verts = [(x + shift, y + shift) for x, y in frame_verts]
+    # The walk runs in units of 1/scale: every vertex, point, box corner and
+    # apex of the stratum is an integer there.
+    scale = math.lcm(stratum.den << stratum.apex_bits,
+                     *(c.denominator for v in verts for c in v))
+    verts = [(_over(x, scale), _over(y, scale)) for x, y in verts]
     in_query = predicate(Triangle(*(Point(v) for v in verts)))
     out: set[int] = set()
-    _query_node(stratum, stratum.root, verts, in_query, out, stats)
+    _query_node(stratum, stratum.root, verts, scale // stratum.den, in_query,
+                out, stats)
     stats.reported = len(out)
     return sorted(out), stats
 
 
-def _query_node(stratum: FatStratum, node: _FatNode, verts, in_query,
-                out: set, stats: FatQueryStats):
+def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
+                in_query, out: set, stats: FatQueryStats):
+    """``verts`` are integers over ``f * stratum.den``."""
     stats.nodes_visited += 1
-    rel = _tri_bbox_relation(verts, node.bbox)
+    rel = _tri_bbox_relation(verts, tuple(c * f for c in node.bbox))
     if rel == "disjoint":
         return
     if rel == "covered":
         out.update(stratum.dfs_order[node.start:node.end])
         return
     if node.inside is None:  # leaf
-        for i in stratum.dfs_order[node.start:node.end]:
-            stats.point_tests += 1
-            if in_query(stratum.point(i)):
-                out.add(i)
+        _test_points(stratum, stratum.dfs_order[node.start:node.end], f,
+                     in_query, out, stats)
         return
-    if in_query(node.apex):
+    ax, ay, s = node.apex
+    step = (f * stratum.den) >> s
+    apex = (ax * step, ay * step)
+    if in_query(apex):
         stats.curtain_answers += 1
-        _apex_answer(stratum, node, verts, in_query, out, stats)
+        _apex_answer(stratum, node, verts, f, apex, in_query, out, stats)
         return
-    _query_node(stratum, node.inside, verts, in_query, out, stats)
-    _query_node(stratum, node.outside, verts, in_query, out, stats)
+    _query_node(stratum, node.inside, verts, f, in_query, out, stats)
+    _query_node(stratum, node.outside, verts, f, in_query, out, stats)
 
 
-def _apex_answer(stratum: FatStratum, node: _FatNode, verts, in_query,
-                 out: set, stats: FatQueryStats):
-    gx, gy = node.apex
+def _test_points(stratum: FatStratum, idxs, f: int, in_query, out: set,
+                 stats: FatQueryStats):
+    xy = stratum.xy
+    for i in idxs:
+        stats.point_tests += 1
+        x, y = xy[i]
+        if in_query((x * f, y * f)):
+            out.add(i)
+
+
+def _apex_answer(stratum: FatStratum, node: _FatNode, verts, f: int, apex,
+                 in_query, out: set, stats: FatQueryStats):
+    # The local coordinates are integers over scale = f * den, while the
+    # slanted trees hold values -1 / |x - apex_x| in frame units: those, and
+    # so the line's slope and intercept, scale by 1 / scale.
+    scale = f * stratum.den
+    gx, gy = apex
     for a in range(3):
         va, vb = verts[a], verts[(a + 1) % 3]
         a_local = (va[0] - gx, va[1] - gy)
@@ -331,12 +358,10 @@ def _apex_answer(stratum: FatStratum, node: _FatNode, verts, in_query,
             if res in ("degenerate", "empty"):
                 continue
             ulo, uhi, slope, intercept = res
-            hits = tree.query(ulo, uhi, slope, intercept, stats.curtain_stats)
+            hits = tree.query(ulo, uhi, slope * scale, intercept * scale,
+                              stats.curtain_stats)
             out.update(hits)
-    for i in node.axis_pts:
-        stats.point_tests += 1
-        if in_query(stratum.point(i)):
-            out.add(i)
+    _test_points(stratum, node.axis_pts, f, in_query, out, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ Ranges are closed: a point on the boundary is contained.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
@@ -56,11 +57,20 @@ def as_rat(value) -> Rat:
 
 
 def rat_str(value: Rat) -> str:
-    """Serialize a rational as 'p' or 'p/q'."""
-    if type(value) is int:
-        return str(value)
-    f = Fraction(value)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    """Serialize a rational as 'p' or 'p/q'.
+
+    A numerator or denominator beyond the interpreter's int-to-str digit
+    limit (4300 digits by default) raises ``InvalidInputError``.
+    """
+    f = value if type(value) is int else Fraction(value)
+    try:
+        if type(f) is int:
+            return str(f)
+        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    except ValueError:
+        raise InvalidInputError(
+            f"cannot write a number of more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 @dataclass(frozen=True)

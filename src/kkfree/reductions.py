@@ -13,7 +13,7 @@ from fractions import Fraction
 from .errors import InvalidInputError, UnsupportedInputError
 from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
-                       dot, lift, lift_ball, predicate)
+                       dot, lift, lift_ball, predicate, rat_str)
 from .incidence import incidences_bruteforce
 
 
@@ -256,7 +256,7 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
         name="pointline-to-5d",
         point_map="(x, y) -> (x^2, y^2, xy, x, y)",
         range_map="line (a, b) -> degree-2 halfspace with slack eps",
-        notes={"eps": str(eps)})
+        notes={"eps": rat_str(eps)})
     return Reduction(points, list(lines), tgt_points, tgt_halfspaces, cert)
 
 

@@ -5,7 +5,8 @@ import pytest
 from kkfree.cli import main
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
-from kkfree.geometry import Ball, Box, Curtain, Point, Triangle, Wedge3, pt
+from kkfree.geometry import (Ball, Box, Curtain, Line2, Point, Triangle,
+                             Wedge3, pt)
 
 
 def run(args, tmp_path):
@@ -244,6 +245,21 @@ def test_unreadable_instance_is_a_usage_error(tmp_path, capsys, content):
     assert run(["count", path], tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read instance file")
+
+
+def test_reduce_beyond_the_digit_limit_is_a_usage_error(tmp_path, capsys):
+    # "1e3000" loads exactly, but the 5D image holds its square, 6001
+    # digits, beyond the int-to-str limit the writer has to respect.
+    doc = instance_to_json(Instance(2, [pt(1, 2), pt(3, 4)], [Line2(1, 1)],
+                                    2))
+    doc["points"][1][0] = "1e3000"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    assert run(["reduce", "pointline-to-5d", path,
+                "--out", tmp_path / "big5d.json"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "big5d.json").exists()
 
 
 def _box_instance(tmp_path):

@@ -1,5 +1,7 @@
+import fractions
 import math
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +15,10 @@ from kkfree.fat import (MAX_LEVEL, QuadtreeSquare, alignment_level,
                         centroid_square, centroid_square_with_members,
                         curtain_query, diameter_sq_of, fat_query, is_aligned,
                         min_angle, shift_align, stabbing_points)
-from kkfree.fat.slanted import QueryStats
+from kkfree.fat.slanted import QueryStats, SlantedRangeTree
 from kkfree.geometry import Curtain, Point, Triangle, contains, pt
+
+from conftest import reference_contains
 
 
 def _square_bbox(x, y, w):
@@ -171,6 +175,48 @@ def test_fat_structure_pinned_shape(pts, entries, depth):
     assert (s.stored_entries(), s.max_depth()) == (entries, depth)
 
 
+# The seed-1 and seed-7919 `fat` benchmark instances (n = 640 integer points,
+# m = 28 fat triangles), with each query's (tree_nodes, curtain_nodes,
+# point_tests, work) as `kkfree audit fat` writes them, from the Fraction
+# walk the integer walk replaced.  Seed 7919 answers two queries through
+# the slanted trees; seed 1 answers none there.
+_BENCH_FAT_ROWS = {
+    1: (14923, 10, [
+        (11, 0, 29, 40), (13, 0, 36, 49), (9, 0, 39, 48), (9, 0, 38, 47),
+        (15, 0, 61, 76), (9, 0, 36, 45), (23, 0, 164, 187), (29, 0, 81, 110),
+        (11, 0, 29, 40), (15, 0, 47, 62), (11, 0, 29, 40), (15, 0, 47, 62),
+        (11, 0, 33, 44), (13, 0, 40, 53), (15, 0, 39, 54), (9, 0, 39, 48),
+        (21, 0, 62, 83), (9, 0, 39, 48), (13, 0, 39, 52), (13, 0, 35, 48),
+        (11, 0, 43, 54), (11, 0, 76, 87), (29, 0, 81, 110), (9, 0, 36, 45),
+        (21, 0, 55, 76), (13, 0, 35, 48), (9, 0, 38, 47), (9, 0, 36, 45)]),
+    7919: (14975, 10, [
+        (27, 0, 48, 75), (13, 0, 46, 59), (1, 0, 0, 1), (9, 21, 0, 55),
+        (13, 0, 22, 35), (13, 0, 46, 59), (15, 0, 68, 83), (15, 0, 36, 51),
+        (27, 0, 82, 109), (13, 0, 22, 35), (11, 0, 39, 50), (11, 0, 47, 58),
+        (11, 0, 67, 78), (11, 0, 0, 11), (5, 48, 0, 98), (11, 0, 52, 63),
+        (13, 0, 34, 47), (9, 0, 31, 40), (15, 0, 39, 54), (15, 0, 36, 51),
+        (15, 0, 79, 94), (15, 0, 49, 64), (27, 0, 82, 109), (15, 0, 68, 83),
+        (9, 0, 43, 52), (11, 0, 39, 50), (13, 0, 36, 49), (15, 0, 36, 51)]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_BENCH_FAT_ROWS))
+def test_fat_audit_pinned_query_rows(seed):
+    # The instance recipe of bench/workloads.py, workload "fat".
+    rng = random.Random(f"fat:{seed}")
+    pts = gens.random_points(rng, 640, 2)
+    tris = gens.random_fat_triangles(rng, 28, math.pi / 6)
+    s = build_fat_structure(pts)
+    rows = []
+    for tri in tris:
+        got, stats = fat_query(s, tri)
+        assert got == [i for i, p in enumerate(pts)
+                       if reference_contains(tri, p)]
+        rows.append((stats.nodes_visited, stats.curtain_stats.nodes_visited,
+                     stats.point_tests, stats.work))
+    assert (s.stored_entries(), s.max_depth(), rows) == _BENCH_FAT_ROWS[seed]
+
+
 # ---------------------------------------------------------------------------
 # curtain structure
 
@@ -209,6 +255,90 @@ def test_curtain_structure_visit_bound(rng):
         overhead = stats.work - len(got)
         worst = max(worst, overhead / logn ** 2)
     assert worst <= 32  # single logged constant across the run
+
+
+# w + n / d with d in {1, 2, 3, 4096}.
+_rats = st.builds(lambda w, n, d: w + F(n, d), st.integers(-4, 4),
+                  st.integers(-64, 64), st.sampled_from([1, 2, 3, 4096]))
+
+
+def _exact(v):
+    return int(v) if v.denominator == 1 else v
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_curtain_structure_matches_reference_on_rationals(data):
+    curtains = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        lo, hi = data.draw(st.none() | _rats), data.draw(st.none() | _rats)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        curtains.append(Curtain(data.draw(_rats), data.draw(_rats), lo, hi))
+    # A small pool of keys, so equal keys with different values (and, after
+    # the tree puts a point over the lcm of its denominators, equal keys
+    # over different denominators) are common; it holds every curtain end.
+    pool = data.draw(st.lists(_rats, min_size=1, max_size=4))
+    pool += [e for c in curtains for e in (c.lo, c.hi) if e is not None]
+    # Each point is on a curtain's line, one 1/4096 or 1/3 step off it, or
+    # anywhere (a drawn y).
+    steps = st.sampled_from([0, F(1, 4096), F(-1, 4096), F(-1, 3)])
+    specs = data.draw(st.lists(st.tuples(
+        st.sampled_from(pool), st.sampled_from(curtains), steps,
+        st.none() | _rats), max_size=30))
+    pts = [pt(_exact(x), _exact(c.a * x + c.b + step if y is None else y))
+           for x, c, step, y in specs]
+    s = build_curtain_structure(pts, data.draw(st.sampled_from([1, 2, 8])))
+    for c in curtains:
+        want = [i for i, p in enumerate(pts) if reference_contains(c, p)]
+        assert curtain_query(s, c) == want, c
+
+
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20),
+                          st.integers(1, 12)), max_size=40))
+@settings(max_examples=300)
+def test_slanted_tree_sorts_by_the_rationals(raw):
+    # Small denominators put distinct keys such as 1/3 and 1/2 within
+    # 1/max(q) of each other, so the integer order key must separate them.
+    tree = SlantedRangeTree([(kn, vn, q, i)
+                             for i, (kn, vn, q) in enumerate(raw)])
+    got = [(F(kn, q), F(vn, q), p) for kn, vn, q, p in
+           zip(tree.kn, tree.vn, tree.q, tree.payload)]
+    assert got == sorted((F(kn, q), F(vn, q), i)
+                         for i, (kn, vn, q) in enumerate(raw))
+
+
+def test_slanted_tree_runs_no_fraction_arithmetic():
+    # Keys kn / q and values vn / q over denominators 1, 2, 3 and 7, with
+    # equal keys over different denominators; integer query parameters.
+    entries = [(kn, vn, q, i) for i, (kn, vn, q) in enumerate(
+        (kn, vn, q) for kn in range(-7, 8) for vn in (-5, 0, 4)
+        for q in (1, 2, 3, 7))]
+    queries = [(None, None, 1, 0), (-2, 1, -1, 2), (0, 0, 3, -1),
+               (None, 2, 0, 1), (-1, None, 2, 3)]
+    expected = [sorted(p for kn, vn, q, p in entries
+                       if (lo is None or lo <= F(kn, q))
+                       and (hi is None or F(kn, q) <= hi)
+                       and F(vn, q) <= a * F(kn, q) + b)
+                for lo, hi, a, b in queries]
+    stats = QueryStats()
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        tree = SlantedRangeTree(entries, leaf_size=4)
+        got = [sorted(tree.query(*q, stats)) for q in queries]
+    finally:
+        sys.setprofile(previous)
+    assert called == []
+    assert got == expected
+    assert stats.entry_tests > 0 and any(got)
+    assert any(len(g) < len(entries) for g in got)
 
 
 def test_curtain_structure_storage(rng):

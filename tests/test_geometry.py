@@ -348,6 +348,15 @@ def test_rat_str_bool_and_as_rat_rejects_bool():
             as_rat(value)
 
 
+def test_rat_str_beyond_the_digit_limit_is_invalid_input():
+    limit = sys.get_int_max_str_digits()
+    assert rat_str(10 ** (limit - 1)) == "1" + "0" * (limit - 1)
+    for value in (10 ** limit, -(10 ** limit), F(1, 10 ** limit),
+                  F(10 ** limit + 1, 2)):
+        with pytest.raises(InvalidInputError):
+            rat_str(value)
+
+
 def test_triangle_orientation_and_degenerate_cases():
     ccw = Triangle(pt(0, 0), pt(4, 0), pt(0, 4))
     cw = Triangle(pt(0, 0), pt(0, 4), pt(4, 0))
