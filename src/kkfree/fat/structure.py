@@ -297,16 +297,20 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
     scale = math.lcm(stratum.den << stratum.apex_bits,
                      *(c.denominator for v in verts for c in v))
     verts = [(_over(x, scale), _over(y, scale)) for x, y in verts]
-    in_query = predicate(Triangle(*(Point(v) for v in verts)))
+    query = Triangle(*(Point(v) for v in verts))
+    in_query = predicate(query)
+    # A zero-area query has no apex cells to answer it: the walk skips the
+    # apex path and lets the leaf tests decide.
+    apex_ok = query.signed_area2() != 0
     out: set[int] = set()
     _query_node(stratum, stratum.root, verts, scale // stratum.den, in_query,
-                out, stats)
+                apex_ok, out, stats)
     stats.reported = len(out)
     return sorted(out), stats
 
 
 def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
-                in_query, out: set, stats: FatQueryStats):
+                in_query, apex_ok: bool, out: set, stats: FatQueryStats):
     """``verts`` are integers over ``f * stratum.den``."""
     stats.nodes_visited += 1
     rel = _tri_bbox_relation(verts, tuple(c * f for c in node.bbox))
@@ -319,15 +323,16 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
         _test_points(stratum, stratum.dfs_order[node.start:node.end], f,
                      in_query, out, stats)
         return
-    ax, ay, s = node.apex
-    step = (f * stratum.den) >> s
-    apex = (ax * step, ay * step)
-    if in_query(apex):
-        stats.curtain_answers += 1
-        _apex_answer(stratum, node, verts, f, apex, in_query, out, stats)
-        return
-    _query_node(stratum, node.inside, verts, f, in_query, out, stats)
-    _query_node(stratum, node.outside, verts, f, in_query, out, stats)
+    if apex_ok:
+        ax, ay, s = node.apex
+        step = (f * stratum.den) >> s
+        apex = (ax * step, ay * step)
+        if in_query(apex):
+            stats.curtain_answers += 1
+            _apex_answer(stratum, node, verts, f, apex, in_query, out, stats)
+            return
+    for child in (node.inside, node.outside):
+        _query_node(stratum, child, verts, f, in_query, apex_ok, out, stats)
 
 
 def _test_points(stratum: FatStratum, idxs, f: int, in_query, out: set,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
 from math import isqrt, lcm
-from operator import mul
-from typing import Callable, Iterator, Sequence, Union
+from itertools import compress, count, repeat
+from operator import add, ge, le, mul
+from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputError
 
@@ -23,7 +24,10 @@ Rat = Union[int, Fraction]
 # Largest decimal exponent magnitude a literal may carry (CPython's
 # int-to-str digit limit); a larger one would expand to a huge integer.
 _MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# An exponent after a mantissa digit ("1e5", "1.e5"); with no digit before
+# it the literal is invalid and ``Fraction`` rejects it as such.
+_EXPONENT = re.compile(r"(?:(?<=\d)|(?<=\d\.))e[-+]?(\d+(?:_\d+)*)\s*\Z",
+                       re.IGNORECASE)
 
 
 def as_rat(value) -> Rat:
@@ -363,6 +367,7 @@ def norm_sq(coords: tuple[Rat, ...]) -> Rat:
 
 Coords = tuple[Rat, ...]
 Predicate = Callable[[Coords], bool]
+T = TypeVar("T")
 
 
 @singledispatch
@@ -405,26 +410,50 @@ def _integer_form(values: Sequence[Rat | None]) -> tuple[int | None, ...]:
                  for v in values)
 
 
-def _linear_test(coeffs: tuple[int, ...], rhs: int, le: bool) -> Predicate:
-    if le:
+def linear_form(r: Halfspace | LinearHalfspace) -> tuple[tuple[int, ...], int, bool]:
+    """r as ``coeffs . x <= rhs`` when ``is_le``, else ``coeffs . x >= rhs``,
+    with its constants cleared by ``_integer_form``.
+
+    A graph-form halfspace is written in implicit form: x_d >= offset +
+    slopes . x iff (-L slopes, L) . x >= L offset, for the lcm L of the
+    denominators (upper; ``<=`` for lower).
+    """
+    if isinstance(r, Halfspace):
+        *slopes, one, offset = _integer_form(
+            (*r.boundary.slopes, 1, r.boundary.offset))
+        return tuple(-s for s in slopes) + (one,), offset, r.side == "lower"
+    *coeffs, rhs = _integer_form((*r.coeffs, r.rhs))
+    return tuple(coeffs), rhs, r.sense == "le"
+
+
+def linear_hits(form: tuple[tuple[int, ...], int, bool],
+                columns: Sequence[Sequence[Rat]]) -> Iterator[int]:
+    """Indices of the points in the range with this ``linear_form``; the
+    points come as columns, ``columns[j][i]`` being coordinate j of point i.
+
+    The form is evaluated over whole columns by chained ``map`` calls,
+    skipping zero coefficients and multiplying by none equal to 1, so on
+    ``int`` columns no bytecode runs per point.
+    """
+    coeffs, rhs, is_le = form
+    total = None
+    for a, col in zip(coeffs, columns):
+        if a:
+            term = col if a == 1 else map(mul, col, repeat(a))
+            total = term if total is None else map(add, total, term)
+    return compress(count(), map(le if is_le else ge, total, repeat(rhs)))
+
+
+def _linear_test(coeffs: tuple[int, ...], rhs: int, is_le: bool) -> Predicate:
+    if is_le:
         return lambda c: sum(map(mul, coeffs, c)) <= rhs
     return lambda c: sum(map(mul, coeffs, c)) >= rhs
 
 
-@predicate.register
-def _(r: Halfspace) -> Predicate:
-    # Implicit form: x_d >= offset + slopes . x  iff
-    # (-L slopes, L) . x >= L offset, for the lcm L of the denominators.
-    *slopes, one, offset = _integer_form(
-        (*r.boundary.slopes, 1, r.boundary.offset))
-    coeffs = tuple(-s for s in slopes) + (one,)
-    return _linear_test(coeffs, offset, r.side == "lower")
-
-
-@predicate.register
-def _(r: LinearHalfspace) -> Predicate:
-    *coeffs, rhs = _integer_form((*r.coeffs, r.rhs))
-    return _linear_test(tuple(coeffs), rhs, r.sense == "le")
+@predicate.register(Halfspace)
+@predicate.register(LinearHalfspace)
+def _(r: Halfspace | LinearHalfspace) -> Predicate:
+    return _linear_test(*linear_form(r))
 
 
 @predicate.register
@@ -520,10 +549,12 @@ def _(r: Polyhedron) -> Predicate:
     return test
 
 
-def compile_ranges(points: Sequence[Point], ranges: Sequence[Range]
-                   ) -> tuple[list[Coords], Iterator[Predicate]]:
+def compile_ranges(points: Sequence[Point], ranges: Sequence[Range],
+                   compile_one: Callable[[Range], T] = predicate
+                   ) -> tuple[list[Coords], Iterator[T]]:
     """The points' coordinate tuples, and an iterator that compiles one
-    predicate per range as it is reached, so one predicate lives at a time.
+    range as it is reached (by default into its ``predicate``), so one
+    compiled range lives at a time.
 
     Dimensions are checked once per instance, not per pair: every point,
     and every range as it is compiled, must have the first point's dimension.
@@ -534,14 +565,14 @@ def compile_ranges(points: Sequence[Point], ranges: Sequence[Range]
             raise DimensionMismatchError(
                 f"point {idx} has dimension {p.dim}, first point has {d}")
 
-    def tests() -> Iterator[Predicate]:
+    def compiled() -> Iterator[T]:
         for idx, r in enumerate(ranges):
-            test = predicate(r)
+            out = compile_one(r)
             if d is not None and r.dim != d:
                 raise DimensionMismatchError(
                     f"range {idx} has dimension {r.dim}, first point has {d}")
-            yield test
-    return [p.coords for p in points], tests()
+            yield out
+    return [p.coords for p in points], compiled()
 
 
 def x_extent(r: Range) -> tuple[Rat | None, Rat | None] | None:

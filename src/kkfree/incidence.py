@@ -11,7 +11,9 @@ from dataclasses import dataclass
 from .dyadic import canonical_decomposition
 from .errors import (InvalidInputError, NotApplicableError,
                      UnknownVerdictError)
-from .geometry import Box, Line2, Point, Range, compile_ranges, x_extent
+from .geometry import (Box, Halfspace, Line2, LinearHalfspace, Point, Range,
+                       compile_ranges, linear_form, linear_hits, predicate,
+                       x_extent)
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -60,19 +62,38 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     a range with an x-extent (``geometry.x_extent``) tests the points whose
     coordinate 0 lies in it, found by bisecting the points sorted by that
     coordinate, and a 2D line tests the points at ``(x, a x + b)`` for each
-    distinct x, when there are fewer distinct x than points.  Every other
-    range tests every point.  The compiled predicate decides each candidate.
+    distinct x, when there are fewer distinct x than points.  The compiled
+    predicate decides each candidate.  A halfspace or linear halfspace
+    decides every point at once: its ``geometry.linear_form`` is evaluated
+    over the point columns (``geometry.linear_hits``).  Every other range
+    tests every point.
     """
-    coords, tests = compile_ranges(points, ranges)
+    coords, compiled = compile_ranges(points, ranges, _compile)
     candidates = _CandidateIndex(coords)
+    columns = None
     edges = set()
-    for j, (r, test) in enumerate(zip(ranges, tests)):
-        cand = candidates.of(r) if coords else None
+    for j, (r, test) in enumerate(zip(ranges, compiled)):
+        if not coords:
+            continue
+        if isinstance(test, tuple):  # a linear form
+            if columns is None:
+                columns = list(zip(*coords))
+            edges.update(zip(linear_hits(test, columns), itertools.repeat(j)))
+            continue
+        cand = candidates.of(r)
         if cand is None:
             edges.update((i, j) for i, c in enumerate(coords) if test(c))
         else:
             edges.update((i, j) for i in cand if test(coords[i]))
     return IncidenceGraph(len(points), len(ranges), frozenset(edges))
+
+
+def _compile(r: Range):
+    # The oracle's compiled form of r: a linear form for a range that has
+    # one, else the containment predicate.
+    if isinstance(r, (Halfspace, LinearHalfspace)):
+        return linear_form(r)
+    return predicate(r)
 
 
 class _CandidateIndex:

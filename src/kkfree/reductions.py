@@ -7,6 +7,7 @@ match under the stated index maps.  All maps are exact on rationals.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -228,20 +229,29 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
     halfspace a^2 X1 + X2 - 2a X3 + 2ab X4 - 2b X5 + b^2 <= eps.  The left
     side evaluates to (y - ax - b)^2, so eps is chosen as half the minimum of
     that quantity over non-incident pairs, computed exactly; when every pair
-    is incident any positive eps works and 1/2 is used.
+    is incident any positive eps works and 1/2 is used.  The minimum is
+    found per line and distinct x by bisecting the sorted y values of the
+    points at that x, in O(m X log n) for X distinct x.
     """
     for p in points:
         if p.dim != 2:
             raise InvalidInputError("need 2D points")
     _require(lines, Line2, "non-vertical lines")
-    min_pos: Rat | None = None
     coords = [p.coords for p in points]
+    # The nearest y != c above and below c = a x + b in each column of
+    # points at one x give the column's least positive residual.
+    by_x: dict[Rat, set[Rat]] = {}
+    for x, y in coords:
+        by_x.setdefault(x, set()).add(y)
+    columns = [(x, sorted(ys)) for x, ys in by_x.items()]
+    min_pos: Rat | None = None
     for line in lines:
         a, b = line.a, line.b
-        for x, y in coords:
-            residual = y - a * x - b
-            if residual != 0:
-                sq = residual * residual
+        for x, ys in columns:
+            c = a * x + b
+            below, above = bisect_left(ys, c), bisect_right(ys, c)
+            for y in ys[max(below - 1, 0):below] + ys[above:above + 1]:
+                sq = (y - c) * (y - c)
                 if min_pos is None or sq < min_pos:
                     min_pos = sq
     eps = Fraction(1, 2) if min_pos is None else Fraction(min_pos) / 2

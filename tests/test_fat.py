@@ -432,6 +432,19 @@ def test_fat_rejects_thin_queries():
         fat_query(s, sliver)
 
 
+def test_fat_zero_area_query_takes_no_apex_path():
+    # A collinear query admitted by a tiny fatness bound: every node's apex
+    # lies in it, but it has no apex cells; the leaf tests decide.
+    pts = [pt(i, i) for i in range(200)] + [pt(i, 0) for i in range(200)]
+    s = build_fat_structure(pts, delta=1e-12)
+    tri = Triangle(pt(-5, -5), pt(300, 300), pt(100, 100))
+    got, stats = fat_query(s, tri)
+    want = [i for i, p in enumerate(pts) if contains(tri, p)]
+    assert len(want) == 201
+    assert got == want
+    assert stats.curtain_answers == 0
+
+
 def test_fat_structure_vs_bruteforce(rng):
     for trial in range(25):
         n = rng.randint(1, 150)

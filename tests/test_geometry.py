@@ -12,8 +12,8 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
-                             as_rat, interval, lift, lift_ball,
-                             point_above, predicate, pt, rat_str)
+                             as_rat, interval, lift, lift_ball, linear_form,
+                             linear_hits, point_above, predicate, pt, rat_str)
 from kkfree.incidence import incidences_bruteforce
 
 from conftest import brute_edges, reference_contains
@@ -388,6 +388,12 @@ def test_as_rat_bounds_the_exponent():
             as_rat(literal)
     for literal in ("1e300", "-2.5e-3", "1e4300", "1e-4300", "3.5E+0_2"):
         assert as_rat(literal) == _fraction_as_rat(literal), literal
+    # No mantissa: an invalid literal, whatever its exponent.
+    for literal in ("e4301", "E-99999", ".e4301", "+e5000"):
+        with pytest.raises(ValueError):
+            _fraction_as_rat(literal)
+        with pytest.raises(ValueError):
+            as_rat(literal)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +493,24 @@ def test_cleared_constants_keep_every_boundary(kind, g, data):
                 assert test(tuple(map(F, moved))) == expected, (r, moved)
 
 
+def _fraction_calls(fn):
+    """fn's result, and the names of the functions of ``fractions`` that
+    ran while it did."""
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            called.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = fn()
+    finally:
+        sys.setprofile(previous)
+    return result, called
+
+
 def test_integer_points_run_no_fraction_arithmetic():
     ranges = [LinearHalfspace((F(1, 2), F(-1, 3)), F(1, 6), "le"),
               LinearHalfspace((F(1, 4), F(1, 16)), F(5, 16), "ge"),
@@ -499,18 +523,88 @@ def test_integer_points_run_no_fraction_arithmetic():
     expected = [[reference_contains(r, Point(p)) for p in points]
                 for r in ranges]
     tests = [predicate(r) for r in ranges]
-    called = []
-
-    def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == fractions.__file__:
-            called.append(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        got = [[test(p) for p in points] for test in tests]
-    finally:
-        sys.setprofile(previous)
+    got, called = _fraction_calls(
+        lambda: [[test(p) for p in points] for test in tests])
     assert called == []
     assert got == expected
     assert any(map(any, got)) and not all(map(all, got))
+
+
+# ---------------------------------------------------------------------------
+# linear forms decided over point columns
+
+# Half-integer grid values, as ints where integral, so boundaries are hit.
+_GRID = [as_rat(F(k, 2)) for k in range(-8, 9)]
+# Zero coefficients, and ones that clear to 1 (1/3 over a rhs in thirds).
+_COEFFS = [0, 0, 1, -1, 2, F(1, 3), F(-2, 3), F(1, 2)]
+
+
+def _random_linear_ranges(rng, d, m):
+    ranges = []
+    for _ in range(m):
+        coeffs = tuple(as_rat(rng.choice(_COEFFS)) for _ in range(d))
+        if not any(coeffs):
+            coeffs = coeffs[:-1] + (1,)
+        rhs = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3)]))
+        ranges.append(LinearHalfspace(coeffs, rhs, rng.choice(["le", "ge"])))
+        slopes = tuple(as_rat(rng.choice(_COEFFS)) for _ in range(d - 1))
+        offset = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3)]))
+        ranges.append(Halfspace(Hyperplane(slopes, offset),
+                                rng.choice(["upper", "lower"])))
+    return ranges
+
+
+def test_linear_forms_over_columns_match_reference(rng):
+    for d in (1, 2, 3, 5):
+        for _ in range(4):
+            points = [Point(tuple(rng.choice(_GRID) for _ in range(d)))
+                      for _ in range(60)]
+            ranges = _random_linear_ranges(rng, d, 12)
+            graph = incidences_bruteforce(points, ranges)
+            assert graph.edges == brute_edges(points, ranges)
+            assert 0 < len(graph.edges) < len(points) * len(ranges)
+
+
+def test_linear_forms_over_columns_on_the_boundary():
+    # 60 points, ints and Fractions, all on y = 2x + 1/3.
+    points = [pt(x, 2 * x + F(1, 3)) for x in (F(k, 3) for k in range(-30, 30))]
+    assert {type(c) for p in points for c in p.coords} == {int, F}
+    line = Hyperplane((2,), F(1, 3))
+    on = [Halfspace(line, "upper"), Halfspace(line, "lower"),
+          LinearHalfspace((-2, 1), F(1, 3), "le"),
+          LinearHalfspace((-2, 1), F(1, 3), "ge"),
+          LinearHalfspace((F(-6, 5), F(3, 5)), F(1, 5), "ge")]
+    off = [Halfspace(Hyperplane((2,), 1), "upper"),
+           Halfspace(Hyperplane((2,), 0), "lower"),
+           LinearHalfspace((-2, 1), 0, "le"),
+           LinearHalfspace((F(-2, 3), F(1, 3)), F(1, 3), "ge"),
+           LinearHalfspace((0, 1), -21, "le")]
+    ranges = on + off
+    graph = incidences_bruteforce(points, ranges)
+    assert graph.edges == brute_edges(points, ranges)
+    assert graph.edges == {(i, j) for i in range(len(points))
+                           for j in range(len(on))}
+
+
+def test_column_scan_runs_no_fraction_arithmetic(rng):
+    # Integer points and ranges: the whole oracle call.  Rational ranges:
+    # the scan of their cleared forms over integer columns.
+    points = [Point(tuple(rng.randint(-4, 4) for _ in range(3)))
+              for _ in range(60)]
+    integral = [LinearHalfspace((3, 0, -1), 2, "le"),
+                LinearHalfspace((0, 1, 0), -1, "ge"),
+                LinearHalfspace((1, -2, 1), 0, "ge"),
+                Halfspace(Hyperplane((1, 0), 1), "upper"),
+                Halfspace(Hyperplane((0, -2), 0), "lower")]
+    rational = _random_linear_ranges(rng, 3, 10)
+    graph, called = _fraction_calls(
+        lambda: incidences_bruteforce(points, integral))
+    assert called == []
+    assert graph.edges == brute_edges(points, integral)
+    columns = list(zip(*(p.coords for p in points)))
+    forms = [linear_form(r) for r in rational]
+    hits, called = _fraction_calls(
+        lambda: [list(linear_hits(form, columns)) for form in forms])
+    assert called == []
+    assert {(i, j) for j, h in enumerate(hits) for i in h} == brute_edges(
+        points, rational)

@@ -121,6 +121,41 @@ def test_pointline_all_incident():
     assert red.verify()
 
 
+def _brute_eps(points, lines):
+    squares = [(p[1] - ln.a * p[0] - ln.b) ** 2 for ln in lines for p in points]
+    positive = [sq for sq in squares if sq != 0]
+    return F(min(positive)) / 2 if positive else F(1, 2)
+
+
+def test_pointline_eps_matches_all_pairs(rng):
+    values = [0, 1, -2, 3, F(1, 2), F(-5, 3), F(7, 4)]
+    for trial in range(60):
+        n = rng.randint(1, 25)
+        xs = rng.sample(values, rng.randint(1, 4))
+        pts = [pt(rng.choice(xs), rng.choice(values)) for _ in range(n)]
+        pts += rng.sample(pts, rng.randint(0, len(pts)))  # duplicates
+        lines = [Line2(rng.choice(values), rng.choice(values))
+                 for _ in range(rng.randint(1, 6))]
+        # A line through a point: residual 0 there, skipped.
+        x, y = rng.choice(pts).coords
+        lines.append(Line2(1, y - x))
+        eps = pointline_to_5d(pts, lines).certificate.notes["eps"]
+        assert F(eps) == _brute_eps(pts, lines), trial
+
+
+def test_pointline_eps_edge_cases():
+    # One point per column, every pair incident, and columns whose y values
+    # all lie on one side of c = a x + b.
+    cases = [([pt(0, 5)], [Line2(2, 1)], F(8)),
+             ([pt(0, 0), pt(1, 1), pt(2, 2)], [Line2(1, 0)], F(1, 2)),
+             ([pt(0, 0), pt(0, 0)], [Line2(3, 0), Line2(-1, 0)], F(1, 2)),
+             ([pt(1, 3), pt(1, 4), pt(1, F(9, 2))], [Line2(1, 1)], F(1, 2)),
+             ([pt(1, 0), pt(1, 1), pt(1, 2)], [Line2(0, F(7, 4))], F(1, 32))]
+    for pts, lines, want in cases:
+        assert _brute_eps(pts, lines) == want
+        assert F(pointline_to_5d(pts, lines).certificate.notes["eps"]) == want
+
+
 def test_pointline_random(rng):
     for _ in range(25):
         pts = gens.random_points(rng, 20, 2, 30)
