@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 integrity violation (a check that
-should hold failed: bound violated, cover mismatch, certificate failure),
-3 unknown verdict (a bounded search gave up).
+should hold failed: bound violated, cover mismatch, certificate failure, or
+a K_{k,k} found where freeness was required), 3 unknown verdict (a bounded
+search gave up).
 
 The default output directory is the current directory or $KKFREE_OUT.
 """
@@ -10,6 +11,7 @@ The default output directory is the current directory or $KKFREE_OUT.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -23,8 +25,9 @@ from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
 from .geometry import Box, Triangle
-from .incidence import (build_box_cover, cover_bound, find_kkk,
-                        incidences_bruteforce, interval_audit, verify_cover)
+from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
+                        find_kkk, incidences_bruteforce, interval_audit,
+                        verify_cover)
 from .instances import Instance, load_instance, save_instance
 from .levels import (CensusRow, census_schedule, depth_census,
                      iterated_log2, shallow_census)
@@ -175,14 +178,7 @@ def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
     if args.kind == "interval":
-        try:
-            rep = interval_audit(inst.points, inst.ranges, k, args.budget)
-        except NotApplicableError as exc:
-            print(f"not applicable: {exc} witness={exc.witness}")
-            return EXIT_INTEGRITY
-        except UnknownVerdictError:
-            print("unknown: biclique search budget exhausted")
-            return EXIT_UNKNOWN
+        rep = interval_audit(inst.points, inst.ranges, k, args.budget)
         rows = [[r.block, r.size, r.containing, r.boundary, r.incidences]
                 for r in rep.blocks]
         write_csv(_out_path(args, "interval_audit.csv"),
@@ -270,21 +266,13 @@ def _cmd_census(args) -> int:
     if not sweep:
         print("no admissible r (need m >= 4k)", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        if args.kind == "shallow":
-            rows = shallow_census(inst.points, inst.ranges, k, sweep,
-                                  args.budget)
-        else:
-            f0 = {"linear": lambda r: r,
-                  "fat": lambda r: r * max(1, iterated_log2(r))}[args.f0]
-            rows = depth_census(inst.points, inst.ranges, k, sweep, f0,
-                                args.budget)
-    except NotApplicableError as exc:
-        print(f"not applicable: {exc} witness={exc.witness}")
-        return EXIT_INTEGRITY
-    except UnknownVerdictError:
-        print("unknown: biclique search budget exhausted")
-        return EXIT_UNKNOWN
+    if args.kind == "shallow":
+        rows = shallow_census(inst.points, inst.ranges, k, sweep, args.budget)
+    else:
+        f0 = {"linear": lambda r: r,
+              "fat": lambda r: r * max(1, iterated_log2(r))}[args.f0]
+        rows = depth_census(inst.points, inst.ranges, k, sweep, f0,
+                            args.budget)
     write_csv(_out_path(args, f"census_{args.kind}.csv"),
               CensusRow.csv_header(), [row.csv_row() for row in rows],
               {"n": inst.n, "m": inst.m, "k": k})
@@ -393,7 +381,10 @@ def _cmd_plot(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    # Built once per process: a parser holds reference cycles, so one built
+    # per ``main`` call would stay in memory until the cycle collector ran.
     p = _Parser(prog="kkfree", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--out-dir", default=None,
@@ -424,13 +415,13 @@ def build_parser() -> _Parser:
     kk = sub.add_parser("kkk", help="search for an induced K_{k,k}")
     kk.add_argument("instance")
     kk.add_argument("--k", type=int, required=True)
-    kk.add_argument("--budget", type=int, default=200_000)
+    kk.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     kk.set_defaults(fn=_cmd_kkk)
 
     cv = sub.add_parser("cover", help="build + verify a box biclique cover")
     cv.add_argument("instance")
     cv.add_argument("--k", type=int, default=None)
-    cv.add_argument("--budget", type=int, default=200_000)
+    cv.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     cv.set_defaults(fn=_cmd_cover)
 
     au = sub.add_parser("audit", help="divide-and-conquer counting audits")
@@ -439,7 +430,7 @@ def build_parser() -> _Parser:
     au.add_argument("instance")
     au.add_argument("--b", type=int, default=4)
     au.add_argument("--k", type=int, default=None)
-    au.add_argument("--budget", type=int, default=200_000)
+    au.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     au.set_defaults(fn=_cmd_audit)
 
     ce = sub.add_parser("census", help="level/depth censuses and schedules")
@@ -451,7 +442,7 @@ def build_parser() -> _Parser:
     ce.add_argument("--c", type=int, default=4)
     ce.add_argument("--r", type=int, nargs="*", default=None)
     ce.add_argument("--f0", choices=["linear", "fat"], default="linear")
-    ce.add_argument("--budget", type=int, default=200_000)
+    ce.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     ce.set_defaults(fn=_cmd_census)
 
     rd = sub.add_parser("reduce", help="apply a named reduction + certificate")
@@ -463,7 +454,7 @@ def build_parser() -> _Parser:
 
     rp = sub.add_parser("report", help="summary CSV for instances")
     rp.add_argument("instances", nargs="+")
-    rp.add_argument("--budget", type=int, default=200_000)
+    rp.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     rp.set_defaults(fn=_cmd_report)
 
     pl = sub.add_parser("plot", help="SVG growth curves from a CSV")
@@ -492,6 +483,12 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.fn(args)
+    except NotApplicableError as exc:
+        print(f"not applicable: {exc} witness={exc.witness}")
+        return EXIT_INTEGRITY
+    except UnknownVerdictError:
+        print("unknown: biclique search budget exhausted")
+        return EXIT_UNKNOWN
     except KkfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

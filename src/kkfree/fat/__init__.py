@@ -1,7 +1,6 @@
 """Quadtree alignment, centroid splitting, curtain reporting, and the
 fat-triangle reporting structure."""
 
-from ..slab import curtain_audit as curtain_dnc_audit
 from .quadtree import (MAX_LEVEL, SHIFTS, QuadtreeSquare, alignment_level,
                        bbox_of, centroid_square, centroid_square_with_members,
                        diameter_sq_of, is_aligned, shift_align,
@@ -19,5 +18,4 @@ __all__ = [
     "QueryStats", "SlantedRangeTree", "build_curtain_structure",
     "curtain_query", "DEFAULT_DELTA", "FatQueryStats", "FatReportStructure",
     "FrameMap", "build_fat_structure", "fat_query", "make_frame", "min_angle",
-    "curtain_dnc_audit",
 ]

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import InvalidInputError
-from ..geometry import Point, Rat, Triangle, cross, predicate
+from ..geometry import Point, Rat, Triangle, predicate, triangle_edges
 from ..reductions import apex_cell_constraints
 from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
                        cell_key, centroid_descent, diameter_sq_of)
@@ -299,21 +299,24 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
     verts = [(_over(x, scale), _over(y, scale)) for x, y in verts]
     query = Triangle(*(Point(v) for v in verts))
     in_query = predicate(query)
-    # A zero-area query has no apex cells to answer it: the walk skips the
-    # apex path and lets the leaf tests decide.
-    apex_ok = query.signed_area2() != 0
+    # A zero-area query (edges None) has no apex cells to answer it: the
+    # walk skips the apex path and lets the leaf tests decide.
+    edges = triangle_edges(query)
+    xs, ys = zip(*verts)
+    tbox = (min(xs), min(ys), max(xs), max(ys))
     out: set[int] = set()
     _query_node(stratum, stratum.root, verts, scale // stratum.den, in_query,
-                apex_ok, out, stats)
+                edges, tbox, out, stats)
     stats.reported = len(out)
     return sorted(out), stats
 
 
 def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
-                in_query, apex_ok: bool, out: set, stats: FatQueryStats):
-    """``verts`` are integers over ``f * stratum.den``."""
+                in_query, edges, tbox, out: set, stats: FatQueryStats):
+    """``verts``, their ``triangle_edges`` and bounding box ``tbox`` are
+    integers over ``f * stratum.den``."""
     stats.nodes_visited += 1
-    rel = _tri_bbox_relation(verts, tuple(c * f for c in node.bbox))
+    rel = _tri_bbox_relation(tbox, edges, tuple(c * f for c in node.bbox))
     if rel == "disjoint":
         return
     if rel == "covered":
@@ -323,7 +326,7 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
         _test_points(stratum, stratum.dfs_order[node.start:node.end], f,
                      in_query, out, stats)
         return
-    if apex_ok:
+    if edges is not None:
         ax, ay, s = node.apex
         step = (f * stratum.den) >> s
         apex = (ax * step, ay * step)
@@ -332,7 +335,8 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
             _apex_answer(stratum, node, verts, f, apex, in_query, out, stats)
             return
     for child in (node.inside, node.outside):
-        _query_node(stratum, child, verts, f, in_query, apex_ok, out, stats)
+        _query_node(stratum, child, verts, f, in_query, edges, tbox, out,
+                    stats)
 
 
 def _test_points(stratum: FatStratum, idxs, f: int, in_query, out: set,
@@ -372,28 +376,20 @@ def _apex_answer(stratum: FatStratum, node: _FatNode, verts, f: int, apex,
 # ---------------------------------------------------------------------------
 # exact triangle/box relation
 
-def _tri_bbox_relation(verts, bbox) -> str:
-    """Exact SAT classification: "disjoint", "covered" (box inside the
-    triangle), or "partial"."""
+def _tri_bbox_relation(tbox, edges, bbox) -> str:
+    """Exact SAT classification of a query triangle, given by its bounding
+    box and ``triangle_edges``, against a box: "disjoint", "covered" (box
+    inside the triangle), or "partial"."""
     xlo, ylo, xhi, yhi = bbox
-    txlo = min(v[0] for v in verts)
-    txhi = max(v[0] for v in verts)
-    tylo = min(v[1] for v in verts)
-    tyhi = max(v[1] for v in verts)
+    txlo, tylo, txhi, tyhi = tbox
     if txhi < xlo or txlo > xhi or tyhi < ylo or tylo > yhi:
         return "disjoint"
-    v0, v1, v2 = verts
-    area2 = cross((v1[0] - v0[0], v1[1] - v0[1]),
-                  (v2[0] - v0[0], v2[1] - v0[1]))
-    if area2 < 0:
-        v1, v2 = v2, v1
-    elif area2 == 0:
+    if edges is None:
         return "partial"  # degenerate query; leaf tests decide
     corners = ((xlo, ylo), (xhi, ylo), (xhi, yhi), (xlo, yhi))
     all_inside = True
-    for a, b in ((v0, v1), (v1, v2), (v2, v0)):
-        ex, ey = b[0] - a[0], b[1] - a[1]
-        sides = [(ex * (cy - a[1]) - ey * (cx - a[0])) for cx, cy in corners]
+    for dx, dy, k in edges:
+        sides = [dx * cy - dy * cx + k for cx, cy in corners]
         if all(s < 0 for s in sides):
             return "disjoint"
         if any(s < 0 for s in sides):

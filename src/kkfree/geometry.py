@@ -211,9 +211,6 @@ class Box:
     def dim(self) -> int:
         return len(self.lows)
 
-    def is_bounded(self) -> bool:
-        return all(b is not None for b in self.lows + self.highs)
-
 
 def interval(lo: Rat | None, hi: Rat | None) -> Box:
     """1-dimensional box."""
@@ -487,19 +484,31 @@ def _(r: Curtain) -> Predicate:
     return test
 
 
-@predicate.register
-def _(r: Triangle) -> Predicate:
+def triangle_edges(r: Triangle) -> tuple[tuple[int, int, int], ...] | None:
+    """r's counter-clockwise edges as integer forms ``(dx, dy, k)``, or
+    ``None`` when r has zero area.
+
+    p is on or left of the edge (u, v) iff (v - u) x (p - u) =
+    dx*y - dy*x + k >= 0 with k = dy*ux - dx*uy; each form is cleared by
+    ``_integer_form``, which keeps that sign.
+    """
     v0, v1, v2 = (v.coords for v in r.vertices)
     area2 = r.signed_area2()
     if area2 == 0:
-        return _degenerate_triangle_predicate(r)
+        return None
     if area2 < 0:
         v1, v2 = v2, v1
-    # p is on or left of the counter-clockwise edge (u, v) iff
-    # (v - u) x (p - u) = dx*y - dy*x + (dy*ux - dx*uy) >= 0.
-    (dx0, dy0, k0), (dx1, dy1, k1), (dx2, dy2, k2) = (
+    return tuple(
         _integer_form((vx - ux, vy - uy, (vy - uy) * ux - (vx - ux) * uy))
         for (ux, uy), (vx, vy) in ((v0, v1), (v1, v2), (v2, v0)))
+
+
+@predicate.register
+def _(r: Triangle) -> Predicate:
+    edges = triangle_edges(r)
+    if edges is None:
+        return _degenerate_triangle_predicate(r)
+    (dx0, dy0, k0), (dx1, dy1, k1), (dx2, dy2, k2) = edges
 
     def test(c: Coords) -> bool:
         x, y = c

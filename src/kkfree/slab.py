@@ -15,11 +15,13 @@ boundary-vertex convention.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import InvalidInputError
-from .geometry import Box, Curtain, Point, predicate
-from .incidence import incidences_bruteforce
+from .geometry import (Box, Coords, Curtain, Point, Range, compile_ranges,
+                       predicate)
 
 
 @dataclass
@@ -90,19 +92,13 @@ class RecursionReport:
         return best
 
     def to_json_dict(self) -> dict:
-        def conv(node: SlabNode) -> dict:
-            return {
-                "kind": node.kind, "depth": node.depth, "dim": node.dim,
-                "n": node.n, "m": node.m, "charged": node.charged,
-                "attributed": node.attributed,
-                "inside_counts": list(node.inside_counts),
-                "threesided": node.threesided, "crossing": node.crossing,
-                "vertices": node.vertices,
-                "child_vertices": node.child_vertices,
-                "children": [conv(c) for c in node.children],
-            }
+        # Every node field as is: dataclasses.asdict would deep-copy each
+        # value, many times slower on a large tree.
+        def node_dict(node: SlabNode) -> dict:
+            return {**vars(node),
+                    "children": [node_dict(c) for c in node.children]}
         return {"kind": self.kind, "b": self.b, "k": self.k,
-                "total": self.total, "root": conv(self.root)}
+                "total": self.total, "root": node_dict(self.root)}
 
     def ledger_rows(self) -> list[list]:
         rows = []
@@ -138,7 +134,7 @@ class _Fenwick:
         return total
 
 
-def _count_rank_y(sorted_points: list[Point],
+def _count_rank_y(sorted_points: list[Coords],
                   queries: list[tuple[int, int, object, object]]) -> list[int]:
     """For each (alpha, beta, ylo, yhi): count points with x-rank in
     [alpha, beta] and y in the closed range.  Offline sweep with a Fenwick
@@ -188,6 +184,24 @@ def _coverage(xs: list, lo, hi) -> tuple[int, int]:
     return alpha, beta
 
 
+def _entry(points: list[Point],
+           ranges: list[Range]) -> tuple[list[Coords], list[Range]]:
+    """The points' coordinate tuples sorted by (x, index), and the ranges.
+
+    Every point and range must have the first point's dimension; this is
+    the audits' one dimension check, since the recursion tests none.
+    """
+    coords, checked = compile_ranges(points, ranges, lambda r: r)
+    ranges = list(checked)
+    # A stable sort by x keeps ties in index order.
+    return sorted(coords, key=itemgetter(0)), ranges
+
+
+def _count(coords: list[Coords], ranges: Sequence[Range]) -> int:
+    """Incidences between the points and the ranges, by compiled predicate."""
+    return sum(sum(map(predicate(r), coords)) for r in ranges)
+
+
 # ---------------------------------------------------------------------------
 # 2D rectangles
 
@@ -204,23 +218,18 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     for r in rects:
         if r.dim != 2:
             raise InvalidInputError("rect audit needs 2D boxes")
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
-    sorted_pts = [points[i] for i in order]
-    root = _rect_node(sorted_pts, list(rects), b, 0)
+    root = _rect_node(*_entry(points, rects), b, 0)
     total = root.subtree_total()
     return RecursionReport("rect", b, k, total, root)
 
 
-def _rect_node(pts: list[Point], rects: list[Box], b: int,
+def _rect_node(pts: list[Coords], rects: list[Box], b: int,
                depth: int) -> SlabNode:
+    """``pts`` are sorted by (x, index)."""
     n = len(pts)
     if n <= b or not rects:
-        attributed = 0
-        graph = incidences_bruteforce(pts, rects) if rects and pts else None
-        if graph:
-            attributed = graph.edge_count
         return SlabNode("leaf", depth, 2, n, len(rects),
-                        charged=len(rects), attributed=attributed)
+                        charged=len(rects), attributed=_count(pts, rects))
     xs = [p[0] for p in pts]
     cuts = _slab_cuts(n, b)
     inside: list[list[Box]] = [[] for _ in range(b)]
@@ -261,42 +270,32 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     Boxes with a leading-axis endpoint inside a slab recurse there in full
     dimension; boxes cutting all the way across a slab drop one dimension
     (their leading constraint holds for every point of the slab) and are
-    audited recursively, bottoming out at the 2D rectangle audit.
+    audited recursively, bottoming out at the 2D rectangle recursion.
     """
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
     if not points:
         return RecursionReport("box", b, k, 0,
                                SlabNode("leaf", 0, 0, 0, len(boxes)))
-    d = points[0].dim
-    if d < 2:
+    if points[0].dim < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
-    coords = [p.coords for p in points]
-    root = _box_node(coords, list(boxes), b, 0)
+    root = _box_node(*_entry(points, boxes), b, 0)
     total = root.subtree_total()
     return RecursionReport("box", b, k, total, root)
 
 
-def _as_points(coords: list[tuple]) -> list[Point]:
-    return [Point(c) for c in coords]
-
-
-def _box_node(coords: list[tuple], boxes: list[Box], b: int,
+def _box_node(coords: list[Coords], boxes: list[Box], b: int,
               depth: int) -> SlabNode:
+    """``coords`` are sorted by (x, index)."""
     d = len(coords[0]) if coords else 0
     n = len(coords)
     if d == 2:
-        sub = rect_audit(_as_points(coords), boxes, b, 1)
-        node = sub.root
+        node = _rect_node(coords, boxes, b, depth)
         node.kind = "rect-base" if node.kind == "split" else node.kind
-        _shift_depth(node, depth)
         return node
     if n <= b or not boxes:
-        attributed = _brute_boxes(coords, boxes)
         return SlabNode("leaf", depth, d, n, len(boxes),
-                        charged=len(boxes), attributed=attributed)
-    order = sorted(range(n), key=lambda i: (coords[i][0], i))
-    coords = [coords[i] for i in order]
+                        charged=len(boxes), attributed=_count(coords, boxes))
     xs = [c[0] for c in coords]
     cuts = _slab_cuts(n, b)
     inside: list[list[Box]] = [[] for _ in range(b)]
@@ -335,25 +334,12 @@ def _box_node(coords: list[tuple], boxes: list[Box], b: int,
         child = _box_node(child_coords, inside[s], b, depth + 1)
         node.children.append(child)
         if long_per_slab[s]:
-            stripped = [c[1:] for c in child_coords]
+            stripped = sorted((c[1:] for c in child_coords),
+                              key=itemgetter(0))
             proj_node = _box_node(stripped, long_per_slab[s], b, depth + 1)
             proj_node.kind = "projected"
             node.children.append(proj_node)
     return node
-
-
-def _brute_boxes(coords: list[tuple], boxes: list[Box]) -> int:
-    total = 0
-    for box in boxes:
-        test = predicate(box)
-        total += sum(1 for c in coords if test(c))
-    return total
-
-
-def _shift_depth(node: SlabNode, offset: int):
-    node.depth += offset
-    for c in node.children:
-        _shift_depth(c, offset)
 
 
 # ---------------------------------------------------------------------------
@@ -366,23 +352,19 @@ def curtain_audit(points: list[Point], curtains: list[Curtain],
     A curtain crossing the median boundary is counted at the node (inside a
     slab it constrains like a wedge); curtains confined to one half recurse.
     """
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], i))
-    sorted_pts = [points[i] for i in order]
-    root = _curtain_node(sorted_pts, list(curtains), 0)
+    root = _curtain_node(*_entry(points, curtains), 0)
     total = root.subtree_total()
     return RecursionReport("curtain", 2, k, total, root)
 
 
-def _curtain_node(pts: list[Point], curtains: list[Curtain],
+def _curtain_node(pts: list[Coords], curtains: list[Curtain],
                   depth: int) -> SlabNode:
+    """``pts`` are sorted by (x, index)."""
     n = len(pts)
     if n <= 4 or not curtains:
-        attributed = 0
-        for c in curtains:
-            test = predicate(c)
-            attributed += sum(1 for p in pts if test(p.coords))
         return SlabNode("leaf", depth, 2, n, len(curtains),
-                        charged=len(curtains), attributed=attributed)
+                        charged=len(curtains),
+                        attributed=_count(pts, curtains))
     xs = [p[0] for p in pts]
     mid = n // 2
     left: list[Curtain] = []
@@ -399,9 +381,7 @@ def _curtain_node(pts: list[Point], curtains: list[Curtain],
             right.append(c)
         else:
             charged += 1
-            test = predicate(c)
-            attributed += sum(1 for t in range(alpha, beta + 1)
-                              if test(pts[t].coords))
+            attributed += _count(pts[alpha:beta + 1], (c,))
     node = SlabNode("split", depth, 2, n, len(curtains),
                     charged=charged, attributed=attributed,
                     inside_counts=(len(left), len(right)))

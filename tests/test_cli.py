@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from kkfree.cli import main
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
-from kkfree.geometry import (Ball, Box, Curtain, Line2, Point, Triangle,
-                             Wedge3, pt)
+from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
+                             Point, Triangle, Wedge3, pt)
 
 
 def run(args, tmp_path):
@@ -290,3 +291,53 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: node budget must be >= 0" in err
     assert "Traceback" not in err
+
+
+def _dense_instances(tmp_path):
+    """An interval and an upper-halfplane instance whose incidence graphs are
+    complete bipartite (6 points, every range holds all of them), so both
+    hold a K_{3,3}; 12 halfplanes leave r = 2 admissible for k = 2 and 3."""
+    iv = tmp_path / "dense_iv.json"
+    save_instance(Instance(1, [pt(x) for x in range(1, 7)],
+                           [Box((0,), (10 + j,)) for j in range(4)], 2), iv)
+    hp = tmp_path / "dense_hp.json"
+    save_instance(Instance(2, [pt(x, 10) for x in range(6)],
+                           [Halfspace(Hyperplane((0,), -j), "upper")
+                            for j in range(12)], 2), hp)
+    return {"audit": iv, "census": hp}
+
+
+@pytest.mark.parametrize("argv", [["audit", "interval"], ["census", "shallow"]],
+                         ids=["audit-interval", "census-shallow"])
+def test_non_free_instance_is_not_applicable(tmp_path, capsys, argv):
+    path = _dense_instances(tmp_path)[argv[0]]
+    assert run([*argv, path, "--k", 2], tmp_path) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("not applicable: graph contains K_{k,k} witness=(")
+    assert err == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [["audit", "interval"], ["census", "shallow"]],
+                         ids=["audit-interval", "census-shallow"])
+def test_exhausted_budget_is_an_unknown_verdict(tmp_path, capsys, argv):
+    path = _dense_instances(tmp_path)[argv[0]]
+    assert run([*argv, path, "--k", 3, "--budget", 0], tmp_path) == 3
+    out, err = capsys.readouterr()
+    assert out == "unknown: biclique search budget exhausted\n"
+    assert err == ""
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_repeated_main_calls_leave_no_cyclic_garbage(tmp_path):
+    # An argparse parser holds reference cycles; one rebuilt per call would
+    # leave about 500 objects per call for the cycle collector.
+    argv = ["census", "schedule", "--k", 2, "--m", 64]
+    assert run(argv, tmp_path) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv, tmp_path) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

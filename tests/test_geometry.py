@@ -13,7 +13,8 @@ from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
                              as_rat, interval, lift, lift_ball, linear_form,
-                             linear_hits, point_above, predicate, pt, rat_str)
+                             linear_hits, point_above, predicate, pt, rat_str,
+                             triangle_edges)
 from kkfree.incidence import incidences_bruteforce
 
 from conftest import brute_edges, reference_contains
@@ -370,6 +371,21 @@ def test_triangle_orientation_and_degenerate_cases():
     assert not flat((3, 3)) and not flat((1, 0))
     point = predicate(Triangle(pt(1, 1), pt(1, 1), pt(1, 1)))
     assert point((1, 1)) and not point((1, 2))
+
+
+def test_triangle_edges_are_counter_clockwise_integer_forms():
+    # Both orientations give the counter-clockwise edges (0,0)->(4,0)->
+    # (0,4)->(0,0); dx*y - dy*x + k >= 0 on the inner side of each.
+    ccw = ((4, 0, 0), (-4, 4, 16), (0, -4, 0))
+    assert triangle_edges(Triangle(pt(0, 0), pt(4, 0), pt(0, 4))) == ccw
+    assert triangle_edges(Triangle(pt(0, 0), pt(0, 4), pt(4, 0))) == ccw
+    # Constants are cleared per edge: (1/2, 0) -> (0, 1/2) is
+    # (-1/2, 1/2, 1/4) times 4.
+    half = triangle_edges(Triangle(pt(0, 0), pt(F(1, 2), 0), pt(0, F(1, 2))))
+    assert half == ((1, 0, 0), (-2, 2, 1), (0, -1, 0))
+    assert all(type(v) is int for edge in half for v in edge)
+    assert triangle_edges(Triangle(pt(0, 0), pt(2, 2), pt(1, 1))) is None
+    assert triangle_edges(Triangle(pt(1, 1), pt(1, 1), pt(1, 1))) is None
 
 
 def test_oracle_checks_every_dimension_once():

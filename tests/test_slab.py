@@ -1,7 +1,11 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from kkfree import generators as gens
-from kkfree.errors import InvalidInputError
+from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import Box, Curtain, box2, pt
 from kkfree.incidence import incidences_bruteforce
 from kkfree.slab import box_audit, curtain_audit, rect_audit
@@ -129,3 +133,73 @@ def test_report_json_roundtrip(rng):
     doc = rep.to_json_dict()
     assert doc["total"] == rep.total
     assert doc["root"]["n"] == 30
+
+
+# Each audit checks dimensions once, on entry: a leaf or node deeper down
+# would otherwise test a range against the wrong coordinates.
+
+def test_curtain_rejects_3d_points():
+    with pytest.raises(DimensionMismatchError):
+        curtain_audit([pt(0, 0, 5), pt(1, 1, 5)], [Curtain(0, 10, -5, 5)], 2)
+
+
+def test_rect_rejects_3d_points_before_any_leaf():
+    # The spanning rectangle is charged at the root split, never at a leaf.
+    with pytest.raises(DimensionMismatchError):
+        rect_audit([pt(i, i, 5) for i in range(20)],
+                   [box2(-1, 30, -1, 30)], 4, 2)
+
+
+def test_box_rejects_boxes_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        box_audit([pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)],
+                  [box2(-1, 5, -1, 5)], 2, 2)
+
+
+def test_box_rejects_mixed_point_dimensions():
+    with pytest.raises(DimensionMismatchError):
+        box_audit([pt(i, i, i) for i in range(6)] + [pt(0, 0)],
+                  [Box((0, 0, 0), (3, 3, 3))], 8, 2)
+
+
+def _pinned_audit(name, seed):
+    rng = random.Random(seed)
+    if name == "rect":
+        pts = gens.random_points(rng, 60, 2, 20)
+        rects = (gens.random_boxes(rng, 25, 2, 20)
+                 + gens.random_threesided(rng, 8, 20, 10))
+        return rect_audit(pts, rects, 3, 2)
+    if name == "curtain":
+        pts = gens.random_points(rng, 60, 2, 20)
+        return curtain_audit(pts, gens.random_curtains(rng, 30, 20, 3), 2)
+    d = int(name[-2])
+    pts = gens.random_points(rng, 90, d, 10)
+    boxes = gens.random_boxes(rng, 16, d, 10)
+    # Open leading sides make a box long across slabs at more than one
+    # level, so in 4D projections are projected again down to 2D splits.
+    boxes += [Box((None, None) + b.lows[2:], (None, None) + b.highs[2:])
+              for b in gens.random_boxes(rng, 6, d, 10)]
+    boxes += [Box((None,) + b.lows[1:], b.highs)
+              for b in gens.random_boxes(rng, 6, d, 10)]
+    return box_audit(pts, boxes, 3, 2)
+
+
+@pytest.mark.parametrize("name,seed,total,digest", [
+    ("rect", 1, 170,
+     "071a692e61e6b8506f1328aa740e5f5d40120679b1c944a68d1acb0816d795ca"),
+    ("box2d", 2, 806,
+     "872f84667ba65e643173b309457c54f62951f243eaa8136285496dc509362e56"),
+    ("box3d", 3, 419,
+     "0abdb226965ee5059c3b8e4642c251df04de60760c55a05d811d27c88c600c4a"),
+    ("box4d", 4, 112,
+     "269066fea6724582bcb14bef869531a6a16efe8e7c831ceff35415a84d5db3a2"),
+    ("curtain", 5, 276,
+     "01ad074dbf16a34438f1f46c97bd9b6df2bfc0f728b4c8afaebbf673cf2975c0"),
+])
+def test_audit_json_pinned(name, seed, total, digest):
+    # SHA-256 of the audit JSON as the CLI writes it: node kinds
+    # ("rect-base", "projected"), depths and every ledger field.
+    rep = _pinned_audit(name, seed)
+    text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True) + "\n"
+    assert rep.total == total
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
