@@ -1,4 +1,4 @@
-"""Quadtree squares, shift alignment, centroid splitting, stabbing grids.
+"""Quadtree squares, shift alignment, centroid splitting.
 
 Quadtree squares are half-open dyadic cells of the unit square; all
 membership tests are exact on rationals.  A coordinate x = num/den lies in
@@ -9,12 +9,11 @@ so comparisons against powers of two stay exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import IntegrityError, InvalidInputError
-from ..geometry import Point, Rat
+from ..geometry import Rat
 
 MAX_LEVEL = 64
 
@@ -54,9 +53,10 @@ class QuadtreeSquare:
         return (Fraction(2 * self.i + 1, s), Fraction(2 * self.j + 1, s))
 
     def contains_xy(self, x: Rat, y: Rat) -> bool:
-        side = self.side
-        return (self.x0 <= x < self.x0 + side
-                and self.y0 <= y < self.y0 + side)
+        # Integer cell indices, as ``cell_key`` computes them.
+        level = self.level
+        return ((x.numerator << level) // x.denominator == self.i
+                and (y.numerator << level) // y.denominator == self.j)
 
     def children(self) -> tuple["QuadtreeSquare", ...]:
         lv, i, j = self.level + 1, 2 * self.i, 2 * self.j
@@ -211,42 +211,3 @@ def centroid_descent(keys, members, bits: int):
         level, i, j = level + 1, 2 * i + (c & 1), 2 * j + (c >> 1)
         members = buckets[c]
     return level, i, j, members
-
-
-# ---------------------------------------------------------------------------
-# stabbing grids
-
-def stabbing_points(square: QuadtreeSquare, delta: float) -> list[Point]:
-    """A fixed grid stabbing every delta-fat triangle of diameter >= r/4
-    that meets the square (side r).
-
-    Any such triangle contains a disk of radius rho(delta) * r within r/4 of
-    the square (worst case: a vertex of angle exactly delta touching the
-    square), so a grid of spacing sqrt(2) * rho over the square dilated by
-    r/4 always hits one.  The grid size grows like 1/delta^4; callers that
-    cannot afford that must pair a sparser grid with a verification
-    fallback.
-    """
-    if not (0 < delta <= math.pi / 3):
-        raise InvalidInputError("fatness must be in (0, pi/3]")
-    s2 = math.sin(delta / 2)
-    rho = (math.sin(delta) / 4) * s2 / (1 + s2)
-    spacing_f = 0.9 * math.sqrt(2) * rho
-    # Rationalize the spacing (round down so the guarantee is kept).
-    denom = 1 << 16
-    spacing = Fraction(math.floor(spacing_f * denom), denom)
-    if spacing <= 0:
-        raise InvalidInputError("fatness too small for a rational grid")
-    r = square.side
-    h = spacing * r
-    x_start = square.x0 - r / 4
-    y_start = square.y0 - r / 4
-    extent = r + r / 2
-    steps = int(extent / h) + 1
-    out = []
-    for a in range(steps + 1):
-        for b in range(steps + 1):
-            out.append(Point((x_start + a * h, y_start + b * h)))
-    cx, cy = square.center
-    out.append(Point((cx, cy)))
-    return out

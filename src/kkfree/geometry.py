@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
 from math import isqrt, lcm
-from itertools import compress, count, repeat
-from operator import add, ge, le, mul
+from operator import mul
 from typing import Callable, Iterator, Sequence, TypeVar, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputError
@@ -407,50 +406,69 @@ def _integer_form(values: Sequence[Rat | None]) -> tuple[int | None, ...]:
                  for v in values)
 
 
-def linear_form(r: Halfspace | LinearHalfspace) -> tuple[tuple[int, ...], int, bool]:
-    """r as ``coeffs . x <= rhs`` when ``is_le``, else ``coeffs . x >= rhs``,
-    with its constants cleared by ``_integer_form``.
+# One integer constraint ``coeffs . x <= rhs``.
+LinearConstraint = tuple[tuple[int, ...], int]
 
-    A graph-form halfspace is written in implicit form: x_d >= offset +
-    slopes . x iff (-L slopes, L) . x >= L offset, for the lcm L of the
-    denominators (upper; ``<=`` for lower).
+
+def linear_constraints(r: Halfspace | LinearHalfspace | Polyhedron | Wedge3
+                       ) -> list[LinearConstraint]:
+    """r as integer constraints ``coeffs . x <= rhs``, all of which a point
+    of r satisfies, each cleared by ``_integer_form``.
+
+    A ``>=`` constraint is negated.  A graph-form halfspace is written in
+    implicit form: x_d >= offset + slopes . x iff (L slopes, -L) . x <=
+    -L offset, for the lcm L of the denominators (upper; the negation for
+    lower).  A polyhedron gives one constraint per bounded side of a slab,
+    a ``Wedge3`` two: -a x + y <= b and z <= c.
     """
     if isinstance(r, Halfspace):
         *slopes, one, offset = _integer_form(
             (*r.boundary.slopes, 1, r.boundary.offset))
-        return tuple(-s for s in slopes) + (one,), offset, r.side == "lower"
-    *coeffs, rhs = _integer_form((*r.coeffs, r.rhs))
-    return tuple(coeffs), rhs, r.sense == "le"
+        if r.side == "lower":
+            return [(tuple(-s for s in slopes) + (one,), offset)]
+        return [(tuple(slopes) + (-one,), -offset)]
+    if isinstance(r, LinearHalfspace):
+        *coeffs, rhs = _integer_form((*r.coeffs, r.rhs))
+        if r.sense == "le":
+            return [(tuple(coeffs), rhs)]
+        return [(tuple(-c for c in coeffs), -rhs)]
+    if isinstance(r, Wedge3):
+        *line, b = _integer_form((-r.a, 1, 0, r.b))
+        *top, c = _integer_form((0, 0, 1, r.c))
+        return [(tuple(line), b), (tuple(top), c)]
+    if any(len(nrm) != r.dim for nrm in r.normals):
+        raise DimensionMismatchError(
+            "polyhedron normals of different dimensions")
+    out = []
+    for nrm, lo, hi in zip(r.normals, r.lows, r.highs):
+        *scaled, lo, hi = _integer_form((*nrm, lo, hi))
+        if lo is not None:
+            out.append((tuple(-a for a in scaled), -lo))
+        if hi is not None:
+            out.append((tuple(scaled), hi))
+    return out
 
 
-def linear_hits(form: tuple[tuple[int, ...], int, bool],
-                columns: Sequence[Sequence[Rat]]) -> Iterator[int]:
-    """Indices of the points in the range with this ``linear_form``; the
-    points come as columns, ``columns[j][i]`` being coordinate j of point i.
-
-    The form is evaluated over whole columns by chained ``map`` calls,
-    skipping zero coefficients and multiplying by none equal to 1, so on
-    ``int`` columns no bytecode runs per point.
-    """
-    coeffs, rhs, is_le = form
-    total = None
-    for a, col in zip(coeffs, columns):
-        if a:
-            term = col if a == 1 else map(mul, col, repeat(a))
-            total = term if total is None else map(add, total, term)
-    return compress(count(), map(le if is_le else ge, total, repeat(rhs)))
-
-
-def _linear_test(coeffs: tuple[int, ...], rhs: int, is_le: bool) -> Predicate:
-    if is_le:
+def linear_test(constraints: Sequence[LinearConstraint]) -> Predicate:
+    """The per-point test of a conjunction of ``linear_constraints``."""
+    if len(constraints) == 1:
+        ((coeffs, rhs),) = constraints
         return lambda c: sum(map(mul, coeffs, c)) <= rhs
-    return lambda c: sum(map(mul, coeffs, c)) >= rhs
+
+    def test(c: Coords) -> bool:
+        for coeffs, rhs in constraints:
+            if sum(map(mul, coeffs, c)) > rhs:
+                return False
+        return True
+    return test
 
 
 @predicate.register(Halfspace)
 @predicate.register(LinearHalfspace)
-def _(r: Halfspace | LinearHalfspace) -> Predicate:
-    return _linear_test(*linear_form(r))
+@predicate.register(Polyhedron)
+@predicate.register(Wedge3)
+def _(r: Halfspace | LinearHalfspace | Polyhedron | Wedge3) -> Predicate:
+    return linear_test(linear_constraints(r))
 
 
 @predicate.register
@@ -464,12 +482,6 @@ def _(r: Ball) -> Predicate:
 def _(r: Wedge2) -> Predicate:
     a, b, xmax = r.a, r.b, r.c
     return lambda c: c[0] <= xmax and c[1] <= a * c[0] + b
-
-
-@predicate.register
-def _(r: Wedge3) -> Predicate:
-    a, b, zmax = r.a, r.b, r.c
-    return lambda c: c[2] <= zmax and c[1] <= a * c[0] + b
 
 
 @predicate.register
@@ -537,25 +549,6 @@ def _degenerate_triangle_predicate(r: Triangle) -> Predicate:
 def _(r: Line2) -> Predicate:
     a, b = r.a, r.b
     return lambda c: c[1] == a * c[0] + b
-
-
-@predicate.register
-def _(r: Polyhedron) -> Predicate:
-    if any(len(nrm) != r.dim for nrm in r.normals):
-        raise DimensionMismatchError(
-            "polyhedron normals of different dimensions")
-    slabs = []
-    for nrm, lo, hi in zip(r.normals, r.lows, r.highs):
-        *scaled, lo, hi = _integer_form((*nrm, lo, hi))
-        slabs.append((tuple(scaled), lo, hi))
-
-    def test(c: Coords) -> bool:
-        for nrm, lo, hi in slabs:
-            value = sum(map(mul, nrm, c))
-            if (lo is not None and value < lo) or (hi is not None and value > hi):
-                return False
-        return True
-    return test
 
 
 def compile_ranges(points: Sequence[Point], ranges: Sequence[Range],

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 from .dyadic import canonical_decomposition
 from .errors import (InvalidInputError, NotApplicableError,
                      UnknownVerdictError)
-from .geometry import (Box, Halfspace, Line2, LinearHalfspace, Point, Range,
-                       compile_ranges, linear_form, linear_hits, predicate,
-                       x_extent)
+from .geometry import (Box, Halfspace, Line2, LinearHalfspace, Point,
+                       Polyhedron, Range, Wedge3, compile_ranges,
+                       linear_constraints, linear_test, predicate, x_extent)
+from .packed import pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -58,28 +59,35 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     """The defining oracle: every (point, range) pair, decided exactly.
 
     Dimensions are checked once per instance and each range is compiled
-    once.  An exact candidate index drops only pairs that cannot be edges:
-    a range with an x-extent (``geometry.x_extent``) tests the points whose
+    once.  A halfspace, linear halfspace, polyhedron or ``Wedge3`` is a
+    conjunction of integer ``geometry.linear_constraints``; on integer
+    points it is decided for every point at once by its packed row
+    (``packed.PackedColumns``), with the point columns packed once per
+    call.  On points with a ``Fraction`` coordinate, or when a pack would
+    be far larger than the columns, its per-point test decides each point.
+    Lines, boxes, curtains, triangles, balls and ``Wedge2`` go through an
+    exact candidate index that drops only pairs that cannot be edges: a
+    range with an x-extent (``geometry.x_extent``) tests the points whose
     coordinate 0 lies in it, found by bisecting the points sorted by that
     coordinate, and a 2D line tests the points at ``(x, a x + b)`` for each
     distinct x, when there are fewer distinct x than points.  The compiled
-    predicate decides each candidate.  A halfspace or linear halfspace
-    decides every point at once: its ``geometry.linear_form`` is evaluated
-    over the point columns (``geometry.linear_hits``).  Every other range
-    tests every point.
+    predicate decides each candidate.
     """
     coords, compiled = compile_ranges(points, ranges, _compile)
+    packed = False  # packed on the first linear range
     candidates = _CandidateIndex(coords)
-    columns = None
     edges = set()
     for j, (r, test) in enumerate(zip(ranges, compiled)):
         if not coords:
             continue
-        if isinstance(test, tuple):  # a linear form
-            if columns is None:
-                columns = list(zip(*coords))
-            edges.update(zip(linear_hits(test, columns), itertools.repeat(j)))
-            continue
+        if isinstance(test, list):  # linear constraints
+            if packed is False:
+                packed = pack_columns(coords)
+            hits = None if packed is None else packed.hits(test)
+            if hits is not None:
+                edges.update(zip(hits, itertools.repeat(j)))
+                continue
+            test = linear_test(test)
         cand = candidates.of(r)
         if cand is None:
             edges.update((i, j) for i, c in enumerate(coords) if test(c))
@@ -88,11 +96,14 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     return IncidenceGraph(len(points), len(ranges), frozenset(edges))
 
 
+_LINEAR = (Halfspace, LinearHalfspace, Polyhedron, Wedge3)
+
+
 def _compile(r: Range):
-    # The oracle's compiled form of r: a linear form for a range that has
-    # one, else the containment predicate.
-    if isinstance(r, (Halfspace, LinearHalfspace)):
-        return linear_form(r)
+    # The oracle's compiled form of r: its linear constraints for a type
+    # decided by packed rows, else the containment predicate.
+    if isinstance(r, _LINEAR):
+        return linear_constraints(r)
     return predicate(r)
 
 

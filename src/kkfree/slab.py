@@ -19,9 +19,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import InvalidInputError
-from .geometry import (Box, Coords, Curtain, Point, Range, compile_ranges,
-                       predicate)
+from .errors import DimensionMismatchError, InvalidInputError
+from .geometry import Box, Coords, Curtain, Point, Range, predicate
 
 
 @dataclass
@@ -184,17 +183,25 @@ def _coverage(xs: list, lo, hi) -> tuple[int, int]:
     return alpha, beta
 
 
-def _entry(points: list[Point],
-           ranges: list[Range]) -> tuple[list[Coords], list[Range]]:
-    """The points' coordinate tuples sorted by (x, index), and the ranges.
+def _entry(points: list[Point], ranges: list[Range],
+           dim: int) -> list[Coords]:
+    """The points' coordinate tuples sorted by (x, index).
 
-    Every point and range must have the first point's dimension; this is
-    the audits' one dimension check, since the recursion tests none.
+    This is the audits' one dimension check, since the recursion tests
+    none: every range must have the first range's dimension, and every
+    point the audit's dimension ``dim``.
     """
-    coords, checked = compile_ranges(points, ranges, lambda r: r)
-    ranges = list(checked)
+    for idx, r in enumerate(ranges):
+        if r.dim != ranges[0].dim:
+            raise DimensionMismatchError(
+                f"range {idx} has dimension {r.dim}, "
+                f"first range has {ranges[0].dim}")
+    for idx, p in enumerate(points):
+        if p.dim != dim:
+            raise DimensionMismatchError(
+                f"point {idx} has dimension {p.dim}, the audit has {dim}")
     # A stable sort by x keeps ties in index order.
-    return sorted(coords, key=itemgetter(0)), ranges
+    return sorted((p.coords for p in points), key=itemgetter(0))
 
 
 def _count(coords: list[Coords], ranges: Sequence[Range]) -> int:
@@ -218,7 +225,7 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     for r in rects:
         if r.dim != 2:
             raise InvalidInputError("rect audit needs 2D boxes")
-    root = _rect_node(*_entry(points, rects), b, 0)
+    root = _rect_node(_entry(points, rects, 2), rects, b, 0)
     total = root.subtree_total()
     return RecursionReport("rect", b, k, total, root)
 
@@ -274,20 +281,20 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     """
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
-    if not points:
-        return RecursionReport("box", b, k, 0,
-                               SlabNode("leaf", 0, 0, 0, len(boxes)))
-    if points[0].dim < 2:
+    if not points and not boxes:
+        return RecursionReport("box", b, k, 0, SlabNode("leaf", 0, 0, 0, 0))
+    d = boxes[0].dim if boxes else points[0].dim
+    coords = _entry(points, boxes, d)
+    if d < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
-    root = _box_node(*_entry(points, boxes), b, 0)
+    root = _box_node(coords, boxes, b, 0, d)
     total = root.subtree_total()
     return RecursionReport("box", b, k, total, root)
 
 
 def _box_node(coords: list[Coords], boxes: list[Box], b: int,
-              depth: int) -> SlabNode:
-    """``coords`` are sorted by (x, index)."""
-    d = len(coords[0]) if coords else 0
+              depth: int, d: int) -> SlabNode:
+    """``coords`` are sorted by (x, index) and have dimension d."""
     n = len(coords)
     if d == 2:
         node = _rect_node(coords, boxes, b, depth)
@@ -331,12 +338,13 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
                     vertices=vertices, child_vertices=assigned)
     for s in range(b):
         child_coords = coords[cuts[s]:cuts[s + 1]]
-        child = _box_node(child_coords, inside[s], b, depth + 1)
+        child = _box_node(child_coords, inside[s], b, depth + 1, d)
         node.children.append(child)
         if long_per_slab[s]:
             stripped = sorted((c[1:] for c in child_coords),
                               key=itemgetter(0))
-            proj_node = _box_node(stripped, long_per_slab[s], b, depth + 1)
+            proj_node = _box_node(stripped, long_per_slab[s], b, depth + 1,
+                                  d - 1)
             proj_node.kind = "projected"
             node.children.append(proj_node)
     return node
@@ -352,7 +360,7 @@ def curtain_audit(points: list[Point], curtains: list[Curtain],
     A curtain crossing the median boundary is counted at the node (inside a
     slab it constrains like a wedge); curtains confined to one half recurse.
     """
-    root = _curtain_node(*_entry(points, curtains), 0)
+    root = _curtain_node(_entry(points, curtains, 2), curtains, 0)
     total = root.subtree_total()
     return RecursionReport("curtain", 2, k, total, root)
 

@@ -14,9 +14,9 @@ from kkfree.fat import (MAX_LEVEL, QuadtreeSquare, alignment_level,
                         build_curtain_structure, build_fat_structure,
                         centroid_square, centroid_square_with_members,
                         curtain_query, diameter_sq_of, fat_query, is_aligned,
-                        min_angle, shift_align, stabbing_points)
+                        min_angle, shift_align)
 from kkfree.fat.slanted import QueryStats, SlantedRangeTree
-from kkfree.geometry import Curtain, Point, Triangle, contains, pt
+from kkfree.geometry import Curtain, Triangle, contains, pt
 
 from conftest import reference_contains
 
@@ -346,63 +346,6 @@ def test_curtain_structure_storage(rng):
     pts = gens.distinct_random_points(rng, n, 2, 10 ** 5)
     s = build_curtain_structure(pts)
     assert s.stored_entries() <= 2 * n
-
-
-# ---------------------------------------------------------------------------
-# stabbing grids
-
-def test_stabbing_contains_center():
-    sq = QuadtreeSquare(4, 3, 9)
-    grid = stabbing_points(sq, math.pi / 6)
-    cx, cy = sq.center
-    assert any(g[0] == cx and g[1] == cy for g in grid)
-
-
-def test_stabbing_equilateral_over_square():
-    sq = QuadtreeSquare(6, 11, 17)
-    r = sq.side
-    cx, cy = sq.center
-    # Big equilateral triangle centered on the square: center is a stabber.
-    h = 5 * r
-    tri = Triangle(Point((cx - h, cy - h)), Point((cx + h, cy - h)),
-                   Point((cx, cy + h)))
-    grid = stabbing_points(sq, math.pi / 6)
-    assert any(contains(tri, g) for g in grid)
-
-
-def test_stabbing_randomized(rng):
-    sq = QuadtreeSquare(5, 7, 12)
-    r = sq.side
-    delta = math.pi / 6
-    grid = stabbing_points(sq, delta)
-    cx, cy = (float(v) for v in sq.center)
-    hits = 0
-    for trial in range(300):
-        # Fat triangle with diameter >= r/4 forced to meet the square.
-        diam = float(r) * math.exp(rng.uniform(math.log(0.26), math.log(6.0)))
-        tri = gens.random_fat_triangle(
-            rng, delta, center_range=0,
-            scale_range=(diam / 2, diam / 2), grid=2 ** 24)
-        # Translate a vertex blend point into the square.
-        t = rng.random()
-        ax, ay = (float(tri.v0[0]), float(tri.v0[1]))
-        bx, by = (float(tri.v1[0]), float(tri.v1[1]))
-        px = ax + t * (bx - ax)
-        py = ay + t * (by - ay)
-        ox = F(round((cx - px) * 2 ** 20), 2 ** 20)
-        oy = F(round((cy - py) * 2 ** 20), 2 ** 20)
-        moved = Triangle(Point((tri.v0[0] + ox, tri.v0[1] + oy)),
-                         Point((tri.v1[0] + ox, tri.v1[1] + oy)),
-                         Point((tri.v2[0] + ox, tri.v2[1] + oy)))
-        # Check the triangle's diameter precondition, then stab.
-        d2 = diameter_sq_of([(v[0], v[1]) for v in moved.vertices])
-        if d2 < (r / 4) ** 2:
-            continue
-        sorted_grid = sorted(
-            grid, key=lambda g: (float(g[0]) - cx) ** 2 + (float(g[1]) - cy) ** 2)
-        assert any(contains(moved, g) for g in sorted_grid), trial
-        hits += 1
-    assert hits > 200
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
-                             as_rat, interval, lift, lift_ball, linear_form,
-                             linear_hits, point_above, predicate, pt, rat_str,
-                             triangle_edges)
+                             as_rat, interval, lift, lift_ball,
+                             linear_constraints, point_above, predicate, pt,
+                             rat_str, triangle_edges)
 from kkfree.incidence import incidences_bruteforce
+from kkfree.packed import pack_columns
 
 from conftest import brute_edges, reference_contains
 
@@ -547,10 +548,10 @@ def test_integer_points_run_no_fraction_arithmetic():
 
 
 # ---------------------------------------------------------------------------
-# linear forms decided over point columns
+# linear constraints decided by packed rows over the point columns
 
-# Half-integer grid values, as ints where integral, so boundaries are hit.
-_GRID = [as_rat(F(k, 2)) for k in range(-8, 9)]
+# Integer grid values, so boundaries are hit by the ranges' constants.
+_GRID = list(range(-8, 9))
 # Zero coefficients, and ones that clear to 1 (1/3 over a rhs in thirds).
 _COEFFS = [0, 0, 1, -1, 2, F(1, 3), F(-2, 3), F(1, 2)]
 
@@ -561,13 +562,20 @@ def _random_linear_ranges(rng, d, m):
         coeffs = tuple(as_rat(rng.choice(_COEFFS)) for _ in range(d))
         if not any(coeffs):
             coeffs = coeffs[:-1] + (1,)
-        rhs = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3)]))
+        rhs = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3), F(1, 2)]))
         ranges.append(LinearHalfspace(coeffs, rhs, rng.choice(["le", "ge"])))
         slopes = tuple(as_rat(rng.choice(_COEFFS)) for _ in range(d - 1))
-        offset = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3)]))
+        offset = as_rat(rng.choice(_GRID) + rng.choice([0, F(1, 3), F(1, 2)]))
         ranges.append(Halfspace(Hyperplane(slopes, offset),
                                 rng.choice(["upper", "lower"])))
     return ranges
+
+
+def _packed_edges(points, ranges):
+    packed = pack_columns([p.coords for p in points])
+    rows = [packed.hits(linear_constraints(r)) for r in ranges]
+    assert None not in rows
+    return {(i, j) for j, row in enumerate(rows) for i in row}
 
 
 def test_linear_forms_over_columns_match_reference(rng):
@@ -578,33 +586,35 @@ def test_linear_forms_over_columns_match_reference(rng):
             ranges = _random_linear_ranges(rng, d, 12)
             graph = incidences_bruteforce(points, ranges)
             assert graph.edges == brute_edges(points, ranges)
+            assert _packed_edges(points, ranges) == graph.edges
             assert 0 < len(graph.edges) < len(points) * len(ranges)
 
 
 def test_linear_forms_over_columns_on_the_boundary():
-    # 60 points, ints and Fractions, all on y = 2x + 1/3.
-    points = [pt(x, 2 * x + F(1, 3)) for x in (F(k, 3) for k in range(-30, 30))]
-    assert {type(c) for p in points for c in p.coords} == {int, F}
-    line = Hyperplane((2,), F(1, 3))
+    # 60 integer points, all on y = 2x + 1.
+    points = [pt(x, 2 * x + 1) for x in range(-30, 30)]
+    assert {type(c) for p in points for c in p.coords} == {int}
+    line = Hyperplane((2,), 1)
     on = [Halfspace(line, "upper"), Halfspace(line, "lower"),
-          LinearHalfspace((-2, 1), F(1, 3), "le"),
-          LinearHalfspace((-2, 1), F(1, 3), "ge"),
-          LinearHalfspace((F(-6, 5), F(3, 5)), F(1, 5), "ge")]
-    off = [Halfspace(Hyperplane((2,), 1), "upper"),
+          LinearHalfspace((-2, 1), 1, "le"),
+          LinearHalfspace((-2, 1), 1, "ge"),
+          LinearHalfspace((F(-6, 5), F(3, 5)), F(3, 5), "ge")]
+    off = [Halfspace(Hyperplane((2,), 2), "upper"),
            Halfspace(Hyperplane((2,), 0), "lower"),
            LinearHalfspace((-2, 1), 0, "le"),
-           LinearHalfspace((F(-2, 3), F(1, 3)), F(1, 3), "ge"),
-           LinearHalfspace((0, 1), -21, "le")]
+           LinearHalfspace((F(-2, 3), F(1, 3)), F(2, 3), "ge"),
+           LinearHalfspace((0, 1), -60, "le")]
     ranges = on + off
     graph = incidences_bruteforce(points, ranges)
     assert graph.edges == brute_edges(points, ranges)
+    assert _packed_edges(points, ranges) == graph.edges
     assert graph.edges == {(i, j) for i in range(len(points))
                            for j in range(len(on))}
 
 
 def test_column_scan_runs_no_fraction_arithmetic(rng):
     # Integer points and ranges: the whole oracle call.  Rational ranges:
-    # the scan of their cleared forms over integer columns.
+    # the packed rows of their cleared constraints over integer columns.
     points = [Point(tuple(rng.randint(-4, 4) for _ in range(3)))
               for _ in range(60)]
     integral = [LinearHalfspace((3, 0, -1), 2, "le"),
@@ -617,10 +627,11 @@ def test_column_scan_runs_no_fraction_arithmetic(rng):
         lambda: incidences_bruteforce(points, integral))
     assert called == []
     assert graph.edges == brute_edges(points, integral)
-    columns = list(zip(*(p.coords for p in points)))
-    forms = [linear_form(r) for r in rational]
+    coords = [p.coords for p in points]
+    constraints = [linear_constraints(r) for r in rational]
+    packed = pack_columns(coords)
     hits, called = _fraction_calls(
-        lambda: [list(linear_hits(form, columns)) for form in forms])
+        lambda: [packed.hits(c) for c in constraints])
     assert called == []
     assert {(i, j) for j, h in enumerate(hits) for i in h} == brute_edges(
         points, rational)

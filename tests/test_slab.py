@@ -162,6 +162,35 @@ def test_box_rejects_mixed_point_dimensions():
                   [Box((0, 0, 0), (3, 3, 3))], 8, 2)
 
 
+def test_audits_check_dimensions_with_an_empty_side():
+    # With no points the ranges are compared with each other; with no
+    # ranges the points are compared with the audit's dimension.
+    with pytest.raises(DimensionMismatchError):
+        box_audit([], [Box((0,), (1,)), Box((0, 0, 0, 0), (1, 1, 1, 1))], 2, 2)
+    with pytest.raises(DimensionMismatchError):
+        rect_audit([pt(1, 2, 3)], [], 2, 2)
+    with pytest.raises(DimensionMismatchError):
+        curtain_audit([pt(1, 2), pt(1, 2, 3)], [], 2)
+    with pytest.raises(InvalidInputError):
+        box_audit([], [Box((0,), (1,))], 2, 2)
+    with pytest.raises(InvalidInputError):
+        rect_audit([], [Box((0, 0, 0), (1, 1, 1))], 2, 2)
+
+
+def test_empty_leaf_charges_every_range():
+    boxes = [Box((0, 0, 0), (1, 1, 1)), Box((None, 0, 0), (5, None, 5))]
+    rects = [box2(0, 1, 0, 1), box2(None, 2, 0, None)]
+    for rep in (box_audit([], boxes, 2, 2), box_audit([], rects, 2, 2),
+                rect_audit([], rects, 2, 2),
+                curtain_audit([], [Curtain(1, 0, None, 3)], 2)):
+        root = rep.root
+        assert (root.kind, root.n, root.attributed, rep.total) == \
+            ("leaf", 0, 0, 0)
+        assert root.charged == root.m > 0
+    assert box_audit([], boxes, 2, 2).root.dim == 3
+    assert box_audit([pt(1, 2, 3)], [], 2, 2).root.charged == 0
+
+
 def _pinned_audit(name, seed):
     rng = random.Random(seed)
     if name == "rect":
