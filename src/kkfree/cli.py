@@ -251,10 +251,11 @@ def _census_r_sweep(m: int, k: int) -> list[int]:
 
 def _cmd_census(args) -> int:
     if args.kind == "schedule":
-        sched = census_schedule(args.k, args.m, args.mode, args.c)
+        k = 2 if args.k is None else args.k
+        sched = census_schedule(k, args.m, args.mode, args.c)
         rows = [[i, t] for i, t in enumerate(sched.thresholds)]
         write_csv(_out_path(args, "schedule.csv"), ["index", "threshold"],
-                  rows, {"k": args.k, "m": args.m, "mode": args.mode,
+                  rows, {"k": k, "m": args.m, "mode": args.mode,
                          "length": len(sched)})
         print(f"thresholds={list(sched.thresholds)} length={len(sched)} "
               f"log_star_m={iterated_log2(args.m)}")
@@ -358,8 +359,11 @@ def _cmd_report(args) -> int:
 def _cmd_plot(args) -> int:
     import csv as _csv
     xs_ys: list[tuple[float, float]] = []
-    with open(args.csv) as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+    try:
+        with open(args.csv) as fh:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInputError(f"cannot read CSV file: {exc}") from exc
     reader = _csv.DictReader(lines)
     for row in reader:
         try:

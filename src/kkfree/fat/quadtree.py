@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import IntegrityError, InvalidInputError
+from ..errors import InvalidInputError
 from ..geometry import Rat
 
 MAX_LEVEL = 64
@@ -46,17 +46,6 @@ class QuadtreeSquare:
     @property
     def y0(self) -> Fraction:
         return Fraction(self.j, 1 << self.level)
-
-    @property
-    def center(self) -> tuple[Fraction, Fraction]:
-        s = 1 << (self.level + 1)
-        return (Fraction(2 * self.i + 1, s), Fraction(2 * self.j + 1, s))
-
-    def contains_xy(self, x: Rat, y: Rat) -> bool:
-        # Integer cell indices, as ``cell_key`` computes them.
-        level = self.level
-        return ((x.numerator << level) // x.denominator == self.i
-                and (y.numerator << level) // y.denominator == self.j)
 
     def children(self) -> tuple["QuadtreeSquare", ...]:
         lv, i, j = self.level + 1, 2 * self.i, 2 * self.j
@@ -132,33 +121,23 @@ def is_aligned(bbox: BBox, diam_sq: Rat) -> bool:
 
 
 def aligned_shift_index(bbox: BBox, diam_sq: Rat) -> int | None:
-    """Index into SHIFTS of the first shift aligning the shape, or None."""
+    """Index into SHIFTS of the first shift aligning the shape, or None.
+
+    Modulo a cell side the shifts are offsets 0, 1/3 and 2/3 of it, and each
+    axis's misaligned window, shorter than a third, rejects at most one.
+    """
     for idx, shift in enumerate(SHIFTS):
         if is_aligned(tuple(c + shift for c in bbox), diam_sq):
             return idx
     return None
 
 
-def shift_align(bbox: BBox, diam_sq: Rat) -> Fraction:
-    """A shift s in {0, 1/3, 2/3} making the diagonally shifted shape aligned.
-
-    One always exists: modulo any cell side 2^-l, the three diagonal shifts
-    reduce to offsets {0, 1/3, 2/3} of the side, and the misaligned window
-    per axis is shorter than a third of the side, so it can reject at most
-    one shift per axis.
-    """
-    idx = aligned_shift_index(bbox, diam_sq)
-    if idx is None:
-        raise IntegrityError("no diagonal third-shift aligns the shape")
-    return SHIFTS[idx]
-
-
 # ---------------------------------------------------------------------------
 # centroid squares
 
-def centroid_square(points_xy: list[tuple[Rat, Rat]],
-                    max_level: int = MAX_LEVEL) -> QuadtreeSquare:
-    """A minimal quadtree square holding at least a fifth of the points.
+def centroid_square(points_xy, max_level: int = MAX_LEVEL):
+    """A minimal quadtree square holding at least a fifth of the points,
+    and the points inside it, in input order.
 
     Greedy descent: while some child holds >= n/5 points, move into the
     first such child (fixed scan order), so the result is deterministic and
@@ -168,12 +147,6 @@ def centroid_square(points_xy: list[tuple[Rat, Rat]],
     that never separate (coincident locations) stop at ``max_level``, where
     the square may hold more than 4n/5 points; callers handle that case.
     """
-    sq, _inside = centroid_square_with_members(points_xy, max_level)
-    return sq
-
-
-def centroid_square_with_members(points_xy, max_level: int = MAX_LEVEL):
-    """The centroid square and the points inside it, in input order."""
     pts = list(points_xy)
     if not pts:
         raise InvalidInputError("need at least one point")

@@ -24,23 +24,6 @@ from .slanted import QueryStats, SlantedRangeTree
 
 FAT_LEAF_SIZE = 48
 CURTAIN_LEAF_SIZE = 8
-DEFAULT_DELTA = math.pi / 6
-
-
-def min_angle(tri: Triangle) -> float:
-    """Measured smallest angle, in radians (float measurement only)."""
-    vs = [(float(v[0]), float(v[1])) for v in tri.vertices]
-    best = math.pi
-    for i in range(3):
-        ox, oy = vs[i]
-        ax, ay = vs[(i + 1) % 3][0] - ox, vs[(i + 1) % 3][1] - oy
-        bx, by = vs[(i + 2) % 3][0] - ox, vs[(i + 2) % 3][1] - oy
-        na, nb = math.hypot(ax, ay), math.hypot(bx, by)
-        if na == 0 or nb == 0:
-            return 0.0
-        c = max(-1.0, min(1.0, (ax * bx + ay * by) / (na * nb)))
-        best = min(best, math.acos(c))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -108,9 +91,7 @@ class FatStratum:
 @dataclass
 class FatReportStructure:
     frame: FrameMap
-    delta: float
     n: int
-    leaf_size: int
     strata: list[FatStratum]
     degenerate: bool = False  # duplicate-heavy build; balance not guaranteed
 
@@ -164,12 +145,8 @@ class FatQueryStats:
                 + self.curtain_stats.entry_tests)
 
 
-def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
-                        leaf_size: int = FAT_LEAF_SIZE,
-                        curtain_leaf: int = CURTAIN_LEAF_SIZE) -> FatReportStructure:
+def build_fat_structure(points: list[Point]) -> FatReportStructure:
     """Build the three shifted centroid trees over the points."""
-    if not (0 < delta <= math.pi / 3):
-        raise InvalidInputError("fatness bound must be in (0, pi/3]")
     for p in points:
         if p.dim != 2:
             raise InvalidInputError("fat structure needs planar points")
@@ -186,7 +163,7 @@ def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
     ox, oy = _over(ox, c), _over(oy, c)
     nums = [((_over(p[0], c) - ox) * k, (_over(p[1], c) - oy) * k)
             for p in points]
-    structure = FatReportStructure(frame, delta, len(points), leaf_size, [])
+    structure = FatReportStructure(frame, len(points), [])
     for shift in SHIFTS:
         off = _over(shift, den)
         xy = [(x + off, y + off) for x, y in nums]
@@ -195,7 +172,7 @@ def build_fat_structure(points: list[Point], delta: float = DEFAULT_DELTA,
             keys = [(cell_key(x, den, MAX_LEVEL), cell_key(y, den, MAX_LEVEL))
                     for x, y in xy]
             stratum.root = _build_node(stratum, keys, list(range(len(points))),
-                                       leaf_size, curtain_leaf, structure)
+                                       structure)
         structure.strata.append(stratum)
     return structure
 
@@ -206,8 +183,7 @@ def _over(c: Rat, den: int) -> int:
 
 
 def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
-                idxs: list[int], leaf_size: int, curtain_leaf: int,
-                structure: FatReportStructure) -> _FatNode:
+                idxs: list[int], structure: FatReportStructure) -> _FatNode:
     """``keys[i]`` holds the level-MAX_LEVEL cell indices of point i."""
     node = _FatNode()
     xy, den = stratum.xy, stratum.den
@@ -216,10 +192,10 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
     node.bbox = (min(xs), min(ys), max(xs), max(ys))
     node.start = len(stratum.dfs_order)
     distinct = len({xy[i] for i in idxs}) > 1
-    if len(idxs) <= leaf_size or not distinct:
+    if len(idxs) <= FAT_LEAF_SIZE or not distinct:
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
-        if not distinct and len(idxs) > leaf_size:
+        if not distinct and len(idxs) > FAT_LEAF_SIZE:
             structure.degenerate = True
         return node
     level, sq_i, sq_j, inside_idx = centroid_descent(keys, idxs, MAX_LEVEL)
@@ -249,13 +225,12 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
             entries.append((dy, -unit, big_x, i))
         else:
             axis_pts.append(i)
-    node.pos_tree = SlantedRangeTree(pos_entries, curtain_leaf) if pos_entries else None
-    node.neg_tree = SlantedRangeTree(neg_entries, curtain_leaf) if neg_entries else None
+    node.pos_tree, node.neg_tree = (
+        SlantedRangeTree(e, CURTAIN_LEAF_SIZE) if e else None
+        for e in (pos_entries, neg_entries))
     node.axis_pts = tuple(axis_pts)
-    node.inside = _build_node(stratum, keys, inside_idx, leaf_size,
-                              curtain_leaf, structure)
-    node.outside = _build_node(stratum, keys, outside_idx, leaf_size,
-                               curtain_leaf, structure)
+    node.inside = _build_node(stratum, keys, inside_idx, structure)
+    node.outside = _build_node(stratum, keys, outside_idx, structure)
     node.end = len(stratum.dfs_order)
     return node
 
@@ -263,18 +238,12 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
 # ---------------------------------------------------------------------------
 # queries
 
-def fat_query(structure: FatReportStructure, tri: Triangle,
-              min_angle_tolerance: float = 1e-9) -> tuple[list[int], FatQueryStats]:
+def fat_query(structure: FatReportStructure,
+              tri: Triangle) -> tuple[list[int], FatQueryStats]:
     """Exactly the points inside the closed query triangle, with stats.
 
-    The query must be at least as fat as the structure's configured bound
-    (measured; rejected otherwise with the measured angle).
+    Every triangle is answered exactly; the work bound is for fat ones.
     """
-    measured = min_angle(tri)
-    if measured + min_angle_tolerance < structure.delta:
-        raise InvalidInputError(
-            f"query triangle thinner than configured fatness: "
-            f"measured {measured:.4f} < {structure.delta:.4f}")
     stats = FatQueryStats()
     if structure.n == 0:
         return [], stats
@@ -283,9 +252,8 @@ def fat_query(structure: FatReportStructure, tri: Triangle,
                   for x, y in frame_verts)
     stratum_index = 0
     if in_core:
-        aligned = aligned_shift_index(bbox_of(frame_verts),
-                                      diameter_sq_of(frame_verts))
-        stratum_index = 0 if aligned is None else aligned
+        stratum_index = aligned_shift_index(
+            bbox_of(frame_verts), diameter_sq_of(frame_verts)) or 0
     else:
         stats.out_of_frame = True
     stats.stratum = stratum_index

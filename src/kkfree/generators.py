@@ -156,6 +156,22 @@ def random_polyhedra(rng: random.Random, m: int,
     return out
 
 
+def min_angle(tri: Triangle) -> float:
+    """Measured smallest angle, in radians (float measurement only)."""
+    vs = [(float(v[0]), float(v[1])) for v in tri.vertices]
+    best = math.pi
+    for i in range(3):
+        ox, oy = vs[i]
+        ax, ay = vs[(i + 1) % 3][0] - ox, vs[(i + 1) % 3][1] - oy
+        bx, by = vs[(i + 2) % 3][0] - ox, vs[(i + 2) % 3][1] - oy
+        na, nb = math.hypot(ax, ay), math.hypot(bx, by)
+        if na == 0 or nb == 0:
+            return 0.0
+        c = max(-1.0, min(1.0, (ax * bx + ay * by) / (na * nb)))
+        best = min(best, math.acos(c))
+    return best
+
+
 def random_fat_triangle(rng: random.Random, delta: float,
                         center_range: int = 1000,
                         scale_range: tuple[float, float] = (5.0, 200.0),
@@ -169,7 +185,6 @@ def random_fat_triangle(rng: random.Random, delta: float,
     """
     if not (0 < delta <= 0.9):
         raise InvalidInputError("generator supports fatness in (0, 0.9]")
-    from .fat.structure import min_angle
     while True:
         margin = delta * 1.15
         spare = math.pi - 3 * margin

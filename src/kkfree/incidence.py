@@ -468,6 +468,8 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     report counts intervals fully covering the block hull and intervals with
     an endpoint inside it.  Requires the graph to be K_{k,k}-free.
     """
+    if any(not isinstance(b, Box) for b in intervals):
+        raise InvalidInputError("interval audit needs intervals (1D boxes)")
     if any(p.dim != 1 for p in points) or any(b.dim != 1 for b in intervals):
         raise InvalidInputError("interval audit is one-dimensional")
     graph = incidences_bruteforce(points, intervals)

@@ -215,6 +215,8 @@ def census_schedule(k: int, m: int, mode: str = "general",
         raise InvalidInputError("need m >= 2k")
     if mode not in ("general", "fat"):
         raise InvalidInputError(f"unknown schedule mode: {mode!r}")
+    if mode == "general" and c < 2:
+        raise InvalidInputError(f"general schedule needs c >= 2: {c}")
     t = 2 * k
     out = [t]
     if mode == "general":

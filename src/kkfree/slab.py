@@ -183,15 +183,17 @@ def _coverage(xs: list, lo, hi) -> tuple[int, int]:
     return alpha, beta
 
 
-def _entry(points: list[Point], ranges: list[Range],
-           dim: int) -> list[Coords]:
+def _entry(points: list[Point], ranges: list[Range], dim: int,
+           kind: type) -> list[Coords]:
     """The points' coordinate tuples sorted by (x, index).
 
-    This is the audits' one dimension check, since the recursion tests
-    none: every range must have the first range's dimension, and every
-    point the audit's dimension ``dim``.
+    This is the audits' one type and dimension check, since the recursion
+    tests none: every range must be a ``kind`` with the first range's
+    dimension, and every point must have the audit's dimension ``dim``.
     """
     for idx, r in enumerate(ranges):
+        if not isinstance(r, kind):
+            raise InvalidInputError(f"range {idx} is not a {kind.__name__}")
         if r.dim != ranges[0].dim:
             raise DimensionMismatchError(
                 f"range {idx} has dimension {r.dim}, "
@@ -225,7 +227,7 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     for r in rects:
         if r.dim != 2:
             raise InvalidInputError("rect audit needs 2D boxes")
-    root = _rect_node(_entry(points, rects, 2), rects, b, 0)
+    root = _rect_node(_entry(points, rects, 2, Box), rects, b, 0)
     total = root.subtree_total()
     return RecursionReport("rect", b, k, total, root)
 
@@ -284,7 +286,7 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     if not points and not boxes:
         return RecursionReport("box", b, k, 0, SlabNode("leaf", 0, 0, 0, 0))
     d = boxes[0].dim if boxes else points[0].dim
-    coords = _entry(points, boxes, d)
+    coords = _entry(points, boxes, d, Box)
     if d < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
     root = _box_node(coords, boxes, b, 0, d)
@@ -360,7 +362,7 @@ def curtain_audit(points: list[Point], curtains: list[Curtain],
     A curtain crossing the median boundary is counted at the node (inside a
     slab it constrains like a wedge); curtains confined to one half recurse.
     """
-    root = _curtain_node(_entry(points, curtains, 2), curtains, 0)
+    root = _curtain_node(_entry(points, curtains, 2, Curtain), curtains, 0)
     total = root.subtree_total()
     return RecursionReport("curtain", 2, k, total, root)
 

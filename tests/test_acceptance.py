@@ -15,10 +15,10 @@ import pytest
 from kkfree import generators as gens
 from kkfree.dyadic import canonical_decomposition, ceil_log2
 from kkfree.extremal import elekes_grid
-from kkfree.fat import (build_curtain_structure, build_fat_structure,
-                        centroid_square_with_members, curtain_query,
-                        diameter_sq_of, fat_query, shift_align)
-from kkfree.fat.quadtree import MAX_LEVEL
+from kkfree.fat import (SHIFTS, build_curtain_structure, build_fat_structure,
+                        centroid_square, curtain_query, diameter_sq_of,
+                        fat_query)
+from kkfree.fat.quadtree import MAX_LEVEL, aligned_shift_index, cell_key
 from kkfree.geometry import (Ball, Hyperplane, Line2, Point, contains,
                              dualize, lift, lift_ball, point_above)
 from kkfree.incidence import (BicliqueCover, IncidenceGraph, build_box_cover,
@@ -493,20 +493,22 @@ def test_c10_centroid_shift():
         h = F(rng.randint(1, 2 ** 13), 2 ** 23)
         bbox = (x, y, x + w, y + h)
         d2 = diameter_sq_of([(x, y), (x + w, y + h)])
-        shift = shift_align(bbox, d2)  # raises on failure
-        assert shift in (F(0), F(1, 3), F(2, 3))
+        idx = aligned_shift_index(bbox, d2)
+        assert idx is not None and SHIFTS[idx] in (F(0), F(1, 3), F(2, 3))
     for trial in range(10_000):
         n = rng.randint(1, 40)
         pts = [(F(rng.randint(0, 2 ** 16 - 1), 2 ** 16),
                 F(rng.randint(0, 2 ** 16 - 1), 2 ** 16)) for _ in range(n)]
-        sq, inside = centroid_square_with_members(pts)
+        sq, inside = centroid_square(pts)
         outside = n - len(inside)
         assert 5 * outside <= 4 * n, trial          # <= 4n/5 outside
         assert 5 * len(inside) >= n, trial          # >= n/5 inside
         if sq.level < MAX_LEVEL:
+            # Integer cell keys at the child's level, as the build uses.
+            keys = [tuple(cell_key(c.numerator, c.denominator, sq.level + 1)
+                          for c in p) for p in pts]
             for child in sq.children():
-                assert 5 * sum(1 for p in pts
-                               if child.contains_xy(*p)) < n
+                assert 5 * keys.count((child.i, child.j)) < n
     _report("C10 centroid + shift", True,
             "10^4 shift alignments and 10^4 centroid splits, all within "
             "guarantees")

@@ -88,6 +88,29 @@ def test_census_schedule(tmp_path, capsys):
     assert (tmp_path / "schedule.csv").exists()
 
 
+def test_census_schedule_defaults_k_to_two(tmp_path, capsys):
+    assert run(["census", "schedule", "--m", 64], tmp_path) == 0
+    assert capsys.readouterr().out.startswith("thresholds=[4, ")
+    assert "# k=2" in (tmp_path / "schedule.csv").read_text()
+    assert run(["census", "schedule", "--m", 64, "--k", 0], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: k must be >= 1") and out == ""
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: None,
+    lambda p: p.mkdir(),
+    lambda p: p.write_bytes(b"r,reference\n1,\xff\xfe\n"),
+], ids=["missing", "directory", "not-utf8"])
+def test_unreadable_plot_csv_is_a_usage_error(tmp_path, capsys, make):
+    path = tmp_path / "bad.csv"
+    make(path)
+    assert run(["plot", path, "--x", "r", "--y", "reference"], tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read CSV file")
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_reduce_writes_certificate(tmp_path, capsys):
     inst = Instance(3, [pt(1, 2, 3)], [Wedge3(2, 1, 4)], 2)
     path = tmp_path / "w.json"
@@ -291,6 +314,23 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: node budget must be >= 0" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, inst", [
+    (kind, Instance(2, [pt(i, i) for i in range(6)],
+                    [Triangle(pt(0, 0), pt(9, 0), pt(0, 9))], 2))
+    for kind in ("rect", "box", "curtain")
+] + [("interval", Instance(1, [pt(1), pt(5)],
+                           [Halfspace(Hyperplane((), 1), "upper")], 2))],
+    ids=["rect", "box", "curtain", "interval"])
+def test_audit_of_another_range_type_is_a_usage_error(tmp_path, capsys, kind,
+                                                      inst):
+    path = tmp_path / "wrong.json"
+    save_instance(inst, path)
+    assert run(["audit", kind, path], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == "" and [p.name for p in tmp_path.iterdir()] == ["wrong.json"]
 
 
 def _dense_instances(tmp_path):

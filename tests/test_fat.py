@@ -9,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkfree import generators as gens
-from kkfree.errors import InvalidInputError
-from kkfree.fat import (MAX_LEVEL, QuadtreeSquare, alignment_level,
+from kkfree.fat import (MAX_LEVEL, SHIFTS, QuadtreeSquare, alignment_level,
                         build_curtain_structure, build_fat_structure,
-                        centroid_square, centroid_square_with_members,
-                        curtain_query, diameter_sq_of, fat_query, is_aligned,
-                        min_angle, shift_align)
+                        centroid_square, curtain_query, diameter_sq_of,
+                        fat_query, is_aligned)
+from kkfree.fat.quadtree import aligned_shift_index, cell_key
 from kkfree.fat.slanted import QueryStats, SlantedRangeTree
+from kkfree.generators import min_angle
 from kkfree.geometry import Curtain, Triangle, contains, pt
 
 from conftest import reference_contains
@@ -23,6 +23,13 @@ from conftest import reference_contains
 
 def _square_bbox(x, y, w):
     return (x, y, x + w, y + w)
+
+
+def _in_square(sq, p):
+    """Whether the point of ``Fraction`` coordinates lies in the square,
+    by its integer cell keys at the square's level."""
+    return all(cell_key(c.numerator, c.denominator, sq.level) == k
+               for c, k in zip(p, (sq.i, sq.j)))
 
 
 def test_is_aligned_tiny_centered():
@@ -73,14 +80,14 @@ def test_shift_align_always_succeeds(rng):
         w = F(rng.randint(1, 2 ** 12), 2 ** 22)
         bb = (x, y, x + w, y + w)
         d2 = diameter_sq_of([(x, y), (x + w, y + w)])
-        shift = shift_align(bb, d2)
-        assert shift in (F(0), F(1, 3), F(2, 3))
+        idx = aligned_shift_index(bb, d2)
+        assert idx is not None and SHIFTS[idx] in (F(0), F(1, 3), F(2, 3))
 
 
 def test_centroid_single_point():
-    sq = centroid_square([(F(1, 3), F(2, 3))])
+    sq, _ = centroid_square([(F(1, 3), F(2, 3))])
     assert sq.level == MAX_LEVEL
-    assert sq.contains_xy(F(1, 3), F(2, 3))
+    assert _in_square(sq, (F(1, 3), F(2, 3)))
 
 
 def test_centroid_cluster():
@@ -88,11 +95,11 @@ def test_centroid_cluster():
     # into the cluster quadrant's subtree and isolates a point there.
     cluster = [(F(1, 16) + F(i, 256), F(1, 16)) for i in range(4)]
     pts = cluster + [(F(7, 8), F(7, 8))]
-    sq, inside = centroid_square_with_members(pts)
+    sq, inside = centroid_square(pts)
     assert sq.x0 < F(1, 2) and sq.y0 < F(1, 2)  # inside that quadrant
     assert len(inside) >= 1
     assert all((x, y) in cluster for x, y in inside)
-    assert not sq.contains_xy(F(7, 8), F(7, 8))
+    assert not _in_square(sq, (F(7, 8), F(7, 8)))
 
 
 def test_centroid_balance(rng):
@@ -100,11 +107,11 @@ def test_centroid_balance(rng):
         n = rng.randint(1, 120)
         pts = [(F(rng.randint(0, 2 ** 20), 2 ** 20),
                 F(rng.randint(0, 2 ** 20), 2 ** 20)) for _ in range(n)]
-        sq, inside = centroid_square_with_members(pts)
+        sq, inside = centroid_square(pts)
         assert 5 * len(inside) >= n          # at least n/5 inside
         assert 5 * (n - len(inside)) <= 4 * n  # at most 4n/5 outside
         for child in sq.children():
-            cnt = sum(1 for p in pts if child.contains_xy(*p))
+            cnt = sum(1 for p in pts if _in_square(child, p))
             assert 5 * cnt < n or sq.level == MAX_LEVEL
 
 
@@ -158,7 +165,7 @@ def test_centroid_matches_fraction_reference(pool, data, max_level):
     # Drawing the points from a small pool makes duplicates common, and a
     # small cap stops duplicate-heavy inputs above their separating level.
     pts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
-    sq, inside = centroid_square_with_members(pts, max_level)
+    sq, inside = centroid_square(pts, max_level)
     (level, i, j), want = _reference_centroid(pts, max_level)
     assert (sq.level, sq.i, sq.j) == (level, i, j)
     assert inside == want
@@ -367,19 +374,62 @@ def test_fat_structure_empty_region():
     assert got == []
 
 
-def test_fat_rejects_thin_queries():
-    pts = [pt(0, 0), pt(1, 1)]
-    s = build_fat_structure(pts, delta=math.pi / 6)
+def _thin_triangle(rng, span):
+    """A triangle whose third vertex is at most one unit per axis off the
+    segment between the first two, so it is thin (or of zero area)."""
+    ax, ay = rng.randint(-span, span), rng.randint(-span, span)
+    bx, by = rng.randint(-span, span), rng.randint(-span, span)
+    t = F(rng.randint(0, 64), 64)
+    cx = ax + t * (bx - ax) + F(rng.randint(-64, 64), 64)
+    cy = ay + t * (by - ay) + F(rng.randint(-64, 64), 64)
+    return Triangle(pt(ax, ay), pt(bx, by), pt(cx, cy))
+
+
+def _collinear_triangle(rng, span):
+    ax, ay = rng.randint(-span, span), rng.randint(-span, span)
+    dx, dy = rng.randint(-9, 9), rng.randint(-9, 9)
+    s, t = rng.randint(-40, 40), rng.randint(-40, 40)
+    return Triangle(pt(ax, ay), pt(ax + s * dx, ay + s * dy),
+                    pt(ax + t * dx, ay + t * dy))
+
+
+def test_fat_answers_thin_and_zero_area_queries(rng):
+    # There is no fatness gate: every triangle, however thin, is answered
+    # exactly; only the work bound assumes a fat query.
+    pts = [pt(0, 0), pt(1, 1), pt(50, 0), pt(100, 0), pt(100, 1), pt(99, 1),
+           pt(100, 2), pt(50, 1)]
+    s = build_fat_structure(pts)
     sliver = Triangle(pt(0, 0), pt(100, 0), pt(100, 1))
-    with pytest.raises(InvalidInputError):
-        fat_query(s, sliver)
+    assert min_angle(sliver) < 0.01
+    got, _ = fat_query(s, sliver)
+    assert got == [i for i, p in enumerate(pts)
+                   if reference_contains(sliver, p)]
+    assert got == [0, 2, 3, 4]
+    hits = 0
+    for trial in range(20):
+        # Random lattice points plus points on y = 2x, which the last,
+        # zero-area query runs along.
+        span = rng.choice([10, 60, 250])
+        pts = gens.random_points(rng, rng.randint(1, 150), 2, span)
+        pts += [pt(i, 2 * i) for i in range(-span // 2, span // 2, 3)]
+        s = build_fat_structure(pts)
+        queries = ([_thin_triangle(rng, span) for _ in range(6)]
+                   + [_collinear_triangle(rng, span) for _ in range(4)]
+                   + [Triangle(pt(-span, -2 * span), pt(span, 2 * span),
+                               pt(0, 0))])
+        for tri in queries:
+            got, _ = fat_query(s, tri)
+            want = [i for i, p in enumerate(pts) if reference_contains(tri, p)]
+            assert got == want, (trial, tri)
+            hits += len(want)
+    assert hits > 100
 
 
 def test_fat_zero_area_query_takes_no_apex_path():
-    # A collinear query admitted by a tiny fatness bound: every node's apex
-    # lies in it, but it has no apex cells; the leaf tests decide.
+    # A collinear query: every node's apex lies in it, but it has no apex
+    # cells; the leaf tests decide.
     pts = [pt(i, i) for i in range(200)] + [pt(i, 0) for i in range(200)]
-    s = build_fat_structure(pts, delta=1e-12)
+    s = build_fat_structure(pts)
     tri = Triangle(pt(-5, -5), pt(300, 300), pt(100, 100))
     got, stats = fat_query(s, tri)
     want = [i for i, p in enumerate(pts) if contains(tri, p)]

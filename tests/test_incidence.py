@@ -7,7 +7,7 @@ import pytest
 from kkfree import generators as gens
 from kkfree.errors import InvalidInputError, NotApplicableError
 from kkfree.extremal import elekes_grid
-from kkfree.geometry import box2, interval, pt
+from kkfree.geometry import Ball, Halfspace, Hyperplane, box2, interval, pt
 from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
                               IncidenceGraph, KkkResult, build_box_cover,
                               cover_bound, find_kkk, incidences_bruteforce,
@@ -340,6 +340,15 @@ def test_interval_audit_rejects_kkk():
     with pytest.raises(NotApplicableError) as err:
         interval_audit(pts, boxes, 2)
     assert err.value.witness is not None
+
+
+def test_interval_audit_rejects_other_range_types():
+    # One-dimensional, so only the type tells them from intervals.
+    pts = [pt(1), pt(5)]
+    for bad in (Halfspace(Hyperplane((), 1), "upper"), Ball(pt(0), 4)):
+        for ranges in ([bad], [interval(0, 2), bad]):
+            with pytest.raises(InvalidInputError, match="needs intervals"):
+                interval_audit(pts, ranges, 2)
 
 
 def test_interval_audit_randomized(rng):

@@ -236,6 +236,19 @@ def test_schedule_fat_small_constant_plus_logstar():
     assert len(s) <= 6 + iterated_log2(2 ** 16)
 
 
+@pytest.mark.parametrize("c", [1, 0, -3])
+def test_schedule_general_rejects_c_below_two(c):
+    # c = 1 divides by c - 1; c <= 0 would grow by one per step.
+    with pytest.raises(InvalidInputError, match="c >= 2"):
+        census_schedule(2, 64, "general", c)
+
+
+def test_schedule_general_c_two():
+    s = census_schedule(2, 64, "general", 2)
+    assert s.thresholds == (4, 8, 16, 256)
+    assert census_schedule(2, 64, "fat", 1).thresholds[-1] >= 64
+
+
 def test_schedule_rejects_small_m():
     with pytest.raises(InvalidInputError):
         census_schedule(4, 7)

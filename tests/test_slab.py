@@ -6,7 +6,8 @@ import pytest
 
 from kkfree import generators as gens
 from kkfree.errors import DimensionMismatchError, InvalidInputError
-from kkfree.geometry import Box, Curtain, box2, pt
+from kkfree.geometry import (Box, Curtain, Halfspace, Hyperplane, Triangle,
+                             box2, pt)
 from kkfree.incidence import incidences_bruteforce
 from kkfree.slab import box_audit, curtain_audit, rect_audit
 
@@ -189,6 +190,22 @@ def test_empty_leaf_charges_every_range():
         assert root.charged == root.m > 0
     assert box_audit([], boxes, 2, 2).root.dim == 3
     assert box_audit([pt(1, 2, 3)], [], 2, 2).root.charged == 0
+
+
+@pytest.mark.parametrize("audit, good", [
+    (lambda p, r: rect_audit(p, r, 2, 2), box2(0, 5, 0, 5)),
+    (lambda p, r: box_audit(p, r, 2, 2), box2(0, 5, 0, 5)),
+    (lambda p, r: curtain_audit(p, r, 2), Curtain(1, 0, None, 3)),
+], ids=["rect", "box", "curtain"])
+def test_audits_reject_other_range_types(audit, good):
+    # Planar ranges of the wrong type pass every dimension check; each one,
+    # also after a range of the right type, is rejected at entry.
+    pts = [pt(i, 2 * i) for i in range(6)]
+    for bad in (Halfspace(Hyperplane((1,), 0), "upper"),
+                Triangle(pt(0, 0), pt(4, 0), pt(0, 4))):
+        for ranges in ([bad], [good, bad]):
+            with pytest.raises(InvalidInputError, match="is not a"):
+                audit(pts, ranges)
 
 
 def _pinned_audit(name, seed):
