@@ -58,7 +58,7 @@ def verify_favorable(points: list[Point], boxes: list[Box],
                      threshold: int) -> FavorabilityVerdict:
     graph = incidences_bruteforce(points, boxes)
     for j in range(len(boxes)):
-        if len(graph.points_in_range(j)) < threshold:
+        if len(graph.rows[j]) < threshold:
             return FavorabilityVerdict(False, 1, (j,))
     pair = find_kkk(graph, 2)
     if pair.found:

@@ -3,17 +3,21 @@ covers, and the 1D interval-bound audit."""
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
+from operator import add, and_, eq, ge, le, lt, mul
+from typing import Sequence
 
 from .dyadic import canonical_decomposition
 from .errors import (InvalidInputError, NotApplicableError,
                      UnknownVerdictError)
-from .geometry import (Box, Halfspace, Line2, LinearHalfspace, Point,
-                       Polyhedron, Range, Wedge3, compile_ranges,
-                       linear_constraints, linear_test, predicate, x_extent)
+from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace,
+                       Point, Polyhedron, Range, Wedge2, Wedge3, _integer_form,
+                       compile_ranges, linear_constraints, linear_test,
+                       predicate, x_extent)
 from .packed import pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -21,79 +25,100 @@ DEFAULT_NODE_BUDGET = 200_000
 
 @dataclass
 class IncidenceGraph:
-    """Bipartite edge set over point indices x range indices."""
+    """Bipartite incidences of n points and m ranges, as one row per range.
+
+    ``rows[j]`` is the strictly ascending list of the indices of the points
+    in range j.  ``edges``, the ``(i, j)`` pairs, and the frozensets of
+    ``points_in_range`` and ``ranges_of_point`` are derived from the rows on
+    first use.
+    """
 
     n: int
     m: int
-    edges: frozenset[tuple[int, int]]
+    rows: Sequence[list[int]]
 
     def __post_init__(self):
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.m):
-                raise InvalidInputError(f"edge ({i},{j}) out of bounds")
-        self._points_by_range: list[frozenset[int]] | None = None
-        self._ranges_by_point: list[frozenset[int]] | None = None
+        self.rows = tuple(self.rows)
+        if len(self.rows) != self.m:
+            raise InvalidInputError(
+                f"{len(self.rows)} rows for {self.m} ranges")
+        for j, row in enumerate(self.rows):
+            if row and not (0 <= row[0] and row[-1] < self.n
+                            and all(map(lt, row, row[1:]))):
+                raise InvalidInputError(
+                    f"row {j} is not an ascending list of distinct point "
+                    f"indices in [0, {self.n})")
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.rows))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset((i, j) for j, row in enumerate(self.rows)
+                         for i in row)
 
     def points_in_range(self, j: int) -> frozenset[int]:
-        if self._points_by_range is None:
-            buckets: list[set[int]] = [set() for _ in range(self.m)]
-            for i, jj in self.edges:
-                buckets[jj].add(i)
-            self._points_by_range = [frozenset(b) for b in buckets]
-        return self._points_by_range[j]
+        return self._point_sets[j]
 
     def ranges_of_point(self, i: int) -> frozenset[int]:
-        if self._ranges_by_point is None:
-            buckets: list[set[int]] = [set() for _ in range(self.n)]
-            for ii, j in self.edges:
-                buckets[ii].add(j)
-            self._ranges_by_point = [frozenset(b) for b in buckets]
-        return self._ranges_by_point[i]
+        return self._range_sets[i]
+
+    @cached_property
+    def _point_sets(self) -> list[frozenset[int]]:
+        return list(map(frozenset, self.rows))
+
+    @cached_property
+    def _range_sets(self) -> list[frozenset[int]]:
+        buckets: list[list[int]] = [[] for _ in range(self.n)]
+        for j, row in enumerate(self.rows):
+            for i in row:
+                buckets[i].append(j)
+        return list(map(frozenset, buckets))
 
 
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
     """The defining oracle: every (point, range) pair, decided exactly.
 
     Dimensions are checked once per instance and each range is compiled
-    once.  A halfspace, linear halfspace, polyhedron or ``Wedge3`` is a
+    once; each range gives its row, the ascending indices of its points.
+    A halfspace, linear halfspace, polyhedron or ``Wedge3`` is a
     conjunction of integer ``geometry.linear_constraints``; on integer
     points it is decided for every point at once by its packed row
     (``packed.PackedColumns``), with the point columns packed once per
     call.  On points with a ``Fraction`` coordinate, or when a pack would
     be far larger than the columns, its per-point test decides each point.
-    Lines, boxes, curtains, triangles, balls and ``Wedge2`` go through an
-    exact candidate index that drops only pairs that cannot be edges: a
-    range with an x-extent (``geometry.x_extent``) tests the points whose
-    coordinate 0 lies in it, found by bisecting the points sorted by that
-    coordinate, and a 2D line tests the points at ``(x, a x + b)`` for each
-    distinct x, when there are fewer distinct x than points.  The compiled
-    predicate decides each candidate.
+    Every other range goes through an exact candidate index over the points
+    sorted by coordinate 0, which drops only pairs that cannot be edges.
+    A range with an x-extent (``geometry.x_extent``) bisects to the slice
+    of points whose coordinate 0 lies in it, which settles that coordinate.
+    Over the slice, a box compares each other bounded side with its
+    coordinate column, and a curtain or ``Wedge2`` tests ``L y <= A x + B``
+    on the x and y columns, with ``(L, A, B)`` cleared to integers once by
+    ``geometry._integer_form``; both are chained ``map`` calls over the
+    slice's columns, with no Python loop per point.  A triangle or
+    ball tests each point of its slice with its compiled predicate.  A 2D
+    line tests the points at ``(x, a x + b)`` for each distinct x, when
+    there are fewer distinct x than points, else every point.
     """
     coords, compiled = compile_ranges(points, ranges, _compile)
+    if not coords:
+        return IncidenceGraph(0, len(ranges), [[] for _ in compiled])
     packed = False  # packed on the first linear range
-    candidates = _CandidateIndex(coords)
-    edges = set()
-    for j, (r, test) in enumerate(zip(ranges, compiled)):
-        if not coords:
-            continue
+    index = _CandidateIndex(coords)
+    rows = []
+    for r, test in zip(ranges, compiled):
         if isinstance(test, list):  # linear constraints
             if packed is False:
                 packed = pack_columns(coords)
             hits = None if packed is None else packed.hits(test)
-            if hits is not None:
-                edges.update(zip(hits, itertools.repeat(j)))
-                continue
-            test = linear_test(test)
-        cand = candidates.of(r)
-        if cand is None:
-            edges.update((i, j) for i, c in enumerate(coords) if test(c))
+            if hits is None:
+                hits = list(compress(range(len(coords)),
+                                     map(linear_test(test), coords)))
+            rows.append(hits)
         else:
-            edges.update((i, j) for i in cand if test(coords[i]))
-    return IncidenceGraph(len(points), len(ranges), frozenset(edges))
+            rows.append(index.row(r, test))
+    return IncidenceGraph(len(points), len(ranges), rows)
 
 
 _LINEAR = (Halfspace, LinearHalfspace, Polyhedron, Wedge3)
@@ -101,33 +126,79 @@ _LINEAR = (Halfspace, LinearHalfspace, Polyhedron, Wedge3)
 
 def _compile(r: Range):
     # The oracle's compiled form of r: its linear constraints for a type
-    # decided by packed rows, else the containment predicate.
+    # decided by packed rows, None for a column-scanned box, the cleared
+    # (L, A, B) of L y <= A x + B for a curtain or Wedge2, else the
+    # containment predicate.
     if isinstance(r, _LINEAR):
         return linear_constraints(r)
+    if isinstance(r, Box):
+        return None
+    if isinstance(r, (Curtain, Wedge2)):
+        return _integer_form((1, r.a, r.b))
     return predicate(r)
 
 
 class _CandidateIndex:
-    """Point indices sorted by coordinate 0 and, built on the first line,
-    the distinct x values and a coordinate -> indices map."""
+    """Point indices sorted by coordinate 0, the coordinate tuples and
+    columns in that order and, built on the first line, the distinct x
+    values and a coordinate -> indices map."""
 
     def __init__(self, coords: list[tuple]):
         self.coords = coords
         self.by_x = sorted(range(len(coords)), key=lambda i: coords[i][0])
-        self.xs = [coords[i][0] for i in self.by_x]
+        self.sorted_coords = list(map(coords.__getitem__, self.by_x))
+        self.columns = list(zip(*self.sorted_coords))
+        self.xs = self.columns[0]
         self.lookup: tuple | None = None
 
-    def of(self, r: Range) -> list[int] | None:
-        """Indices of the points that may lie in r, or None for all."""
+    def row(self, r: Range, test) -> list[int]:
+        """The ascending indices of the points in r; ``test`` is r's form
+        from ``_compile``."""
+        if isinstance(r, Box):
+            return self._box(r)
+        if isinstance(r, Curtain):
+            return self._curtain(test, r.lo, r.hi)
+        if isinstance(r, Wedge2):
+            return self._curtain(test, None, r.c)
         if isinstance(r, Line2):
-            return self._on_line(r)
-        extent = x_extent(r)
-        if extent is None:
-            return None
-        lo, hi = extent
+            cand = self._on_line(r)
+            if cand is not None:
+                return sorted(compress(cand, map(
+                    test, map(self.coords.__getitem__, cand))))
+        else:
+            extent = x_extent(r)
+            if extent is not None:
+                start, stop = self._slice(*extent)
+                return sorted(compress(self.by_x[start:stop], map(
+                    test, self.sorted_coords[start:stop])))
+        return list(compress(range(len(self.coords)), map(test, self.coords)))
+
+    def _slice(self, lo, hi) -> tuple[int, int]:
+        # [start, stop) holds exactly the points with lo <= x <= hi.
         start = 0 if lo is None else bisect_left(self.xs, lo)
         stop = len(self.xs) if hi is None else bisect_right(self.xs, hi)
-        return self.by_x[start:stop]
+        return start, stop
+
+    def _box(self, r: Box) -> list[int]:
+        start, stop = self._slice(r.lows[0], r.highs[0])
+        keep = None
+        for col, lo, hi in zip(self.columns[1:], r.lows[1:], r.highs[1:]):
+            for bound, op in ((lo, le), (hi, ge)):
+                if bound is not None:
+                    side = map(op, repeat(bound), col[start:stop])
+                    keep = side if keep is None else map(and_, keep, side)
+        cand = self.by_x[start:stop]
+        return sorted(cand if keep is None else compress(cand, keep))
+
+    def _curtain(self, form: tuple[int, int, int], lo, hi) -> list[int]:
+        # L y <= A x + B, with L >= 1, is y <= a x + b.
+        scale, a, b = form
+        start, stop = self._slice(lo, hi)
+        xs, ys = (col[start:stop] for col in self.columns)
+        if scale != 1:
+            ys = map(mul, repeat(scale), ys)
+        below = map(le, ys, map(add, map(mul, repeat(a), xs), repeat(b)))
+        return sorted(compress(self.by_x[start:stop], below))
 
     def _on_line(self, r: Line2) -> list[int] | None:
         if self.lookup is None:
@@ -205,8 +276,9 @@ def find_kkk(graph: IncidenceGraph, k: int,
     if graph.m < k or graph.n < k:
         return KkkResult("free")
     if k == 1:
-        if graph.edges:
-            i, j = min(graph.edges)
+        firsts = [(row[0], j) for j, row in enumerate(graph.rows) if row]
+        if firsts:
+            i, j = min(firsts)
             return KkkResult("found", (i,), (j,))
         return KkkResult("free")
 
@@ -228,7 +300,7 @@ def find_kkk(graph: IncidenceGraph, k: int,
             if need == 1:
                 return (tuple(sorted(new)[:k]),
                         tuple(order[c] for c in chosen) + (order[q],))
-            shared = Counter(itertools.chain.from_iterable(
+            shared = Counter(chain.from_iterable(
                 ranges_of[i][bisect_right(ranges_of[i], q):] for i in new))
             hit = search(chosen + [q], new,
                          sorted(c for c, t in shared.items() if t >= k))
@@ -256,14 +328,14 @@ def _kk_core(graph: IncidenceGraph, k: int):
     order; the peel then repeatedly drops points in fewer than k live
     ranges and ranges holding fewer than k live points.  Returns that
     order, the ascending positions of the core ranges in it, each core
-    range's set of core points (by position) and each point's ascending
-    range positions.  A dropped range shares fewer than k points with the
-    core, so it never counts as a child.
+    range's set of core points (by position; ``None`` for a dropped range)
+    and each point's ascending range positions.  A dropped range shares
+    fewer than k points with the core, so it never counts as a child.
     """
-    point_sets = [graph.points_in_range(j) for j in range(graph.m)]
-    order = sorted((j for j in range(graph.m) if len(point_sets[j]) >= k),
-                   key=lambda j: (len(point_sets[j]), j))
-    range_points = [point_sets[j] for j in order]
+    rows = graph.rows
+    order = sorted((j for j in range(graph.m) if len(rows[j]) >= k),
+                   key=lambda j: (len(rows[j]), j))
+    range_points = [rows[j] for j in order]
     ranges_of: list[list[int]] = [[] for _ in range(graph.n)]
     for q, pts in enumerate(range_points):
         for i in pts:
@@ -287,11 +359,12 @@ def _kk_core(graph: IncidenceGraph, k: int):
                             alive[x] = False
                             newly_dead.append(x)
     core = [q for q, a in enumerate(range_alive) if a]
-    live_points = list(range_points)
+    live_points: list[frozenset[int] | None] = [None] * len(order)
     for q in core:
-        if range_deg[q] < len(range_points[q]):
-            live_points[q] = frozenset(i for i in range_points[q]
-                                       if point_alive[i])
+        pts = range_points[q]
+        if range_deg[q] < len(pts):
+            pts = compress(pts, map(point_alive.__getitem__, pts))
+        live_points[q] = frozenset(pts)
     return order, core, live_points, ranges_of
 
 
@@ -328,10 +401,14 @@ class BicliqueCover:
 
 def verify_cover(cover: BicliqueCover, graph: IncidenceGraph) -> bool:
     """True iff the union of products equals the edge set exactly."""
+    covered: list[set[int]] = [set() for _ in range(graph.m)]
     for a, b in cover.pairs:
-        if any(i >= graph.n for i in a) or any(j >= graph.m for j in b):
+        if (any(not 0 <= i < graph.n for i in a)
+                or any(not 0 <= j < graph.m for j in b)):
             raise InvalidInputError("cover index out of bounds")
-    return cover.flatten() == graph.edges
+        for j in b:
+            covered[j].update(a)
+    return all(map(eq, map(sorted, covered), map(list, graph.rows)))
 
 
 @dataclass(frozen=True)
@@ -521,7 +598,6 @@ def shatter_trace_count(points: list[Point], ranges: list[Range],
                         k: int | None = None) -> ShatterCount:
     """Count distinct traces {P ∩ f : f in F}; with k, also the number of
     ranges containing more than k points."""
-    graph = incidences_bruteforce(points, ranges)
-    traces = [graph.points_in_range(j) for j in range(graph.m)]
-    heavy = None if k is None else sum(len(t) > k for t in traces)
-    return ShatterCount(len(set(traces)), heavy)
+    rows = incidences_bruteforce(points, ranges).rows
+    heavy = None if k is None else sum(len(row) > k for row in rows)
+    return ShatterCount(len(set(map(tuple, rows))), heavy)

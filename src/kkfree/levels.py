@@ -10,8 +10,10 @@ reading stays visible in audit output.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
@@ -130,9 +132,8 @@ def census_rows(graph: IncidenceGraph, k: int, rs: Sequence[Rat],
     if any(not 1 <= Fraction(r) <= Fraction(m, 2 * k) for r in rs):
         raise InvalidInputError("need 1 <= r <= m/(2k)")
     require_free(graph, k, node_budget)
-    values = [0] * graph.n
-    for i, _ in graph.edges:
-        values[i] += 1
+    degrees = Counter(chain.from_iterable(graph.rows))
+    values = [degrees[i] for i in range(graph.n)]
     rows = []
     for r in rs:
         observed, closed = _band_counts(values, m, r)
@@ -207,7 +208,8 @@ def census_schedule(k: int, m: int, mode: str = "general",
     fat: double for max(1, ceil(3*log2(log2 k))) steps, then t -> 2^sqrt(t/k)
     until >= m.  Both phases force strict increase at small scales, where the
     raw recurrences are non-monotone (the tower step only dominates doubling
-    once t/k exceeds log^2 of t).
+    once t/k exceeds log^2 of t).  c must be >= 2 in both modes, though
+    only general reads it.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -215,8 +217,8 @@ def census_schedule(k: int, m: int, mode: str = "general",
         raise InvalidInputError("need m >= 2k")
     if mode not in ("general", "fat"):
         raise InvalidInputError(f"unknown schedule mode: {mode!r}")
-    if mode == "general" and c < 2:
-        raise InvalidInputError(f"general schedule needs c >= 2: {c}")
+    if c < 2:
+        raise InvalidInputError(f"schedule needs c >= 2: {c}")
     t = 2 * k
     out = [t]
     if mode == "general":

@@ -45,10 +45,11 @@ class Reduction:
         src = incidences_bruteforce(self.source_points, self.source_ranges)
         tgt = incidences_bruteforce(self.target_points, self.target_ranges)
         if self.certificate.swapped_sides:
-            expected = frozenset((j, i) for i, j in src.edges)
+            expected = tuple(sorted(src.ranges_of_point(i))
+                             for i in range(src.n))
         else:
-            expected = src.edges
-        self.certificate.verified = (expected == tgt.edges)
+            expected = src.rows
+        self.certificate.verified = (expected == tgt.rows)
         return self.certificate.verified
 
 

@@ -421,9 +421,8 @@ def test_c08_shallow_census_trend():
         # The numpy matrix stands in for the oracle graph; census_rows runs
         # its own K_{2,2} search on it and reads the levels as degrees.
         m = len(halfplanes)
-        rows_i, cols_j = np.nonzero(contained)
-        graph = IncidenceGraph(n, m, frozenset(
-            zip(rows_i.tolist(), cols_j.tolist())))
+        graph = IncidenceGraph(n, m, [np.flatnonzero(col).tolist()
+                                      for col in contained.T])
         sweep = [2 ** e for e in range(1, exp - 1)]  # 2, 4, ..., m/(2k)
         rows = census_rows(graph, k, sweep, lambda r: r)
         assert [row.observed for row in rows] == [

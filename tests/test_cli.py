@@ -111,6 +111,36 @@ def test_unreadable_plot_csv_is_a_usage_error(tmp_path, capsys, make):
     assert not (tmp_path / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("axis", ["--x", "--y"])
+def test_plot_of_a_missing_column_is_a_usage_error(tmp_path, capsys, axis):
+    path = tmp_path / "t.csv"
+    path.write_text("# n=4\nr,reference\n2,4\n4,8\n")
+    names = {"--x": "r", "--y": "reference", axis: "nosuch"}
+    args = ["plot", path, "--x", names["--x"], "--y", names["--y"]]
+    assert run(args, tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: CSV has no column 'nosuch'; columns: r, reference\n"
+    assert out == "" and not (tmp_path / "plot.svg").exists()
+
+
+def test_plot_skips_a_short_row(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("r,reference\n2,4\n4\n8,16\n")
+    assert run(["plot", path, "--x", "r", "--y", "reference"], tmp_path) == 0
+    assert (tmp_path / "plot.svg").read_text().startswith("<svg")
+
+
+def test_census_schedule_rejects_c_below_two_in_fat_mode(tmp_path, capsys):
+    assert run(["census", "schedule", "--mode", "fat", "--c", -5,
+                "--m", 64], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: schedule needs c >= 2") and out == ""
+    assert not (tmp_path / "schedule.csv").exists()
+    assert run(["census", "schedule", "--mode", "fat", "--c", 2,
+                "--m", 64], tmp_path) == 0
+    assert capsys.readouterr().out.startswith("thresholds=[4, 8, 16, 32, 64]")
+
+
 def test_reduce_writes_certificate(tmp_path, capsys):
     inst = Instance(3, [pt(1, 2, 3)], [Wedge3(2, 1, 4)], 2)
     path = tmp_path / "w.json"

@@ -547,6 +547,19 @@ def test_integer_points_run_no_fraction_arithmetic():
     assert any(map(any, got)) and not all(map(all, got))
 
 
+def test_curtain_scan_runs_no_fraction_arithmetic(rng):
+    # Rational a, b are cleared to integers once per range: on integer
+    # points only their numerators and denominators are read.
+    points = [pt(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(80)]
+    ranges = [Curtain(F(1, 3), F(-1, 2), -2, 3), Curtain(F(-5, 2), 1, None, 0),
+              Wedge2(F(-2, 5), F(7, 4), 1), Curtain(2, 1, None, None)]
+    graph, called = _fraction_calls(
+        lambda: incidences_bruteforce(points, ranges))
+    assert set(called) <= {"numerator", "denominator"}
+    assert graph.edges == brute_edges(points, ranges)
+    assert 0 < graph.edge_count < len(points) * len(ranges)
+
+
 # ---------------------------------------------------------------------------
 # linear constraints decided by packed rows over the point columns
 

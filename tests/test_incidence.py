@@ -1,13 +1,18 @@
 import gc
 import itertools
 import random
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kkfree import generators as gens
 from kkfree.errors import InvalidInputError, NotApplicableError
 from kkfree.extremal import elekes_grid
-from kkfree.geometry import Ball, Halfspace, Hyperplane, box2, interval, pt
+from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
+                             LinearHalfspace, Point, Polyhedron, Triangle,
+                             Wedge2, box2, interval, pt)
 from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
                               IncidenceGraph, KkkResult, build_box_cover,
                               cover_bound, find_kkk, incidences_bruteforce,
@@ -25,6 +30,109 @@ def test_oracle_single_edge():
 def test_oracle_disjoint_regions():
     g = incidences_bruteforce([pt(10, 10)], [box2(-1, 1, -1, 1)])
     assert g.edge_count == 0
+
+
+# ---------------------------------------------------------------------------
+# oracle rows: boxes, curtains and Wedge2 decided by column scans
+
+# Few distinct values, so points share x and lie on the ranges' sides.
+coordinate = st.one_of(st.integers(-3, 3),
+                       st.fractions(min_value=-3, max_value=3,
+                                    max_denominator=3))
+# Range constants reach past the points, so some slices are empty.
+constant = st.one_of(st.integers(-5, 5),
+                     st.fractions(min_value=-5, max_value=5,
+                                  max_denominator=4))
+
+
+def _points(data, d):
+    return data.draw(st.lists(st.tuples(*[coordinate] * d).map(Point),
+                              min_size=1, max_size=14))
+
+
+def _bound(data, values):
+    """None (an open side), one of ``values`` (a point on the side), or a
+    constant."""
+    return data.draw(st.one_of(st.none(), st.sampled_from(values), constant))
+
+
+def _assert_rows_match_reference(points, ranges):
+    graph = incidences_bruteforce(points, ranges)
+    assert all(row == sorted(set(row)) for row in graph.rows)
+    assert graph.edges == brute_edges(points, ranges), (points, ranges)
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_box_rows_match_reference(d, data):
+    points = _points(data, d)
+    boxes = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        sides = []
+        for axis in range(d):
+            values = [p[axis] for p in points]
+            lo, hi = _bound(data, values), _bound(data, values)
+            if lo is not None and hi is not None and lo > hi:
+                lo, hi = hi, lo
+            sides.append((lo, hi))
+        boxes.append(Box(*zip(*sides)))
+    _assert_rows_match_reference(points, boxes)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_curtain_and_wedge2_rows_match_reference(data):
+    points = _points(data, 2)
+    xs = [p[0] for p in points]
+    ranges = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        # A boundary line through a drawn point, or anywhere.
+        q = data.draw(st.sampled_from(points))
+        a = data.draw(constant)
+        b = data.draw(st.sampled_from([q[1] - a * q[0], data.draw(constant)]))
+        lo, hi = _bound(data, xs), _bound(data, xs)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        ranges.append(Curtain(a, b, lo, hi))
+        ranges.append(Wedge2(a, b, data.draw(st.one_of(st.sampled_from(xs),
+                                                       constant))))
+    _assert_rows_match_reference(points, ranges)
+
+
+def test_rows_of_every_range_type_ascend():
+    # Duplicate points, Fraction points (the linear types' per-point
+    # fallback) and integer points (their packed rows).
+    rng = random.Random(5)
+    grid = [F(v, 2) for v in range(-6, 7)]
+    for values in (grid, list(range(-3, 4))):
+        points = [pt(rng.choice(values), rng.choice(values))
+                  for _ in range(30)]
+        points += points[:6]
+        ranges = [box2(-1, 2, None, 1), Curtain(F(1, 2), 0, -2, None),
+                  Wedge2(-1, F(1, 3), 1),
+                  Triangle(pt(-3, -3), pt(3, -1), pt(0, 3)),
+                  Ball(pt(0, 0), F(9, 4)), Line2(1, 0),
+                  Halfspace(Hyperplane((F(1, 3),), 0), "upper"),
+                  LinearHalfspace((1, 1), F(1, 2), "ge"),
+                  Polyhedron(((1, -1),), (-1,), (F(3, 2),))]
+        _assert_rows_match_reference(points, ranges)
+
+
+@pytest.mark.parametrize("m, rows", [
+    (1, [[0, 3]]), (1, [[-1, 0]]), (1, [[1, 0]]), (1, [[0, 0, 1]]),
+    (2, [[0], [2, 2]]), (1, [[0], [1]]), (1, []),
+], ids=["past-n", "negative", "descending", "duplicate", "second-row",
+        "extra-row", "missing-row"])
+def test_graph_rejects_malformed_rows(m, rows):
+    with pytest.raises(InvalidInputError):
+        IncidenceGraph(3, m, rows)
+
+
+def test_graph_derives_edges_and_sets_from_rows():
+    graph = IncidenceGraph(3, 2, [[0, 2], []])
+    assert graph.edges == {(0, 0), (2, 0)} and graph.edge_count == 2
+    assert graph.points_in_range(0) == {0, 2}
+    assert graph.ranges_of_point(2) == {0} and graph.ranges_of_point(1) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -47,6 +155,17 @@ def test_find_kkk_simple_witness():
     res = find_kkk(incidences_bruteforce(pts, boxes), 2)
     assert res.found
     assert set(res.points) == {0, 1} and set(res.ranges) == {0, 1}
+
+
+def test_find_kkk_k1_is_the_least_edge():
+    rng = random.Random(41)
+    for _ in range(200):
+        g = _random_graph(rng, 8, 8)
+        res = find_kkk(g, 1)
+        if g.edges:
+            assert res.points + res.ranges == min(g.edges)
+        else:
+            assert res.free
 
 
 def test_find_kkk_too_few_ranges():
@@ -72,8 +191,12 @@ def test_find_kkk_vs_exhaustive(rng):
 def _random_graph(rng, n_max=24, m_max=24):
     n, m = rng.randint(1, n_max), rng.randint(1, m_max)
     density = rng.random() * 0.7
-    return IncidenceGraph(n, m, frozenset(
-        (i, j) for i in range(n) for j in range(m) if rng.random() < density))
+    rows = [[] for _ in range(m)]
+    for i in range(n):
+        for j in range(m):
+            if rng.random() < density:
+                rows[j].append(i)
+    return IncidenceGraph(n, m, rows)
 
 
 def _assert_witness(graph, res, k):

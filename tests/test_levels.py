@@ -246,7 +246,24 @@ def test_schedule_general_rejects_c_below_two(c):
 def test_schedule_general_c_two():
     s = census_schedule(2, 64, "general", 2)
     assert s.thresholds == (4, 8, 16, 256)
-    assert census_schedule(2, 64, "fat", 1).thresholds[-1] >= 64
+    assert census_schedule(2, 64, "fat", 2).thresholds[-1] >= 64
+
+
+@pytest.mark.parametrize("c", [1, 0, -5])
+def test_schedule_fat_rejects_c_below_two(c):
+    # The fat recurrence does not read c, but a c the general mode rejects
+    # is rejected here too.
+    with pytest.raises(InvalidInputError, match="c >= 2"):
+        census_schedule(2, 64, "fat", c)
+
+
+def test_schedule_fat_ignores_a_valid_c():
+    # Thresholds as before the c check was shared by both modes.
+    for c in (2, 4, 9):
+        assert census_schedule(2, 64, "fat", c).thresholds == (4, 8, 16, 32, 64)
+        assert census_schedule(5, 10 ** 6, "fat", c).thresholds == (
+            10, 20, 40, 80, 160, 320, 640, 2546, 10 ** 6)
+        assert census_schedule(1, 2, "fat", c).thresholds == (2,)
 
 
 def test_schedule_rejects_small_m():

@@ -194,6 +194,23 @@ def test_wedge_dual_random(rng):
         assert wedge_dual(pts, wedges).verify()
 
 
+def test_verify_rejects_a_changed_incidence(rng):
+    # One target range moved off its image, with and without swapped sides:
+    # the rows differ, so neither certificate verifies.
+    pts = gens.random_points(rng, 20, 3, 60)
+    red = wedge_dual(pts, gens.random_wedges3(rng, 15, 60))
+    assert red.certificate.swapped_sides and red.verify()
+    assert incidences_bruteforce(red.target_points, red.target_ranges).rows[0]
+    w = red.target_ranges[0]
+    red.target_ranges[0] = type(w)(w.a, w.b - 10 ** 6, w.c)
+    assert not red.verify() and red.certificate.verified is False
+    red = polyhedra_to_boxes([pt(1, 1), pt(2, 2)],
+                             [Polyhedron(((1, 0), (0, 1)), (0, 0), (3, 3))])
+    assert not red.certificate.swapped_sides and red.verify()
+    red.target_points[1] = Point((100, 100))
+    assert not red.verify()
+
+
 def test_wedge_lift_boundary():
     red = wedge_lift([pt(1, 2)], [Wedge2(1, 1, 1)])
     assert red.target_points[0] == pt(1, 2, 1)
