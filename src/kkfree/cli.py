@@ -17,14 +17,13 @@ import math
 import os
 import random
 import sys
-from fractions import Fraction
 
 from . import generators as gens
 from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
                      UnknownVerdictError)
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
-from .geometry import Box, Triangle
+from .geometry import Box, Triangle, as_rat
 from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
                         find_kkk, incidences_bruteforce, interval_audit,
                         verify_cover)
@@ -370,11 +369,9 @@ def _cmd_plot(args) -> int:
             raise InvalidInputError(
                 f"CSV has no column {name!r}; columns: {', '.join(columns)}")
     for row in reader:
-        try:
-            xs_ys.append((float(Fraction(row[args.x])),
-                          float(Fraction(row[args.y]))))
-        except (ValueError, ZeroDivisionError, TypeError):
-            continue
+        x, y = (_plot_value(row, name) for name in (args.x, args.y))
+        if x is not None and y is not None:
+            xs_ys.append((x, y))
     series = [(args.y, xs_ys)]
     if args.overlay:
         formula = BoundFormula(args.overlay, d=args.d, epsilon=args.epsilon)
@@ -385,6 +382,21 @@ def _cmd_plot(args) -> int:
              xlabel=args.x, ylabel=args.y, loglog=not args.linear)
     print(f"wrote {_out_path(args, args.out)}")
     return EXIT_OK
+
+
+def _plot_value(row: dict, name: str) -> float | None:
+    # None for a cell that is missing (a short row), empty or not a number.
+    cell = row[name]
+    if cell is None:
+        return None
+    try:
+        return float(as_rat(cell))
+    except (ValueError, ZeroDivisionError):
+        return None
+    except OverflowError:
+        raise InvalidInputError(
+            f"column {name!r}: {cell[:40]!r} is beyond the float range"
+        ) from None
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
-from math import isqrt, lcm
+from math import lcm
 from operator import mul
-from typing import Callable, Iterator, Sequence, TypeVar, Union
+from typing import Callable, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputError
 
@@ -363,7 +363,6 @@ def norm_sq(coords: tuple[Rat, ...]) -> Rat:
 
 Coords = tuple[Rat, ...]
 Predicate = Callable[[Coords], bool]
-T = TypeVar("T")
 
 
 @singledispatch
@@ -371,8 +370,9 @@ def predicate(r: Range) -> Predicate:
     """Compile r into a closed-containment test on coordinate tuples.
 
     Per-range data is computed once here; the returned closure takes the
-    ``coords`` of a point of dimension ``r.dim`` and checks no dimension, so
-    callers check dimensions once per instance (see ``compile_ranges``).
+    ``coords`` of a point of dimension ``r.dim`` and checks no dimension:
+    its callers do, ``contains`` per call and the oracle
+    (``incidence.incidences_bruteforce``) once per instance.
     """
     raise InvalidInputError(f"unsupported range type: {type(r).__name__}")
 
@@ -549,57 +549,6 @@ def _degenerate_triangle_predicate(r: Triangle) -> Predicate:
 def _(r: Line2) -> Predicate:
     a, b = r.a, r.b
     return lambda c: c[1] == a * c[0] + b
-
-
-def compile_ranges(points: Sequence[Point], ranges: Sequence[Range],
-                   compile_one: Callable[[Range], T] = predicate
-                   ) -> tuple[list[Coords], Iterator[T]]:
-    """The points' coordinate tuples, and an iterator that compiles one
-    range as it is reached (by default into its ``predicate``), so one
-    compiled range lives at a time.
-
-    Dimensions are checked once per instance, not per pair: every point,
-    and every range as it is compiled, must have the first point's dimension.
-    """
-    d = points[0].dim if points else None
-    for idx, p in enumerate(points):
-        if p.dim != d:
-            raise DimensionMismatchError(
-                f"point {idx} has dimension {p.dim}, first point has {d}")
-
-    def compiled() -> Iterator[T]:
-        for idx, r in enumerate(ranges):
-            out = compile_one(r)
-            if d is not None and r.dim != d:
-                raise DimensionMismatchError(
-                    f"range {idx} has dimension {r.dim}, first point has {d}")
-            yield out
-    return [p.coords for p in points], compiled()
-
-
-def x_extent(r: Range) -> tuple[Rat | None, Rat | None] | None:
-    """A closed interval ``(lo, hi)`` holding coordinate 0 of every point
-    of r, ``None`` for an unbounded side; ``None`` when r gives none.
-
-    A ball's half-width is an exact rational upper bound on its radius.
-    """
-    if isinstance(r, Box):
-        return r.lows[0], r.highs[0]
-    if isinstance(r, Curtain):
-        return r.lo, r.hi
-    if isinstance(r, Triangle):
-        xs = [v[0] for v in r.vertices]
-        return min(xs), max(xs)
-    if isinstance(r, Wedge2):
-        return None, r.c
-    if isinstance(r, Ball):
-        # sqrt(p/q) = sqrt(p q)/q < (isqrt(p q) + 1)/q.
-        rsq = Fraction(r.radius_sq)
-        reach = Fraction(isqrt(rsq.numerator * rsq.denominator) + 1,
-                         rsq.denominator)
-        x = r.center[0]
-        return x - reach, x + reach
-    return None
 
 
 def contains(r: Range, p: Point) -> bool:

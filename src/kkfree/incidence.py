@@ -6,19 +6,21 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
+from math import isqrt
 from operator import add, and_, eq, ge, le, lt, mul
 from typing import Sequence
 
 from .dyadic import canonical_decomposition
-from .errors import (InvalidInputError, NotApplicableError,
-                     UnknownVerdictError)
-from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace,
-                       Point, Polyhedron, Range, Wedge2, Wedge3, _integer_form,
-                       compile_ranges, linear_constraints, linear_test,
-                       predicate, x_extent)
-from .packed import pack_columns
+from .errors import (DimensionMismatchError, InvalidInputError,
+                     NotApplicableError, UnknownVerdictError)
+from .geometry import (Ball, Box, Curtain, Halfspace, LinearHalfspace, Point,
+                       Polyhedron, Range, Triangle, Wedge2, Wedge3,
+                       _integer_form, linear_constraints, linear_test,
+                       predicate)
+from .packed import PackedColumns, pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
 
@@ -80,97 +82,109 @@ class IncidenceGraph:
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
     """The defining oracle: every (point, range) pair, decided exactly.
 
-    Dimensions are checked once per instance and each range is compiled
-    once; each range gives its row, the ascending indices of its points.
-    A halfspace, linear halfspace, polyhedron or ``Wedge3`` is a
-    conjunction of integer ``geometry.linear_constraints``; on integer
-    points it is decided for every point at once by its packed row
-    (``packed.PackedColumns``), with the point columns packed once per
+    Every point must have the first point's dimension, and every range,
+    checked before it is decided; else ``DimensionMismatchError``.  Each
+    range gives its row, the ascending indices of its points, from
+    ``_CandidateIndex.row``, which compiles it there, so one compiled
+    range lives at a time.  A halfspace, linear halfspace, polyhedron or
+    ``Wedge3`` is a conjunction of integer ``geometry.linear_constraints``;
+    on integer points it is decided for every point at once by its packed
+    row (``packed.PackedColumns``), with the point columns packed once per
     call.  On points with a ``Fraction`` coordinate, or when a pack would
     be far larger than the columns, its per-point test decides each point.
-    Every other range goes through an exact candidate index over the points
-    sorted by coordinate 0, which drops only pairs that cannot be edges.
-    A range with an x-extent (``geometry.x_extent``) bisects to the slice
-    of points whose coordinate 0 lies in it, which settles that coordinate.
-    Over the slice, a box compares each other bounded side with its
-    coordinate column, and a curtain or ``Wedge2`` tests ``L y <= A x + B``
-    on the x and y columns, with ``(L, A, B)`` cleared to integers once by
-    ``geometry._integer_form``; both are chained ``map`` calls over the
-    slice's columns, with no Python loop per point.  A triangle or
-    ball tests each point of its slice with its compiled predicate.  A 2D
-    line tests the points at ``(x, a x + b)`` for each distinct x, when
-    there are fewer distinct x than points, else every point.
+    Every other range uses the points sorted by coordinate 0, which drops
+    only pairs that cannot be edges: a box, curtain, ``Wedge2``, triangle
+    or ball bisects to the slice of points whose coordinate 0 lies in its
+    x-extent, which settles that coordinate.  Over the slice, a box compares each other bounded side
+    with its coordinate column, and a curtain or ``Wedge2`` tests
+    ``L y <= A x + B`` on the x and y columns, with ``(L, A, B)`` cleared
+    to integers by ``geometry._integer_form``; both are chained ``map``
+    calls over the slice's columns, with no Python loop per point.  A
+    triangle or ball tests each point of its slice with its compiled
+    predicate.  A 2D line tests the points at ``(x, a x + b)`` for each
+    distinct x, when there are fewer distinct x than points, else every
+    point.
     """
-    coords, compiled = compile_ranges(points, ranges, _compile)
-    if not coords:
-        return IncidenceGraph(0, len(ranges), [[] for _ in compiled])
-    packed = False  # packed on the first linear range
-    index = _CandidateIndex(coords)
+    d = points[0].dim if points else None
+    for idx, p in enumerate(points):
+        if p.dim != d:
+            raise DimensionMismatchError(
+                f"point {idx} has dimension {p.dim}, first point has {d}")
+    index = _CandidateIndex([p.coords for p in points])
     rows = []
-    for r, test in zip(ranges, compiled):
-        if isinstance(test, list):  # linear constraints
-            if packed is False:
-                packed = pack_columns(coords)
-            hits = None if packed is None else packed.hits(test)
-            if hits is None:
-                hits = list(compress(range(len(coords)),
-                                     map(linear_test(test), coords)))
-            rows.append(hits)
-        else:
-            rows.append(index.row(r, test))
+    for idx, r in enumerate(ranges):
+        # An object with no dimension is no range; row rejects its type.
+        if d is not None and getattr(r, "dim", d) != d:
+            raise DimensionMismatchError(
+                f"range {idx} has dimension {r.dim}, first point has {d}")
+        rows.append(index.row(r))
     return IncidenceGraph(len(points), len(ranges), rows)
 
 
-_LINEAR = (Halfspace, LinearHalfspace, Polyhedron, Wedge3)
-
-
-def _compile(r: Range):
-    # The oracle's compiled form of r: its linear constraints for a type
-    # decided by packed rows, None for a column-scanned box, the cleared
-    # (L, A, B) of L y <= A x + B for a curtain or Wedge2, else the
-    # containment predicate.
-    if isinstance(r, _LINEAR):
-        return linear_constraints(r)
-    if isinstance(r, Box):
-        return None
-    if isinstance(r, (Curtain, Wedge2)):
-        return _integer_form((1, r.a, r.b))
-    return predicate(r)
-
-
 class _CandidateIndex:
-    """Point indices sorted by coordinate 0, the coordinate tuples and
-    columns in that order and, built on the first line, the distinct x
-    values and a coordinate -> indices map."""
+    """Point indices sorted by coordinate 0, and the coordinate tuples and
+    columns in that order; the packed columns and the line lookup are made
+    on first use."""
 
     def __init__(self, coords: list[tuple]):
         self.coords = coords
         self.by_x = sorted(range(len(coords)), key=lambda i: coords[i][0])
         self.sorted_coords = list(map(coords.__getitem__, self.by_x))
         self.columns = list(zip(*self.sorted_coords))
-        self.xs = self.columns[0]
-        self.lookup: tuple | None = None
+        self.xs = self.columns[0] if coords else ()
 
-    def row(self, r: Range, test) -> list[int]:
-        """The ascending indices of the points in r; ``test`` is r's form
-        from ``_compile``."""
+    def row(self, r: Range) -> list[int]:
+        """The ascending indices of the points in r, a range of the points'
+        dimension; ``InvalidInputError`` when r is of no range type."""
+        if isinstance(r, (Halfspace, LinearHalfspace, Polyhedron, Wedge3)):
+            constraints = linear_constraints(r)
+            hits = None if self.packed is None else self.packed.hits(
+                constraints)
+            if hits is None:
+                hits = self._all(linear_test(constraints))
+            return hits
         if isinstance(r, Box):
             return self._box(r)
         if isinstance(r, Curtain):
-            return self._curtain(test, r.lo, r.hi)
+            return self._curtain(r, r.lo, r.hi)
         if isinstance(r, Wedge2):
-            return self._curtain(test, None, r.c)
-        if isinstance(r, Line2):
-            cand = self._on_line(r)
-            if cand is not None:
-                return sorted(compress(cand, map(
-                    test, map(self.coords.__getitem__, cand))))
-        else:
-            extent = x_extent(r)
-            if extent is not None:
-                start, stop = self._slice(*extent)
-                return sorted(compress(self.by_x[start:stop], map(
-                    test, self.sorted_coords[start:stop])))
+            return self._curtain(r, None, r.c)
+        test = predicate(r)
+        if isinstance(r, Triangle):
+            xs = [v[0] for v in r.vertices]
+            return self._scan(test, min(xs), max(xs))
+        if isinstance(r, Ball):
+            # sqrt(p/q) = sqrt(p q)/q < (isqrt(p q) + 1)/q bounds the radius.
+            rsq = Fraction(r.radius_sq)
+            reach = Fraction(isqrt(rsq.numerator * rsq.denominator) + 1,
+                             rsq.denominator)
+            x = r.center[0]
+            return self._scan(test, x - reach, x + reach)
+        # r is a Line2, the one type left.
+        distinct, at = self.lookup
+        if not at:
+            return self._all(test)
+        a, b = r.a, r.b
+        cand = [i for x in distinct for i in at.get((x, a * x + b), ())]
+        return sorted(compress(cand, map(
+            test, map(self.coords.__getitem__, cand))))
+
+    @cached_property
+    def packed(self) -> PackedColumns | None:
+        return pack_columns(self.coords)
+
+    @cached_property
+    def lookup(self) -> tuple[list, dict[tuple, list[int]]]:
+        # The distinct x values, and each point's indices by coordinates;
+        # the map stays empty when no x repeats.
+        distinct = list(dict.fromkeys(self.xs))
+        at: dict[tuple, list[int]] = {}
+        if len(distinct) < len(self.xs):
+            for i, c in enumerate(self.coords):
+                at.setdefault(c, []).append(i)
+        return distinct, at
+
+    def _all(self, test) -> list[int]:
         return list(compress(range(len(self.coords)), map(test, self.coords)))
 
     def _slice(self, lo, hi) -> tuple[int, int]:
@@ -178,6 +192,11 @@ class _CandidateIndex:
         start = 0 if lo is None else bisect_left(self.xs, lo)
         stop = len(self.xs) if hi is None else bisect_right(self.xs, hi)
         return start, stop
+
+    def _scan(self, test, lo, hi) -> list[int]:
+        start, stop = self._slice(lo, hi)
+        return sorted(compress(self.by_x[start:stop], map(
+            test, self.sorted_coords[start:stop])))
 
     def _box(self, r: Box) -> list[int]:
         start, stop = self._slice(r.lows[0], r.highs[0])
@@ -190,29 +209,17 @@ class _CandidateIndex:
         cand = self.by_x[start:stop]
         return sorted(cand if keep is None else compress(cand, keep))
 
-    def _curtain(self, form: tuple[int, int, int], lo, hi) -> list[int]:
-        # L y <= A x + B, with L >= 1, is y <= a x + b.
-        scale, a, b = form
+    def _curtain(self, r: Curtain | Wedge2, lo, hi) -> list[int]:
+        # y <= a x + b cleared to L y <= A x + B, with L >= 1.
+        scale, a, b = _integer_form((1, r.a, r.b))
         start, stop = self._slice(lo, hi)
+        if start == stop:  # also when there are no points, nor columns
+            return []
         xs, ys = (col[start:stop] for col in self.columns)
         if scale != 1:
             ys = map(mul, repeat(scale), ys)
         below = map(le, ys, map(add, map(mul, repeat(a), xs), repeat(b)))
         return sorted(compress(self.by_x[start:stop], below))
-
-    def _on_line(self, r: Line2) -> list[int] | None:
-        if self.lookup is None:
-            distinct = list(dict.fromkeys(self.xs))
-            at: dict[tuple, list[int]] = {}
-            if len(distinct) < len(self.xs):
-                for i, c in enumerate(self.coords):
-                    at.setdefault(c, []).append(i)
-            self.lookup = (distinct, at)
-        distinct, at = self.lookup
-        if not at:
-            return None
-        a, b = r.a, r.b
-        return [i for x in distinct for i in at.get((x, a * x + b), ())]
 
 
 def require_free(graph: IncidenceGraph, k: int,

@@ -17,7 +17,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
-from .geometry import Halfspace, Hyperplane, Point, Range, Rat, compile_ranges
+from .geometry import Halfspace, Hyperplane, Point, Range, Rat, contains
 from .incidence import (DEFAULT_NODE_BUDGET, IncidenceGraph,
                         incidences_bruteforce, require_free)
 
@@ -34,8 +34,7 @@ def level_above(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
 
 def depth(p: Point, shapes: Sequence[Range]) -> int:
     """Number of shapes containing p (closed containment)."""
-    c = p.coords
-    return sum(1 for test in compile_ranges([p], shapes)[1] if test(c))
+    return sum(contains(s, p) for s in shapes)
 
 
 @dataclass(frozen=True)

@@ -379,33 +379,23 @@ class OriginTriangleReduction:
     certificate: ReductionCertificate
 
     def verify(self) -> bool:
+        """Each triangle's row is its curtains' rows in the sign cells,
+        mapped back to source indices, plus the vertical points it holds."""
         src = incidences_bruteforce(self.source_points, self.source_triangles)
-        ok = True
-        seen = set()
+        rows: list[list[int]] = [[] for _ in self.source_triangles]
         for cell in self.cells:
-            local = {orig: loc for loc, orig in enumerate(cell.point_indices)}
-            expected = frozenset(
-                (local[i], j) for i, j in src.edges if i in local)
-            # Placeholder for empty cells keeps range indices aligned; its
-            # hits are filtered below.
-            ranges: list = [c if c is not None else Curtain(0, -1, 0, 0)
-                            for c in cell.target_curtains]
-            tgt = incidences_bruteforce(cell.target_points, ranges)
-            actual = frozenset(
-                (i, j) for i, j in tgt.edges
-                if cell.target_curtains[j] is not None)
-            ok = ok and (expected == actual)
-            seen.update((i, j) for i, j in src.edges if i in local)
-        vertical = set(self.vertical_indices)
-        tests = [predicate(t) for t in self.source_triangles]
-        for i, j in src.edges:
-            if i in vertical:
-                # Vertical-ray special case: re-checked directly.
-                ok = ok and tests[j](self.source_points[i].coords)
-                seen.add((i, j))
-        ok = ok and (seen == set(src.edges))
-        self.certificate.verified = ok
-        return ok
+            live = [j for j, c in enumerate(cell.target_curtains)
+                    if c is not None]
+            tgt = incidences_bruteforce(
+                cell.target_points, [cell.target_curtains[j] for j in live])
+            for j, row in zip(live, tgt.rows):
+                rows[j].extend(map(cell.point_indices.__getitem__, row))
+        for j, t in enumerate(self.source_triangles):
+            test = predicate(t)
+            rows[j].extend(i for i in self.vertical_indices
+                           if test(self.source_points[i].coords))
+        self.certificate.verified = list(map(sorted, rows)) == list(src.rows)
+        return self.certificate.verified
 
 
 def origin_triangle_to_curtain(points: list[Point],

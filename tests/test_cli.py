@@ -130,6 +130,18 @@ def test_plot_skips_a_short_row(tmp_path, capsys):
     assert (tmp_path / "plot.svg").read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("cell", ["1e400", "9" * 400, "1e2000000"],
+                         ids=["exponent", "digits", "huge-exponent"])
+def test_plot_of_a_cell_beyond_float_is_an_input_error(tmp_path, capsys,
+                                                       cell):
+    path = tmp_path / "t.csv"
+    path.write_text(f"r,reference\n2,4\n4,{cell}\n")
+    assert run(["plot", path, "--x", "r", "--y", "reference"], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "plot.svg").exists()
+
+
 def test_census_schedule_rejects_c_below_two_in_fat_mode(tmp_path, capsys):
     assert run(["census", "schedule", "--mode", "fat", "--c", -5,
                 "--m", 64], tmp_path) == 1

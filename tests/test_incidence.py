@@ -12,7 +12,7 @@ from kkfree.errors import InvalidInputError, NotApplicableError
 from kkfree.extremal import elekes_grid
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
-                             Wedge2, box2, interval, pt)
+                             Wedge2, Wedge3, box2, interval, pt)
 from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
                               IncidenceGraph, KkkResult, build_box_cover,
                               cover_bound, find_kkk, incidences_bruteforce,
@@ -116,6 +116,28 @@ def test_rows_of_every_range_type_ascend():
                   LinearHalfspace((1, 1), F(1, 2), "ge"),
                   Polyhedron(((1, -1),), (-1,), (F(3, 2),))]
         _assert_rows_match_reference(points, ranges)
+
+
+def test_oracle_with_no_points_gives_empty_rows():
+    ranges = [box2(-1, 2, None, 1), Curtain(F(1, 2), 0, -2, None),
+              Wedge2(-1, F(1, 3), 1), Wedge3(1, 2, 3),
+              Triangle(pt(-3, -3), pt(3, -1), pt(0, 3)),
+              Ball(pt(0, 0), F(9, 4)), Line2(1, 0),
+              Halfspace(Hyperplane((F(1, 3),), 0), "upper"),
+              LinearHalfspace((1, 1), F(1, 2), "ge"),
+              Polyhedron(((1, -1),), (-1,), (F(3, 2),))]
+    graph = incidences_bruteforce([], ranges)
+    assert (graph.n, graph.m) == (0, 10)
+    assert graph.rows == ([],) * 10
+
+
+@pytest.mark.parametrize("points", [[], [pt(0, 0), pt(1, 2)]],
+                         ids=["no-points", "points"])
+@pytest.mark.parametrize("bad", [object(), pt(0, 0), Hyperplane((1,), 0)],
+                         ids=["object", "point", "hyperplane"])
+def test_oracle_rejects_an_unsupported_range(points, bad):
+    with pytest.raises(InvalidInputError, match="unsupported range type"):
+        incidences_bruteforce(points, [box2(0, 1, 0, 1), bad])
 
 
 @pytest.mark.parametrize("m, rows", [

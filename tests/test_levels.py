@@ -5,8 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from kkfree import generators as gens
-from kkfree.errors import (InvalidInputError, NotApplicableError,
-                           UnknownVerdictError)
+from kkfree.errors import (DimensionMismatchError, InvalidInputError,
+                           NotApplicableError, UnknownVerdictError)
 from kkfree.geometry import Ball, Box, Halfspace, Hyperplane, Point, pt
 from kkfree.incidence import find_kkk, incidences_bruteforce
 from kkfree.levels import (CensusRow, census_rows, census_schedule, depth,
@@ -33,6 +33,12 @@ def test_depth_basics():
     disks = [Ball(pt(0, 0), 4), Ball(pt(1, 0), 4), Ball(pt(10, 10), 1)]
     assert depth(pt(0, 0), disks) == 2
     assert depth(pt(0, 0), []) == 0
+
+
+def test_depth_rejects_a_shape_of_another_dimension():
+    shapes = [Ball(pt(0, 0), 4), Box((0, 0, 0), (1, 1, 1))]
+    with pytest.raises(DimensionMismatchError):
+        depth(pt(0, 0), shapes)
 
 
 def test_depth_matches_sum(rng):

@@ -4,7 +4,7 @@ import pytest
 
 from kkfree import generators as gens
 from kkfree.errors import InvalidInputError
-from kkfree.geometry import (Box, Line2, Point, Polyhedron, Triangle,
+from kkfree.geometry import (Box, Curtain, Line2, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, contains, pt)
 from kkfree.incidence import incidences_bruteforce
 from kkfree.reductions import (apex_cell_constraints, balls_to_halfspaces,
@@ -263,6 +263,20 @@ def test_origin_triangle_vertical_points():
     red = origin_triangle_to_curtain(pts, [tri])
     assert set(red.vertical_indices) == {0, 1}
     assert red.verify()
+
+
+@pytest.mark.parametrize("sigma", [1, -1])
+def test_origin_triangle_verify_rejects_a_changed_curtain(sigma):
+    # (1, 1/2) lies in the triangle, (-1, 1) does not; the changed curtain
+    # drops the image (1/2, -1) of the first, or takes in the image (1, -1)
+    # of the second where the triangle's cell was empty.
+    tri = Triangle(pt(0, 0), pt(2, 0), pt(2, 2))
+    red = origin_triangle_to_curtain([Point((1, F(1, 2))), pt(-1, 1)], [tri])
+    assert red.verify()
+    [cell] = [c for c in red.cells if c.sigma == sigma]
+    assert (cell.target_curtains[0] is None) == (sigma == -1)
+    cell.target_curtains[0] = Curtain(0, -2 if sigma == 1 else 5, None, None)
+    assert not red.verify() and not red.certificate.verified
 
 
 def test_origin_triangle_random(rng):
