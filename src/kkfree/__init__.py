@@ -2,9 +2,9 @@
 induced complete bipartite subgraph."""
 
 from .dyadic import DyadicRange, canonical_decomposition, dyadic_memberships
-from .errors import (DimensionMismatchError, IntegrityError,
-                     InvalidInputError, KkfreeError, NotApplicableError,
-                     UnknownVerdictError, UnsupportedInputError)
+from .errors import (DimensionMismatchError, InvalidInputError, KkfreeError,
+                     NotApplicableError, UnknownVerdictError,
+                     UnsupportedInputError)
 from .extremal import (BoundFormula, FavorabilityVerdict, elekes_grid,
                        eval_bound, lower_bound_5d, verify_favorable)
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,

@@ -101,12 +101,9 @@ def _cmd_gen(args) -> int:
         points = gens.random_points(rng, args.n, 2)
         ranges = gens.random_curtains(rng, args.m)
         inst = Instance(2, points, ranges, args.k, prov)
-    elif args.family == "census-halfplanes":
+    else:  # census-halfplanes
         points, ranges = gens.census_halfplane_instance(args.n)
         inst = Instance(2, points, ranges, 2, prov)
-    else:
-        print(f"unknown family {args.family}", file=sys.stderr)
-        return EXIT_USAGE
     save_instance(inst, args.out)
     print(f"wrote {args.out}: n={inst.n} m={inst.m} d={inst.dimension}")
     return EXIT_OK
@@ -194,10 +191,8 @@ def _cmd_audit(args) -> int:
         rep = rect_audit(inst.points, inst.ranges, args.b, k)
     elif args.kind == "box":
         rep = box_audit(inst.points, inst.ranges, args.b, k)
-    elif args.kind == "curtain":
+    else:  # curtain
         rep = curtain_audit(inst.points, inst.ranges, k)
-    else:
-        return EXIT_USAGE
     write_json(_out_path(args, f"{args.kind}_audit.json"), rep.to_json_dict())
     write_csv(_out_path(args, f"{args.kind}_audit_ledger.csv"),
               rep.LEDGER_HEADER, rep.ledger_rows(),
@@ -312,9 +307,6 @@ def _cmd_reduce(args) -> int:
         })
         print(f"verified={ok}")
         return EXIT_OK if ok else EXIT_INTEGRITY
-    if args.name not in _REDUCTIONS:
-        print(f"unknown reduction {args.name}", file=sys.stderr)
-        return EXIT_USAGE
     fn, tgt_dim = _REDUCTIONS[args.name]
     red = fn(inst.points, inst.ranges)
     ok = red.verify()
@@ -397,6 +389,8 @@ def _plot_value(row: dict, name: str) -> float | None:
         raise InvalidInputError(
             f"column {name!r}: {cell[:40]!r} is beyond the float range"
         ) from None
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"column {name!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,3 @@ class NotApplicableError(KkfreeError):
 
 class UnknownVerdictError(KkfreeError):
     """A bounded search ran out of budget; the answer is genuinely unknown."""
-
-
-class IntegrityError(KkfreeError):
-    """An internal runtime claim failed; indicates a falsified assumption."""

@@ -143,8 +143,18 @@ class SlantedRangeTree:
     def _collect(self, node: _Node, i0: int, i1: int, line, out, stats):
         stats.nodes_visited += 1
         if i0 <= node.lo and node.hi <= i1:
-            self._report_below(node, line, out, stats, counted=True)
-            return
+            ca, cb, cl = line
+            kn, vn, q = self.kn, self.vn, self.q
+            # The line at the node's two end keys, each as num / (cl *
+            # q[end]); over the key extent it lies between them.
+            ends = [(ca * kn[e] + cb * q[e], q[e])
+                    for e in (node.lo, node.hi - 1)]
+            t_min, t_max = node.v_min, node.v_max
+            if all(vn[t_min] * cl * qe > ye * q[t_min] for ye, qe in ends):
+                return
+            if all(vn[t_max] * cl * qe <= ye * q[t_max] for ye, qe in ends):
+                out.extend(self.payload[node.lo:node.hi])
+                return
         if node.left is None:
             self._test_slice(max(node.lo, i0), min(node.hi, i1), line, out,
                              stats)
@@ -153,26 +163,6 @@ class SlantedRangeTree:
             self._collect(node.left, i0, i1, line, out, stats)
         if i1 > node.right.lo:
             self._collect(node.right, i0, i1, line, out, stats)
-
-    def _report_below(self, node: _Node, line, out, stats, counted=False):
-        if not counted:
-            stats.nodes_visited += 1
-        ca, cb, cl = line
-        kn, vn, q = self.kn, self.vn, self.q
-        # The line at the node's two end keys, each as num / (cl * q[end]);
-        # over the key extent it lies between them.
-        ends = [(ca * kn[e] + cb * q[e], q[e]) for e in (node.lo, node.hi - 1)]
-        t_min, t_max = node.v_min, node.v_max
-        if all(vn[t_min] * cl * qe > ye * q[t_min] for ye, qe in ends):
-            return
-        if all(vn[t_max] * cl * qe <= ye * q[t_max] for ye, qe in ends):
-            out.extend(self.payload[node.lo:node.hi])
-            return
-        if node.left is None:
-            self._test_slice(node.lo, node.hi, line, out, stats)
-            return
-        self._report_below(node.left, line, out, stats)
-        self._report_below(node.right, line, out, stats)
 
 
 # ---------------------------------------------------------------------------

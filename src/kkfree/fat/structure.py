@@ -23,7 +23,6 @@ from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
 from .slanted import QueryStats, SlantedRangeTree
 
 FAT_LEAF_SIZE = 48
-CURTAIN_LEAF_SIZE = 8
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +133,6 @@ class FatQueryStats:
     reported: int = 0
     curtain_answers: int = 0
     stratum: int = 0
-    out_of_frame: bool = False
 
     @property
     def work(self) -> int:
@@ -226,7 +224,7 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
         else:
             axis_pts.append(i)
     node.pos_tree, node.neg_tree = (
-        SlantedRangeTree(e, CURTAIN_LEAF_SIZE) if e else None
+        SlantedRangeTree(e) if e else None
         for e in (pos_entries, neg_entries))
     node.axis_pts = tuple(axis_pts)
     node.inside = _build_node(stratum, keys, inside_idx, structure)
@@ -254,8 +252,6 @@ def fat_query(structure: FatReportStructure,
     if in_core:
         stratum_index = aligned_shift_index(
             bbox_of(frame_verts), diameter_sq_of(frame_verts)) or 0
-    else:
-        stats.out_of_frame = True
     stats.stratum = stratum_index
     stratum = structure.strata[stratum_index]
     shift = stratum.shift

@@ -30,9 +30,11 @@ class IncidenceGraph:
     """Bipartite incidences of n points and m ranges, as one row per range.
 
     ``rows[j]`` is the strictly ascending list of the indices of the points
-    in range j.  ``edges``, the ``(i, j)`` pairs, and the frozensets of
-    ``points_in_range`` and ``ranges_of_point`` are derived from the rows on
-    first use.
+    in range j.  Its transpose ``columns`` (``columns[i]`` is the ascending
+    list of the indices of the ranges holding point i, empty for a point in
+    no range) and ``edges``, the ``(i, j)`` pairs, are derived from the rows
+    on first use; ``points_in_range`` and ``ranges_of_point`` return a row
+    or a column as a frozenset.
     """
 
     n: int
@@ -60,23 +62,19 @@ class IncidenceGraph:
         return frozenset((i, j) for j, row in enumerate(self.rows)
                          for i in row)
 
-    def points_in_range(self, j: int) -> frozenset[int]:
-        return self._point_sets[j]
-
-    def ranges_of_point(self, i: int) -> frozenset[int]:
-        return self._range_sets[i]
-
     @cached_property
-    def _point_sets(self) -> list[frozenset[int]]:
-        return list(map(frozenset, self.rows))
-
-    @cached_property
-    def _range_sets(self) -> list[frozenset[int]]:
-        buckets: list[list[int]] = [[] for _ in range(self.n)]
+    def columns(self) -> tuple[list[int], ...]:
+        columns: list[list[int]] = [[] for _ in range(self.n)]
         for j, row in enumerate(self.rows):
             for i in row:
-                buckets[i].append(j)
-        return list(map(frozenset, buckets))
+                columns[i].append(j)
+        return tuple(columns)
+
+    def points_in_range(self, j: int) -> frozenset[int]:
+        return frozenset(self.rows[j])
+
+    def ranges_of_point(self, i: int) -> frozenset[int]:
+        return frozenset(self.columns[i])
 
 
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
@@ -571,7 +569,7 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
         hi = points[idxs[-1]][0]
         containing = boundary = inc = 0
         # Only intervals holding a point of the block meet it.
-        meeting = Counter(j for i in idxs for j in graph.ranges_of_point(i))
+        meeting = Counter(j for i in idxs for j in graph.columns[i])
         for j, block_inc in meeting.items():
             blo, bhi = intervals[j].lows[0], intervals[j].highs[0]
             inc += block_inc

@@ -10,10 +10,8 @@ reading stays visible in audit output.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
@@ -131,8 +129,7 @@ def census_rows(graph: IncidenceGraph, k: int, rs: Sequence[Rat],
     if any(not 1 <= Fraction(r) <= Fraction(m, 2 * k) for r in rs):
         raise InvalidInputError("need 1 <= r <= m/(2k)")
     require_free(graph, k, node_budget)
-    degrees = Counter(chain.from_iterable(graph.rows))
-    values = [degrees[i] for i in range(graph.n)]
+    values = list(map(len, graph.columns))
     rows = []
     for r in rs:
         observed, closed = _band_counts(values, m, r)
@@ -193,10 +190,6 @@ class CensusSchedule:
 
     def __len__(self) -> int:
         return len(self.thresholds)
-
-    @property
-    def steps(self) -> int:
-        return len(self.thresholds) - 1
 
 
 def census_schedule(k: int, m: int, mode: str = "general",

@@ -1,9 +1,11 @@
 import gc
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from kkfree.cli import main
+from kkfree.incidence import incidences_bruteforce
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
@@ -28,6 +30,25 @@ def test_kkk_verdicts(tmp_path, capsys):
     capsys.readouterr()
     assert run(["kkk", out, "--k", 2], tmp_path) == 0
     assert "free" in capsys.readouterr().out
+
+
+def test_kkk_found_prints_the_witness(tmp_path, capsys):
+    path = tmp_path / "k22.json"
+    save_instance(Instance(2, [pt(0, 0), pt(1, 1)],
+                           [Box((-1, -1), (2, 2)), Box((-2, -2), (3, 3))], 2),
+                  path)
+    assert run(["kkk", path, "--k", 2], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert out == "found: points=[0, 1] ranges=[0, 1]\n" and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["k22.json"]
+
+
+def test_kkk_exhausted_budget_exits_unknown(tmp_path, capsys):
+    path = _dense_instances(tmp_path)["audit"]
+    assert run(["kkk", path, "--k", 3, "--budget", 2], tmp_path) == 3
+    out, err = capsys.readouterr()
+    assert out == "unknown (search budget 2 exhausted after 3 nodes)\n"
+    assert err == ""
 
 
 def test_cover_flags_witness(tmp_path, capsys):
@@ -81,6 +102,20 @@ def test_census_and_plot(tmp_path, capsys):
                 "--out", "p.svg"], tmp_path) == 0
     svg = (tmp_path / "p.svg").read_text()
     assert svg.startswith("<svg") and "</svg>" in svg
+
+
+def test_census_depth(tmp_path, capsys):
+    # Point 0 lies in four copies of [0, 0] and no other point does, so the
+    # graph is K_{2,2}-free; at r = 2 the band [4, 8) holds point 0 only.
+    path = tmp_path / "star.json"
+    save_instance(Instance(1, [pt(x) for x in range(5)],
+                           [Box((0,), (0,))] * 4
+                           + [Box((x,), (x,)) for x in range(1, 5)], 2), path)
+    assert run(["census", "depth", path, "--k", 2], tmp_path) == 0
+    assert capsys.readouterr().out == "rows=1 worst_ratio=0.25\n"
+    assert (tmp_path / "census_depth.csv").read_text() == (
+        "# k=2 m=8 n=5\nr,observed,observed_closed,reference,ratio\n"
+        "2,1,1,4,0.25\n")
 
 
 def test_census_schedule(tmp_path, capsys):
@@ -138,7 +173,8 @@ def test_plot_of_a_cell_beyond_float_is_an_input_error(tmp_path, capsys,
     path.write_text(f"r,reference\n2,4\n4,{cell}\n")
     assert run(["plot", path, "--x", "r", "--y", "reference"], tmp_path) == 1
     out, err = capsys.readouterr()
-    assert err.startswith("error: ") and err.count("\n") == 1 and out == ""
+    assert err.startswith("error: column 'reference': ")
+    assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "plot.svg").exists()
 
 
@@ -163,6 +199,23 @@ def test_reduce_writes_certificate(tmp_path, capsys):
     assert cert["verified"] is True and cert["swapped_sides"] is True
     target = load_instance(out)
     assert target.n == 1 and target.m == 1
+
+
+def test_reduce_origin_triangle_writes_cells(tmp_path, capsys):
+    # Three points with x > 0, one with x < 0 and one on x = 0.
+    path = tmp_path / "tri.json"
+    save_instance(Instance(2, [Point((1, F(1, 2))), pt(1, 1), pt(-1, -1),
+                               pt(0, 1), pt(3, 1)],
+                           [Triangle(pt(0, 0), pt(2, 0), pt(2, 2)),
+                            Triangle(pt(0, 0), pt(-2, 0), pt(0, 2))], 2),
+                  path)
+    assert run(["reduce", "origin-triangle-to-curtain", path], tmp_path) == 0
+    assert capsys.readouterr().out == "verified=True\n"
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verified"] is True
+    assert cert["notes"] == {"vertical_points": 1}
+    assert cert["cells"] == [{"sigma": 1, "points": 3, "curtains": 1},
+                             {"sigma": -1, "points": 1, "curtains": 1}]
 
 
 def test_report(tmp_path, capsys):
@@ -373,6 +426,33 @@ def test_audit_of_another_range_type_is_a_usage_error(tmp_path, capsys, kind,
     out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
     assert out == "" and [p.name for p in tmp_path.iterdir()] == ["wrong.json"]
+
+
+def test_audit_fat(tmp_path, capsys):
+    path = tmp_path / "fat.json"
+    assert run(["gen", "random-fat", "--n", 150, "--m", 6, "--seed", 3,
+                "--out", path], tmp_path) == 0
+    capsys.readouterr()
+    assert run(["audit", "fat", path], tmp_path) == 0
+    assert capsys.readouterr().out == (
+        "fat queries=6 exact=True stored_entries=2177\n")
+    lines = (tmp_path / "fat_structure_stats.csv").read_text().splitlines()
+    assert lines[:2] == [
+        "# m=6 max_depth=5 n=150 stored_entries=2177",
+        "query,reported,tree_nodes,curtain_nodes,point_tests,work,stratum,"
+        "curtain_answers"]
+    inst = load_instance(path)
+    rows = incidences_bruteforce(inst.points, inst.ranges).rows
+    assert [int(line.split(",")[1]) for line in lines[2:]] == list(
+        map(len, rows))
+
+
+def test_audit_fat_of_another_range_type_is_a_usage_error(tmp_path, capsys):
+    path = _box_instance(tmp_path)
+    assert run(["audit", "fat", path], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err == "fat audit needs a triangle instance\n" and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["iv.json"]
 
 
 def _dense_instances(tmp_path):

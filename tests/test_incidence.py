@@ -221,6 +221,21 @@ def _random_graph(rng, n_max=24, m_max=24):
     return IncidenceGraph(n, m, rows)
 
 
+def test_columns_are_the_transpose_of_the_rows():
+    # Each seeded random graph gets one more range, empty, and one more
+    # point, in no range.
+    rng = random.Random(15)
+    for _ in range(60):
+        g = _random_graph(rng)
+        graph = IncidenceGraph(g.n + 1, g.m + 1, [*g.rows, []])
+        assert len(graph.columns) == graph.n
+        for i, column in enumerate(graph.columns):
+            assert column == [j for j, row in enumerate(graph.rows)
+                              if i in row]
+            assert graph.ranges_of_point(i) == frozenset(column)
+        assert graph.columns[g.n] == []
+
+
 def _assert_witness(graph, res, k):
     assert len(set(res.points)) == k and len(set(res.ranges)) == k
     assert all((i, j) in graph.edges
@@ -358,7 +373,7 @@ def test_find_kkk_leaves_nothing_for_gc():
              (sparse, 3, 5), (dense, 2, DEFAULT_NODE_BUDGET),
              (dense, 3, DEFAULT_NODE_BUDGET)]
     for graph, _, _ in cases:
-        graph.points_in_range(0)  # the graph's own lazy index, built now
+        graph.columns  # the graph's own lazy transpose, built now
     statuses = set()
     gc.collect()
     gc.disable()
