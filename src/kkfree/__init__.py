@@ -1,7 +1,7 @@
 """Exact incidence-graph toolkit for point/range families that forbid an
 induced complete bipartite subgraph."""
 
-from .dyadic import DyadicRange, canonical_decomposition, dyadic_memberships
+from .dyadic import DyadicRange, canonical_decomposition
 from .errors import (DimensionMismatchError, InvalidInputError, KkfreeError,
                      NotApplicableError, UnknownVerdictError,
                      UnsupportedInputError)
@@ -17,9 +17,8 @@ from .incidence import (BicliqueCover, BoxCoverBuild, CoverBound,
                         incidences_bruteforce, interval_audit,
                         shatter_trace_count, verify_cover)
 from .instances import Instance, load_instance, save_instance
-from .levels import (CensusRow, CensusSchedule, LevelProfile, census_rows,
-                     census_schedule, depth, depth_census, level,
-                     level_partition, shallow_census)
+from .levels import (CensusRow, CensusSchedule, census_rows, census_schedule,
+                     depth, depth_census, level, shallow_census)
 from .reductions import (OriginTriangleReduction, Reduction,
                          ReductionCertificate, balls_to_halfspaces,
                          origin_triangle_to_curtain, orthants_to_halfspaces,

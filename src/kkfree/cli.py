@@ -23,7 +23,7 @@ from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
                      UnknownVerdictError)
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
-from .geometry import Box, Triangle, as_rat
+from .geometry import Triangle, as_rat
 from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
                         find_kkk, incidences_bruteforce, interval_audit,
                         verify_cover)
@@ -136,12 +136,8 @@ def _cmd_kkk(args) -> int:
 def _cmd_cover(args) -> int:
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
-    for r in inst.ranges:
-        if not isinstance(r, Box):
-            print("cover requires a box instance", file=sys.stderr)
-            return EXIT_USAGE
-    graph = incidences_bruteforce(inst.points, inst.ranges)
     build = build_box_cover(inst.points, inst.ranges)
+    graph = incidences_bruteforce(inst.points, inst.ranges)
     if not verify_cover(build.cover, graph):
         print("INTEGRITY: cover does not reproduce the oracle edge set")
         return EXIT_INTEGRITY
@@ -184,15 +180,15 @@ def _cmd_audit(args) -> int:
                          "last_block_term": rep.last_block_term})
         print(f"I={rep.incidences} bound={rep.bound} holds={rep.holds}")
         return EXIT_OK if rep.holds else EXIT_INTEGRITY
-    graph = incidences_bruteforce(inst.points, inst.ranges)
     if args.kind == "fat":
-        return _audit_fat(args, inst, graph)
+        return _audit_fat(args, inst)
     if args.kind == "rect":
         rep = rect_audit(inst.points, inst.ranges, args.b, k)
     elif args.kind == "box":
         rep = box_audit(inst.points, inst.ranges, args.b, k)
     else:  # curtain
         rep = curtain_audit(inst.points, inst.ranges, k)
+    graph = incidences_bruteforce(inst.points, inst.ranges)
     write_json(_out_path(args, f"{args.kind}_audit.json"), rep.to_json_dict())
     write_csv(_out_path(args, f"{args.kind}_audit_ledger.csv"),
               rep.LEDGER_HEADER, rep.ledger_rows(),
@@ -204,13 +200,12 @@ def _cmd_audit(args) -> int:
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 
-def _audit_fat(args, inst, graph) -> int:
+def _audit_fat(args, inst) -> int:
     """Build the reporting structure, replay the instance's triangles as
     queries, and emit per-query instrumentation plus storage totals."""
-    for r in inst.ranges:
-        if not isinstance(r, Triangle):
-            print("fat audit needs a triangle instance", file=sys.stderr)
-            return EXIT_USAGE
+    if not all(isinstance(r, Triangle) for r in inst.ranges):
+        raise InvalidInputError("fat audit needs a triangle instance")
+    graph = incidences_bruteforce(inst.points, inst.ranges)
     structure = build_fat_structure(inst.points)
     rows = []
     ok = True

@@ -34,26 +34,8 @@ class DyadicRange:
     def hi(self) -> int:
         return ((self.s + 1) << self.rank) - 1
 
-    def __len__(self) -> int:
-        return 1 << self.rank
-
-    def __contains__(self, j: int) -> bool:
-        return self.lo <= j <= self.hi
-
-    def children(self) -> tuple["DyadicRange", "DyadicRange"]:
-        if self.rank == 0:
-            raise InvalidInputError("rank-0 range has no children")
-        return (DyadicRange(self.rank - 1, 2 * self.s),
-                DyadicRange(self.rank - 1, 2 * self.s + 1))
-
     def __repr__(self) -> str:
         return f"[{self.lo},{self.hi}]"
-
-
-def ceil_log2(n: int) -> int:
-    if n < 1:
-        raise InvalidInputError("ceil_log2 needs n >= 1")
-    return (n - 1).bit_length()
 
 
 def canonical_decomposition(alpha: int, beta: int, n: int) -> list[DyadicRange]:
@@ -77,40 +59,3 @@ def canonical_decomposition(alpha: int, beta: int, n: int) -> list[DyadicRange]:
         out.append(DyadicRange(i, x >> i))
         x += 1 << i
     return out
-
-
-def dyadic_memberships(j: int, n: int) -> list[DyadicRange]:
-    """All dyadic ranges of the padded ground set that contain index j.
-
-    Ranges run over ranks 0..ceil(log2 n) of the padding to the next power of
-    two, so the count is at most ceil(log2 n) + 1; only ranges intersecting
-    {0..n-1} are possible since j itself lies there.  Two counting
-    conventions exist (with or without the full-range root when n is a power
-    of two); callers that report membership statistics should surface both.
-    """
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if not (0 <= j <= n - 1):
-        raise InvalidInputError(f"index {j} out of range for n={n}")
-    h = ceil_log2(n) if n > 1 else 0
-    return [DyadicRange(i, j >> i) for i in range(h + 1)]
-
-
-def decomposition_size(alpha: int, beta: int) -> int:
-    """Size of the canonical decomposition, by the bottom-up halving scan.
-
-    Independent of the ground-set size (any n > beta gives the same cover).
-    Used as a fast cross-check of :func:`canonical_decomposition`.
-    """
-    lo, hi = alpha, beta + 1  # half-open
-    count = 0
-    while lo < hi:
-        if lo & 1:
-            count += 1
-            lo += 1
-        if hi & 1:
-            count += 1
-            hi -= 1
-        lo >>= 1
-        hi >>= 1
-    return count

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .errors import InvalidInputError
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Point,
                        Polyhedron, Range, Triangle, Wedge2, Wedge3, pt)
-from .incidence import find_kkk, incidences_bruteforce
+from .incidence import IncidenceGraph, find_kkk, incidences_bruteforce
 
 
 def random_points(rng: random.Random, n: int, d: int,
@@ -239,19 +239,22 @@ def make_kkk_free(points: list[Point], ranges: list[Range], k: int,
                   node_budget: int = 500_000) -> list[Range]:
     """Drop ranges until the incidence graph is K_{k,k}-free.
 
-    Deterministic repair: while a witness exists, remove its last range.
+    It makes the K_{k,k}-free random inputs for the I <= kn + 3km interval
+    tests (C3 and ``test_incidence.py``).  Deterministic repair: the oracle
+    runs once, then while a witness exists its last range is removed
+    together with its row.
     """
     ranges = list(ranges)
+    rows = list(incidences_bruteforce(points, ranges).rows)
     while True:
-        graph = incidences_bruteforce(points, ranges)
-        verdict = find_kkk(graph, k, node_budget)
+        verdict = find_kkk(IncidenceGraph(len(points), len(ranges), rows), k,
+                           node_budget)
         if verdict.free:
             return ranges
-        if verdict.status == "unknown":
-            # Shrinking the instance keeps the repair moving.
-            ranges.pop()
-            continue
-        ranges.pop(max(verdict.ranges))
+        # On "unknown", shrinking the instance keeps the repair moving.
+        j = (len(ranges) - 1 if verdict.status == "unknown"
+             else max(verdict.ranges))
+        del ranges[j], rows[j]
 
 
 # ---------------------------------------------------------------------------

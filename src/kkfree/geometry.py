@@ -580,11 +580,6 @@ def dualize(obj: Point | Hyperplane) -> Hyperplane | Point:
     raise UnsupportedInputError(f"cannot dualize {type(obj).__name__}")
 
 
-def point_above(p: Point, h: Hyperplane) -> bool:
-    """Strictly above the hyperplane in the last coordinate."""
-    return h.side_of(p) > 0
-
-
 def lift(p: Point) -> Point:
     """Paraboloid lift: append the squared norm as a new coordinate."""
     return Point(p.coords + (norm_sq(p.coords),))

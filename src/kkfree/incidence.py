@@ -33,8 +33,7 @@ class IncidenceGraph:
     in range j.  Its transpose ``columns`` (``columns[i]`` is the ascending
     list of the indices of the ranges holding point i, empty for a point in
     no range) and ``edges``, the ``(i, j)`` pairs, are derived from the rows
-    on first use; ``points_in_range`` and ``ranges_of_point`` return a row
-    or a column as a frozenset.
+    on first use; ``points_in_range`` returns a row as a frozenset.
     """
 
     n: int
@@ -72,9 +71,6 @@ class IncidenceGraph:
 
     def points_in_range(self, j: int) -> frozenset[int]:
         return frozenset(self.rows[j])
-
-    def ranges_of_point(self, i: int) -> frozenset[int]:
-        return frozenset(self.columns[i])
 
 
 def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> IncidenceGraph:
@@ -395,14 +391,6 @@ class BicliqueCover:
         """Sum of |A_i| + |B_i| over all pairs."""
         return sum(len(a) + len(b) for a, b in self.pairs)
 
-    def flatten(self) -> frozenset[tuple[int, int]]:
-        edges = set()
-        for a, b in self.pairs:
-            for i in a:
-                for j in b:
-                    edges.add((i, j))
-        return frozenset(edges)
-
 
 def verify_cover(cover: BicliqueCover, graph: IncidenceGraph) -> bool:
     """True iff the union of products equals the edge set exactly."""
@@ -470,14 +458,13 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
     remaining axes.  At dimension one each class is a complete biclique and
     is emitted directly.
     """
+    if not all(isinstance(b, Box) for b in boxes):
+        raise InvalidInputError("cover construction needs boxes")
     if not points:
         return BoxCoverBuild(BicliqueCover(()), ())
     d = points[0].dim
-    for b in boxes:
-        if not isinstance(b, Box):
-            raise InvalidInputError("cover construction needs boxes")
-        if b.dim != d:
-            raise InvalidInputError("box dimension mismatch")
+    if any(b.dim != d for b in boxes):
+        raise InvalidInputError("box dimension mismatch")
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     level_acc: dict[int, list[int]] = {}
 

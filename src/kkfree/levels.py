@@ -2,7 +2,7 @@
 census threshold schedules.
 
 Band conventions: "between the t-level and the 2t-level" is read as the
-half-open interval [t, 2t), which makes doubling classes partition cleanly.
+half-open interval [t, 2t), so the bands of doubling thresholds are disjoint.
 Census rows also carry the closed-band count [t, 2t] so the alternative
 reading stays visible in audit output.
 """
@@ -25,56 +25,9 @@ def level(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
     return sum(1 for h in hyperplanes if h.side_of(p) >= 0)
 
 
-def level_above(p: Point, hyperplanes: Sequence[Hyperplane]) -> int:
-    """Number of hyperplanes lying on or above p."""
-    return sum(1 for h in hyperplanes if h.side_of(p) <= 0)
-
-
 def depth(p: Point, shapes: Sequence[Range]) -> int:
     """Number of shapes containing p (closed containment)."""
     return sum(contains(s, p) for s in shapes)
-
-
-@dataclass(frozen=True)
-class LevelProfile:
-    """Per-point levels and the doubling partition P_0, P_1, ...
-
-    P_0 holds points with value < m/r; P_i (i > 0) holds points with value in
-    [2^{i-1} m/r, 2^i m/r).
-    """
-
-    values: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-    base_threshold: Fraction  # m/r
-
-    def class_of(self, point_index: int) -> int:
-        return _doubling_class(self.values[point_index], self.base_threshold)
-
-
-def level_partition(points: list[Point], hyperplanes: Sequence[Hyperplane],
-                    r: Rat) -> LevelProfile:
-    """Partition points into doubling level classes for parameter r."""
-    m = len(hyperplanes)
-    if not (1 <= r <= max(m, 1)):
-        raise InvalidInputError("need 1 <= r <= m")
-    values = tuple(level(p, hyperplanes) for p in points)
-    base = Fraction(m) / Fraction(r)
-    buckets: dict[int, list[int]] = {}
-    for idx, v in enumerate(values):
-        buckets.setdefault(_doubling_class(v, base), []).append(idx)
-    top = max(buckets) if buckets else 0
-    classes = tuple(tuple(buckets.get(c, ())) for c in range(top + 1))
-    return LevelProfile(values, classes, base)
-
-
-def _doubling_class(v: int, base: Fraction) -> int:
-    """0 when v < base, else the i with 2^{i-1} base <= v < 2^i base."""
-    if v < base:
-        return 0
-    i = 1
-    while v >= (2 ** i) * base:
-        i += 1
-    return i
 
 
 # ---------------------------------------------------------------------------

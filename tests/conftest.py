@@ -82,3 +82,31 @@ def brute_edges(points, ranges):
     """Independent of kkfree: per-pair containment via reference_contains."""
     return frozenset((i, j) for j, r in enumerate(ranges)
                      for i, p in enumerate(points) if reference_contains(r, p))
+
+
+def ceil_log2(n):
+    """ceil(log2 n) for n >= 1, the dyadic size bounds' logarithm."""
+    return (n - 1).bit_length()
+
+
+def decomposition_size(alpha, beta):
+    """Size of the canonical dyadic decomposition of [alpha, beta], by the
+    bottom-up halving scan; independent of the ground-set size, so a
+    cross-check of kkfree.dyadic.canonical_decomposition."""
+    lo, hi = alpha, beta + 1  # half-open
+    count = 0
+    while lo < hi:
+        if lo & 1:
+            count += 1
+            lo += 1
+        if hi & 1:
+            count += 1
+            hi -= 1
+        lo >>= 1
+        hi >>= 1
+    return count
+
+
+def cover_edges(cover):
+    """The (point, range) pairs in the union of a biclique cover's products."""
+    return frozenset((i, j) for a, b in cover.pairs for i in a for j in b)

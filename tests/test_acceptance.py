@@ -13,23 +13,25 @@ import numpy as np
 import pytest
 
 from kkfree import generators as gens
-from kkfree.dyadic import canonical_decomposition, ceil_log2
+from kkfree.dyadic import canonical_decomposition
 from kkfree.extremal import elekes_grid
 from kkfree.fat import (SHIFTS, build_curtain_structure, build_fat_structure,
                         centroid_square, curtain_query, diameter_sq_of,
                         fat_query)
 from kkfree.fat.quadtree import MAX_LEVEL, aligned_shift_index, cell_key
 from kkfree.geometry import (Ball, Hyperplane, Line2, Point, contains,
-                             dualize, lift, lift_ball, point_above)
+                             dualize, lift, lift_ball)
 from kkfree.incidence import (BicliqueCover, IncidenceGraph, build_box_cover,
                               cover_bound, find_kkk, incidences_bruteforce,
                               interval_audit, verify_cover)
-from kkfree.levels import census_rows, level, level_above
+from kkfree.levels import census_rows, level
 from kkfree.reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                                orthants_to_halfspaces, pointline_to_5d,
                                polyhedra_to_boxes, threesided_to_orthants,
                                wedge_dual, wedge_lift)
 from kkfree.slab import box_audit, curtain_audit, rect_audit
+
+from conftest import ceil_log2, cover_edges
 
 SEED = 20240811
 
@@ -81,7 +83,7 @@ def test_c01_oracle_equivalence():
             boxes = gens.random_boxes(rng, m, d, 300)
             g = incidences_bruteforce(pts, boxes)
             build = build_box_cover(pts, boxes)
-            assert build.cover.flatten() == g.edges
+            assert cover_edges(build.cover) == g.edges
             if d == 2:
                 rep = rect_audit(pts, boxes, rng.choice((2, 4, 16)), 2)
                 assert rep.total == g.edge_count
@@ -99,7 +101,8 @@ def test_c01_oracle_equivalence():
             g = incidences_bruteforce(pts, halfspaces)
             upper = [h.boundary for h in halfspaces if h.side == "upper"]
             lower = [h.boundary for h in halfspaces if h.side == "lower"]
-            via_levels = sum(level(p, upper) + level_above(p, lower)
+            via_levels = sum(level(p, upper)
+                             + sum(h.side_of(p) <= 0 for h in lower)
                              for p in pts)
             assert via_levels == g.edge_count
             checks += 1
@@ -368,7 +371,7 @@ def test_c07_duality_lifting():
         h = Hyperplane(tuple(_rat(rng) for _ in range(d - 1)), _rat(rng))
         assert dualize(dualize(p)) == p
         assert dualize(dualize(h)) == h
-        assert point_above(p, h) == point_above(dualize(h), dualize(p))
+        assert (h.side_of(p) > 0) == (dualize(p).side_of(dualize(h)) > 0)
     for _ in range(10_000):
         d = rng.choice((2, 3))
         p = Point(tuple(_rat(rng) for _ in range(d)))

@@ -1,9 +1,14 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import kkfree.cli
+import kkfree.incidence
 from kkfree.cli import main
 from kkfree.incidence import incidences_bruteforce
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
@@ -411,18 +416,32 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("kind, inst", [
-    (kind, Instance(2, [pt(i, i) for i in range(6)],
-                    [Triangle(pt(0, 0), pt(9, 0), pt(0, 9))], 2))
+_UPPER = Halfspace(Hyperplane((0,), 1), "upper")
+
+
+@pytest.mark.parametrize("argv, inst", [
+    (["audit", kind], Instance(2, [pt(i, i) for i in range(6)],
+                               [Triangle(pt(0, 0), pt(9, 0), pt(0, 9))], 2))
     for kind in ("rect", "box", "curtain")
-] + [("interval", Instance(1, [pt(1), pt(5)],
-                           [Halfspace(Hyperplane((), 1), "upper")], 2))],
-    ids=["rect", "box", "curtain", "interval"])
-def test_audit_of_another_range_type_is_a_usage_error(tmp_path, capsys, kind,
-                                                      inst):
+] + [
+    (["audit", "interval"], Instance(1, [pt(1), pt(5)],
+                                     [Halfspace(Hyperplane((), 1), "upper")],
+                                     2)),
+    (["audit", "fat"], Instance(2, [pt(1, 1)], [Box((0, 0), (2, 2))], 2)),
+    (["cover"], Instance(2, [], [_UPPER], 2)),
+    (["cover"], Instance(2, [pt(0, 5)], [_UPPER], 2)),
+], ids=["rect", "box", "curtain", "interval", "fat", "cover-0-points",
+        "cover-1-point"])
+def test_audit_of_another_range_type_is_a_usage_error(tmp_path, capsys,
+                                                      monkeypatch, argv, inst):
+    # Each command rejects the range type before the oracle runs.
+    def oracle(*_):
+        raise AssertionError("oracle called before the range type check")
+    monkeypatch.setattr(kkfree.cli, "incidences_bruteforce", oracle)
+    monkeypatch.setattr(kkfree.incidence, "incidences_bruteforce", oracle)
     path = tmp_path / "wrong.json"
     save_instance(inst, path)
-    assert run(["audit", kind, path], tmp_path) == 1
+    assert run([*argv, path], tmp_path) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
     assert out == "" and [p.name for p in tmp_path.iterdir()] == ["wrong.json"]
@@ -451,7 +470,7 @@ def test_audit_fat_of_another_range_type_is_a_usage_error(tmp_path, capsys):
     path = _box_instance(tmp_path)
     assert run(["audit", "fat", path], tmp_path) == 1
     out, err = capsys.readouterr()
-    assert err == "fat audit needs a triangle instance\n" and out == ""
+    assert err == "error: fat audit needs a triangle instance\n" and out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["iv.json"]
 
 
@@ -503,3 +522,18 @@ def test_repeated_main_calls_leave_no_cyclic_garbage(tmp_path):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_the_cli_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies.  -S keeps
+    # site-packages and the modules its .pth files load out of the child.
+    code = ("import sys, kkfree.cli; "
+            "print(*{name.partition('.')[0] for name in sys.modules})")
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(kkfree.__file__))}
+    loaded = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                            capture_output=True, text=True,
+                            check=True).stdout.split()
+    assert "kkfree" in loaded
+    assert [name for name in loaded if name not in sys.stdlib_module_names
+            and name not in ("__main__", "kkfree")] == []

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkfree.dyadic import (DyadicRange, canonical_decomposition, ceil_log2,
-                           decomposition_size, dyadic_memberships)
+from kkfree.dyadic import DyadicRange, canonical_decomposition
 from kkfree.errors import InvalidInputError
+
+from conftest import ceil_log2, decomposition_size
 
 
 def _ranges(decomp):
@@ -27,18 +28,6 @@ def test_worked_example():
 def test_invalid_range():
     with pytest.raises(InvalidInputError):
         canonical_decomposition(3, 2, 8)
-
-
-def test_memberships_examples():
-    assert _ranges(dyadic_memberships(0, 8)) == [(0, 0), (0, 1), (0, 3), (0, 7)]
-    assert _ranges(dyadic_memberships(5, 8)) == [(5, 5), (4, 5), (4, 7), (0, 7)]
-    assert _ranges(dyadic_memberships(0, 1)) == [(0, 0)]
-
-
-def test_membership_count_bound():
-    for n in (2, 3, 8, 17, 64, 100):
-        for j in range(n):
-            assert len(dyadic_memberships(j, n)) <= ceil_log2(n) + 1
 
 
 # --- exhaustive oracle: minimal disjoint dyadic covers by dynamic programming
@@ -101,20 +90,3 @@ def test_decomposition_properties(n, data):
     assert len(decomp) <= 2 * ceil_log2(n)
     assert len(decomp) == decomposition_size(alpha, beta)
 
-
-@given(st.integers(1, 1024), st.data())
-def test_memberships_consistent(n, data):
-    j = data.draw(st.integers(0, n - 1))
-    ranges = dyadic_memberships(j, n)
-    assert all(j in r for r in ranges)
-    # ranks 0..h each occur exactly once
-    assert sorted(r.rank for r in ranges) == list(range(len(ranges)))
-    for r in ranges:
-        assert r.lo <= n - 1  # intersects the ground set
-
-
-def test_children():
-    r = DyadicRange(2, 1)  # [4, 7]
-    left, right = r.children()
-    assert (left.lo, left.hi) == (4, 5)
-    assert (right.lo, right.hi) == (6, 7)

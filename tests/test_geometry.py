@@ -13,7 +13,7 @@ from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, box2, contains, dualize,
                              as_rat, interval, lift, lift_ball,
-                             linear_constraints, point_above, predicate, pt,
+                             linear_constraints, predicate, pt,
                              rat_str, triangle_edges)
 from kkfree.incidence import incidences_bruteforce
 from kkfree.packed import pack_columns
@@ -73,7 +73,7 @@ def test_order_reversal(coords, data):
     p_dual = dualize(p)
     h_dual = dualize(h)
     # p above h  <=>  the dual point of h lies above the dual hyperplane of p
-    assert point_above(p, h) == point_above(h_dual, p_dual)
+    assert (h.side_of(p) > 0) == (p_dual.side_of(h_dual) > 0)
 
 
 def test_lift_zero():

@@ -19,7 +19,7 @@ from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
                               interval_audit, shatter_trace_count,
                               verify_cover)
 
-from conftest import brute_edges
+from conftest import brute_edges, cover_edges
 
 
 def test_oracle_single_edge():
@@ -154,7 +154,7 @@ def test_graph_derives_edges_and_sets_from_rows():
     graph = IncidenceGraph(3, 2, [[0, 2], []])
     assert graph.edges == {(0, 0), (2, 0)} and graph.edge_count == 2
     assert graph.points_in_range(0) == {0, 2}
-    assert graph.ranges_of_point(2) == {0} and graph.ranges_of_point(1) == set()
+    assert graph.columns[2] == [0] and graph.columns[1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +164,7 @@ def _exhaustive_kkk(graph, k):
     if graph.n < k or graph.m < k:
         return False
     for pts in itertools.combinations(range(graph.n), k):
-        common = frozenset.intersection(
-            *[graph.ranges_of_point(i) for i in pts])
+        common = set.intersection(*(set(graph.columns[i]) for i in pts))
         if len(common) >= k:
             return True
     return False
@@ -232,7 +231,6 @@ def test_columns_are_the_transpose_of_the_rows():
         for i, column in enumerate(graph.columns):
             assert column == [j for j, row in enumerate(graph.rows)
                               if i in row]
-            assert graph.ranges_of_point(i) == frozenset(column)
         assert graph.columns[g.n] == []
 
 
@@ -415,7 +413,7 @@ def test_cover_1d_worked():
     boxes = [interval(0, 2), interval(3, 6)]
     g = incidences_bruteforce(pts, boxes)
     build = build_box_cover(pts, boxes)
-    assert build.cover.flatten() == g.edges
+    assert cover_edges(build.cover) == g.edges
     assert verify_cover(build.cover, g)
 
 
@@ -429,7 +427,7 @@ def test_cover_matches_oracle_random(rng):
             g = incidences_bruteforce(pts, boxes)
             build = build_box_cover(pts, boxes)
             assert verify_cover(build.cover, g), (d, trial)
-            assert build.cover.flatten() == brute_edges(pts, boxes)
+            assert cover_edges(build.cover) == brute_edges(pts, boxes)
 
 
 def test_cover_level_accounting(rng):

@@ -11,7 +11,7 @@ from kkfree.geometry import Ball, Box, Halfspace, Hyperplane, Point, pt
 from kkfree.incidence import find_kkk, incidences_bruteforce
 from kkfree.levels import (CensusRow, census_rows, census_schedule, depth,
                            depth_census, iterated_log2, level,
-                           level_partition, shallow_census)
+                           shallow_census)
 
 from conftest import reference_contains
 
@@ -48,32 +48,6 @@ def test_depth_matches_sum(rng):
     for p in gens.random_points(rng, 50, 2, 60):
         assert depth(p, shapes) == sum(reference_contains(s, p)
                                        for s in shapes)
-
-
-def test_level_partition_all_shallow():
-    hs = [Hyperplane((0,), 100)] * 5
-    prof = level_partition([pt(0, 0), pt(1, 1)], hs, 2)
-    assert prof.classes[0] == (0, 1)
-
-
-def test_level_partition_threshold_one():
-    hs = [Hyperplane((0,), 0), Hyperplane((0,), 10)]
-    # r = m: threshold m/r = 1, so class 0 means level 0 (below everything).
-    prof = level_partition([pt(0, -1), pt(0, 5)], hs, 2)
-    assert prof.classes[0] == (0,)
-    assert prof.class_of(1) == 1
-
-
-def test_level_partition_partitions(rng):
-    pts = gens.random_points(rng, 60, 2, 100)
-    hs = [h.boundary for h in gens.random_halfspaces(rng, 30, 2)]
-    for r in (1, 2, 5, 30):
-        prof = level_partition(pts, hs, r)
-        seen = [i for cls in prof.classes for i in cls]
-        assert sorted(seen) == list(range(60))
-        for ci, cls in enumerate(prof.classes):
-            for i in cls:
-                assert prof.class_of(i) == ci
 
 
 def test_shallow_census_all_zero():
