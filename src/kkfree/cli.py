@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import random
@@ -305,7 +304,9 @@ def _cmd_reduce(args) -> int:
     fn, tgt_dim = _REDUCTIONS[args.name]
     red = fn(inst.points, inst.ranges)
     ok = red.verify()
-    dim = tgt_dim or (red.target_points[0].dim if red.target_points else inst.dimension)
+    # An empty target takes the table's fixed dimension, else the source's.
+    targets = [*red.target_ranges, *red.target_points]
+    dim = targets[0].dim if targets else tgt_dim or inst.dimension
     out_inst = Instance(dim, red.target_points, red.target_ranges, inst.k,
                         {"reduced_from": os.path.basename(args.instance),
                          "reduction": args.name})

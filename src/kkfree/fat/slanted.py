@@ -12,10 +12,9 @@ per entry plus one light node per leaf-sized block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 from ..errors import InvalidInputError
-from ..geometry import Curtain, Point, Rat
+from ..geometry import Curtain, Point, Rat, _integer_form
 
 LEAF_SIZE = 8
 
@@ -55,14 +54,11 @@ class SlantedRangeTree:
 
     ``query`` reports payloads with key in a closed interval (None ends are
     unbounded) and value <= a * key + b, exactly.  It clears the
-    denominators of ``a`` and ``b`` once per query, so the walk compares
-    integers only.
+    denominators of ``a`` and ``b`` once per query, with
+    ``geometry._integer_form``, so the walk compares integers only.
     """
 
-    def __init__(self, entries: list[tuple[int, int, int, int]],
-                 leaf_size: int = LEAF_SIZE):
-        if leaf_size < 1:
-            raise InvalidInputError("leaf size must be positive")
+    def __init__(self, entries: list[tuple[int, int, int, int]]):
         if any(e[2] <= 0 for e in entries):
             raise InvalidInputError("entry denominators must be positive")
         # Distinct fractions n/q and n'/q' differ by at least 1/(q q') >= 1/m,
@@ -75,14 +71,13 @@ class SlantedRangeTree:
         self.vn = [e[1] for e in entries]
         self.q = [e[2] for e in entries]
         self.payload = [e[3] for e in entries]
-        self.leaf_size = leaf_size
         self.node_count = 0
         v_rank = [(v * m) // q for v, q in zip(self.vn, self.q)]
         self.root = self._build(0, len(entries), v_rank) if entries else None
 
     def _build(self, lo: int, hi: int, v_rank: list[int]) -> _Node:
         self.node_count += 1
-        if hi - lo <= self.leaf_size:
+        if hi - lo <= LEAF_SIZE:
             return _Node(lo, hi, min(range(lo, hi), key=v_rank.__getitem__),
                          max(range(lo, hi), key=v_rank.__getitem__))
         mid = (lo + hi) // 2
@@ -124,9 +119,7 @@ class SlantedRangeTree:
             return []
         # a = ca / cl and b = cb / cl; entry t is below the line iff
         # vn[t] * cl <= ca * kn[t] + cb * q[t].
-        cl = lcm(a.denominator, b.denominator)
-        line = (a.numerator * (cl // a.denominator),
-                b.numerator * (cl // b.denominator), cl)
+        line = _integer_form((a, b, 1))
         out: list[int] = []
         self._collect(self.root, i0, i1, line, out, stats)
         stats.reported += len(out)
@@ -179,15 +172,12 @@ class CurtainStructure:
         return self.tree.stored_entries()
 
 
-def build_curtain_structure(points: list[Point],
-                            leaf_size: int = LEAF_SIZE) -> CurtainStructure:
-    entries = []
-    for i, p in enumerate(points):
-        x, y = p[0], p[1]
-        q = lcm(x.denominator, y.denominator)
-        entries.append((x.numerator * (q // x.denominator),
-                        y.numerator * (q // y.denominator), q, i))
-    return CurtainStructure(SlantedRangeTree(entries, leaf_size), len(points))
+def build_curtain_structure(points: list[Point]) -> CurtainStructure:
+    # Point i as the entry (x q, y q, q, i), with q the least common
+    # denominator of x and y.
+    entries = [(*_integer_form((p[0], p[1], 1)), i)
+               for i, p in enumerate(points)]
+    return CurtainStructure(SlantedRangeTree(entries), len(points))
 
 
 def curtain_query(structure: CurtainStructure, curtain: Curtain,

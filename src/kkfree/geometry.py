@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
@@ -215,6 +216,15 @@ def interval(lo: Rat | None, hi: Rat | None) -> Box:
     """1-dimensional box."""
     return Box((None if lo is None else as_rat(lo),),
                (None if hi is None else as_rat(hi),))
+
+
+def closed_rank_range(keys: Sequence[Rat], lo: Rat | None,
+                      hi: Rat | None) -> tuple[int, int]:
+    """The ranks ``[start, stop)`` of the ascending ``keys`` that lie in the
+    closed extent ``[lo, hi]``, where a ``None`` end is open."""
+    start = 0 if lo is None else bisect_left(keys, lo)
+    stop = len(keys) if hi is None else bisect_right(keys, hi)
+    return start, stop
 
 
 def box2(xlo, xhi, ylo, yhi) -> Box:

@@ -3,7 +3,7 @@ covers, and the 1D interval-bound audit."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,10 +16,10 @@ from typing import Sequence
 from .dyadic import canonical_decomposition
 from .errors import (DimensionMismatchError, InvalidInputError,
                      NotApplicableError, UnknownVerdictError)
-from .geometry import (Ball, Box, Curtain, Halfspace, LinearHalfspace, Point,
-                       Polyhedron, Range, Triangle, Wedge2, Wedge3,
-                       _integer_form, linear_constraints, linear_test,
-                       predicate)
+from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace, Point,
+                       Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
+                       _integer_form, closed_rank_range, linear_constraints,
+                       linear_test, predicate)
 from .packed import PackedColumns, pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -86,18 +86,18 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     row (``packed.PackedColumns``), with the point columns packed once per
     call.  On points with a ``Fraction`` coordinate, or when a pack would
     be far larger than the columns, its per-point test decides each point.
-    Every other range uses the points sorted by coordinate 0, which drops
-    only pairs that cannot be edges: a box, curtain, ``Wedge2``, triangle
-    or ball bisects to the slice of points whose coordinate 0 lies in its
-    x-extent, which settles that coordinate.  Over the slice, a box compares each other bounded side
-    with its coordinate column, and a curtain or ``Wedge2`` tests
-    ``L y <= A x + B`` on the x and y columns, with ``(L, A, B)`` cleared
-    to integers by ``geometry._integer_form``; both are chained ``map``
-    calls over the slice's columns, with no Python loop per point.  A
-    triangle or ball tests each point of its slice with its compiled
-    predicate.  A 2D line tests the points at ``(x, a x + b)`` for each
-    distinct x, when there are fewer distinct x than points, else every
-    point.
+    A box, curtain, ``Wedge2``, triangle or ball uses the points sorted by
+    coordinate 0: ``geometry.closed_rank_range`` bisects to the slice of
+    points whose coordinate 0 lies in its x-extent, which settles that
+    coordinate and drops only pairs that cannot be edges.  Over the slice,
+    a box compares each other bounded side with its coordinate column, and
+    a curtain or ``Wedge2`` tests ``L y <= A x + B`` on the x and y
+    columns, with ``(L, A, B)`` cleared to integers by
+    ``geometry._integer_form``; both are chained ``map`` calls over the
+    slice's columns, with no Python loop per point.  A triangle or ball
+    tests each point of its slice with its compiled predicate.  A 2D line
+    looks up ``a x + b`` in each distinct x's column, the points at that x
+    keyed by y, and compiles no predicate.
     """
     d = points[0].dim if points else None
     for idx, p in enumerate(points):
@@ -135,7 +135,9 @@ class _CandidateIndex:
             hits = None if self.packed is None else self.packed.hits(
                 constraints)
             if hits is None:
-                hits = self._all(linear_test(constraints))
+                test = linear_test(constraints)
+                hits = list(compress(range(len(self.coords)),
+                                     map(test, self.coords)))
             return hits
         if isinstance(r, Box):
             return self._box(r)
@@ -143,57 +145,47 @@ class _CandidateIndex:
             return self._curtain(r, r.lo, r.hi)
         if isinstance(r, Wedge2):
             return self._curtain(r, None, r.c)
+        if isinstance(r, Line2):
+            # The points of column x at y = a x + b are on the line.
+            a, b = r.a, r.b
+            hits: list[int] = []
+            for x, column in self.lookup:
+                y = a * x + b
+                if y in column:
+                    hits += column[y]
+            return sorted(hits)
         test = predicate(r)
         if isinstance(r, Triangle):
             xs = [v[0] for v in r.vertices]
             return self._scan(test, min(xs), max(xs))
-        if isinstance(r, Ball):
-            # sqrt(p/q) = sqrt(p q)/q < (isqrt(p q) + 1)/q bounds the radius.
-            rsq = Fraction(r.radius_sq)
-            reach = Fraction(isqrt(rsq.numerator * rsq.denominator) + 1,
-                             rsq.denominator)
-            x = r.center[0]
-            return self._scan(test, x - reach, x + reach)
-        # r is a Line2, the one type left.
-        distinct, at = self.lookup
-        if not at:
-            return self._all(test)
-        a, b = r.a, r.b
-        cand = [i for x in distinct for i in at.get((x, a * x + b), ())]
-        return sorted(compress(cand, map(
-            test, map(self.coords.__getitem__, cand))))
+        # r is a Ball, the one type left: sqrt(p/q) = sqrt(p q)/q <
+        # (isqrt(p q) + 1)/q bounds its radius.
+        rsq = Fraction(r.radius_sq)
+        reach = Fraction(isqrt(rsq.numerator * rsq.denominator) + 1,
+                         rsq.denominator)
+        x = r.center[0]
+        return self._scan(test, x - reach, x + reach)
 
     @cached_property
     def packed(self) -> PackedColumns | None:
         return pack_columns(self.coords)
 
     @cached_property
-    def lookup(self) -> tuple[list, dict[tuple, list[int]]]:
-        # The distinct x values, and each point's indices by coordinates;
-        # the map stays empty when no x repeats.
-        distinct = list(dict.fromkeys(self.xs))
-        at: dict[tuple, list[int]] = {}
-        if len(distinct) < len(self.xs):
-            for i, c in enumerate(self.coords):
-                at.setdefault(c, []).append(i)
-        return distinct, at
-
-    def _all(self, test) -> list[int]:
-        return list(compress(range(len(self.coords)), map(test, self.coords)))
-
-    def _slice(self, lo, hi) -> tuple[int, int]:
-        # [start, stop) holds exactly the points with lo <= x <= hi.
-        start = 0 if lo is None else bisect_left(self.xs, lo)
-        stop = len(self.xs) if hi is None else bisect_right(self.xs, hi)
-        return start, stop
+    def lookup(self) -> list[tuple[Rat, dict[Rat, list[int]]]]:
+        # Each distinct x with its column: y -> the ascending indices of
+        # the points at (x, y).
+        columns: dict[Rat, dict[Rat, list[int]]] = {}
+        for i, (x, y) in enumerate(self.coords):
+            columns.setdefault(x, {}).setdefault(y, []).append(i)
+        return list(columns.items())
 
     def _scan(self, test, lo, hi) -> list[int]:
-        start, stop = self._slice(lo, hi)
+        start, stop = closed_rank_range(self.xs, lo, hi)
         return sorted(compress(self.by_x[start:stop], map(
             test, self.sorted_coords[start:stop])))
 
     def _box(self, r: Box) -> list[int]:
-        start, stop = self._slice(r.lows[0], r.highs[0])
+        start, stop = closed_rank_range(self.xs, r.lows[0], r.highs[0])
         keep = None
         for col, lo, hi in zip(self.columns[1:], r.lows[1:], r.highs[1:]):
             for bound, op in ((lo, le), (hi, ge)):
@@ -206,7 +198,7 @@ class _CandidateIndex:
     def _curtain(self, r: Curtain | Wedge2, lo, hi) -> list[int]:
         # y <= a x + b cleared to L y <= A x + B, with L >= 1.
         scale, a, b = _integer_form((1, r.a, r.b))
-        start, stop = self._slice(lo, hi)
+        start, stop = closed_rank_range(self.xs, lo, hi)
         if start == stop:  # also when there are no points, nor columns
             return []
         xs, ys = (col[start:stop] for col in self.columns)
@@ -460,11 +452,12 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
     """
     if not all(isinstance(b, Box) for b in boxes):
         raise InvalidInputError("cover construction needs boxes")
+    # The boxes share one dimension, the first point's if there is one.
+    if len({b.dim for b in boxes} | {p.dim for p in points[:1]}) > 1:
+        raise InvalidInputError("box dimension mismatch")
     if not points:
         return BoxCoverBuild(BicliqueCover(()), ())
     d = points[0].dim
-    if any(b.dim != d for b in boxes):
-        raise InvalidInputError("box dimension mismatch")
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     level_acc: dict[int, list[int]] = {}
 
@@ -476,12 +469,11 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
         xs = [points[i][axis] for i in order]
         classes: dict = {}
         for j in bx_idx:
-            lo, hi = boxes[j].lows[axis], boxes[j].highs[axis]
-            alpha = 0 if lo is None else bisect_left(xs, lo)
-            beta = (n - 1) if hi is None else bisect_right(xs, hi) - 1
-            if alpha > beta:
+            alpha, stop = closed_rank_range(
+                xs, boxes[j].lows[axis], boxes[j].highs[axis])
+            if alpha >= stop:
                 continue
-            for rng in canonical_decomposition(alpha, beta, n):
+            for rng in canonical_decomposition(alpha, stop - 1, n):
                 classes.setdefault(rng, []).append(j)
         stats = level_acc.setdefault(depth, [0, 0, 0])
         for rng, class_boxes in sorted(classes.items()):

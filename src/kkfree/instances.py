@@ -15,6 +15,7 @@ from .errors import InvalidInputError
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                        LinearHalfspace, Point, Polyhedron, Range, Triangle,
                        Wedge2, Wedge3, as_rat, rat_str)
+from .reports import write_text_atomic
 
 FORMAT_VERSION = 1
 
@@ -183,12 +184,8 @@ def instance_from_json(obj: dict[str, Any]) -> Instance:
 
 def save_instance(inst: Instance, path) -> None:
     """Atomic write: serialize to a sibling temp file, then rename."""
-    import os
-    payload = json.dumps(instance_to_json(inst), indent=1, sort_keys=True)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(payload + "\n")
-    os.replace(tmp, path)
+    write_text_atomic(path, json.dumps(instance_to_json(inst), indent=1,
+                                       sort_keys=True) + "\n")
 
 
 def load_instance(path) -> Instance:

@@ -7,14 +7,14 @@ match under the stated index maps.  All maps are exact on rationals.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError, UnsupportedInputError
 from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
-                       dot, lift, lift_ball, predicate, rat_str)
+                       closed_rank_range, dot, lift, lift_ball, predicate,
+                       rat_str)
 from .incidence import incidences_bruteforce
 
 
@@ -246,7 +246,7 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
         a, b = line.a, line.b
         for x, ys in columns:
             c = a * x + b
-            below, above = bisect_left(ys, c), bisect_right(ys, c)
+            below, above = closed_rank_range(ys, c, c)
             for y in ys[max(below - 1, 0):below] + ys[above:above + 1]:
                 sq = (y - c) * (y - c)
                 if min_pos is None or sq < min_pos:

@@ -14,13 +14,14 @@ boundary-vertex convention.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DimensionMismatchError, InvalidInputError
-from .geometry import Box, Coords, Curtain, Point, Range, predicate
+from .geometry import (Box, Coords, Curtain, Point, Range, closed_rank_range,
+                       predicate)
 
 
 @dataclass
@@ -146,13 +147,12 @@ def _count_rank_y(sorted_points: list[Coords],
     for qi, (alpha, beta, ylo, yhi) in enumerate(queries):
         if alpha > beta:
             continue
-        ylo_r = 0 if ylo is None else bisect_left(ys, ylo)
-        yhi_r = (len(ys) - 1) if yhi is None else bisect_right(ys, yhi) - 1
-        if ylo_r > yhi_r:
+        ylo_r, ystop = closed_rank_range(ys, ylo, yhi)
+        if ylo_r >= ystop:
             continue
-        events.append((beta, 1, ylo_r, yhi_r, qi))
+        events.append((beta, 1, ylo_r, ystop - 1, qi))
         if alpha > 0:
-            events.append((alpha - 1, -1, ylo_r, yhi_r, qi))
+            events.append((alpha - 1, -1, ylo_r, ystop - 1, qi))
     events.sort(key=lambda e: e[0])
     out = [0] * len(queries)
     fen = _Fenwick(len(ys))
@@ -178,9 +178,9 @@ def _slab_of(cuts: list[int], rank: int) -> int:
 
 
 def _coverage(xs: list, lo, hi) -> tuple[int, int]:
-    alpha = 0 if lo is None else bisect_left(xs, lo)
-    beta = (len(xs) - 1) if hi is None else bisect_right(xs, hi) - 1
-    return alpha, beta
+    # The first and last rank in [lo, hi]; alpha > beta when none is.
+    alpha, stop = closed_rank_range(xs, lo, hi)
+    return alpha, stop - 1
 
 
 def _entry(points: list[Point], ranges: list[Range], dim: int,

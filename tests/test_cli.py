@@ -14,7 +14,7 @@ from kkfree.incidence import incidences_bruteforce
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
-                             Point, Triangle, Wedge3, pt)
+                             Point, Polyhedron, Triangle, Wedge3, pt)
 
 
 def run(args, tmp_path):
@@ -204,6 +204,24 @@ def test_reduce_writes_certificate(tmp_path, capsys):
     assert cert["verified"] is True and cert["swapped_sides"] is True
     target = load_instance(out)
     assert target.n == 1 and target.m == 1
+
+
+@pytest.mark.parametrize("name, source", [
+    ("balls-to-halfspaces", Ball(pt(0, 0), 4)),
+    ("polyhedra-to-boxes",
+     Polyhedron(((1, 0), (0, 1), (1, 1)), (0, 0, 0), (1, 1, 1)))])
+def test_reduce_with_no_points_writes_a_3d_instance(tmp_path, capsys, name,
+                                                    source):
+    # The 2D source has no points, so only the target ranges give the
+    # target's dimension, 3.
+    path = tmp_path / "src.json"
+    save_instance(Instance(2, [], [source], 2), path)
+    out = tmp_path / "tgt.json"
+    assert run(["reduce", name, path, "--out", out], tmp_path) == 0
+    assert load_instance(out).dimension == 3
+    capsys.readouterr()
+    assert run(["count", out], tmp_path) == 0
+    assert capsys.readouterr().out == "0\n"
 
 
 def test_reduce_origin_triangle_writes_cells(tmp_path, capsys):

@@ -295,7 +295,7 @@ def test_curtain_structure_matches_reference_on_rationals(data):
         st.none() | _rats), max_size=30))
     pts = [pt(_exact(x), _exact(c.a * x + c.b + step if y is None else y))
            for x, c, step, y in specs]
-    s = build_curtain_structure(pts, data.draw(st.sampled_from([1, 2, 8])))
+    s = build_curtain_structure(pts)
     for c in curtains:
         want = [i for i, p in enumerate(pts) if reference_contains(c, p)]
         assert curtain_query(s, c) == want, c
@@ -338,7 +338,7 @@ def test_slanted_tree_runs_no_fraction_arithmetic():
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        tree = SlantedRangeTree(entries, leaf_size=4)
+        tree = SlantedRangeTree(entries)
         got = [sorted(tree.query(*q, stats)) for q in queries]
     finally:
         sys.setprofile(previous)

@@ -11,8 +11,9 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
                            UnsupportedInputError)
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
-                             Wedge2, Wedge3, box2, contains, dualize,
-                             as_rat, interval, lift, lift_ball,
+                             Wedge2, Wedge3, box2, closed_rank_range,
+                             contains, dualize, as_rat, interval, lift,
+                             lift_ball,
                              linear_constraints, predicate, pt,
                              rat_str, triangle_edges)
 from kkfree.incidence import incidences_bruteforce
@@ -131,6 +132,29 @@ def test_unbounded_box_orthant():
 def test_degenerate_interval():
     with pytest.raises(InvalidInputError):
         interval(2, 1)
+
+
+# Ties at 1, 2 and 3, so both ends of a closed extent can sit on a run.
+_KEYS = [0, 1, 1, 2, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize("lo, hi, ranks", [
+    (None, None, (0, 8)), (None, 1, (0, 3)), (2, None, (3, 8)),
+    (1, 2, (1, 6)), (2, 2, (3, 6)), (1, 3, (1, 8)), (F(1, 2), F(5, 2), (1, 6)),
+    (0, 0, (0, 1)), (3, 3, (6, 8)), (-2, -1, (0, 0)), (4, None, (8, 8)),
+    (F(3, 2), F(7, 4), (3, 3))])
+def test_closed_rank_range_at_open_ends_and_ties(lo, hi, ranks):
+    assert closed_rank_range(_KEYS, lo, hi) == ranks
+
+
+@given(st.lists(st.integers(-3, 3)), st.none() | st.integers(-4, 4),
+       st.none() | st.integers(-4, 4))
+def test_closed_rank_range_holds_exactly_the_keys_in_it(keys, lo, hi):
+    keys.sort()
+    start, stop = closed_rank_range(keys, lo, hi)
+    inside = [i for i, key in enumerate(keys)
+              if (lo is None or lo <= key) and (hi is None or key <= hi)]
+    assert list(range(start, stop)) == inside
 
 
 @given(st.data())

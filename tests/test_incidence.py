@@ -99,6 +99,64 @@ def test_curtain_and_wedge2_rows_match_reference(data):
     _assert_rows_match_reference(points, ranges)
 
 
+# ---------------------------------------------------------------------------
+# oracle rows: 2D lines by a lookup in each distinct x's column
+
+def _lines_through(data, points, slopes):
+    """A line of each slope, through a drawn point or at a drawn offset."""
+    lines = []
+    for a in slopes:
+        q = data.draw(st.sampled_from(points))
+        lines.append(Line2(a, data.draw(st.sampled_from(
+            [q[1] - a * q[0], data.draw(constant)]))))
+    return lines
+
+
+@pytest.mark.parametrize("kind", ["distinct-x", "few-columns", "fractions",
+                                  "duplicates"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_line_rows_match_reference(kind, data):
+    if kind == "distinct-x":
+        # Points on a parabola, so no x repeats, and the line through each
+        # drawn pair of them (a tangent when the two are one point).
+        ts = data.draw(st.lists(st.integers(-20, 20), min_size=1,
+                                max_size=12, unique=True))
+        points = [pt(t, t * t) for t in ts]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ts),
+                                             st.sampled_from(ts)),
+                                   min_size=1, max_size=8))
+        lines = [Line2(s + t, -s * t) for s, t in pairs]
+        lines += _lines_through(data, points, data.draw(
+            st.lists(constant, max_size=3)))
+    elif kind == "few-columns":
+        # Up to three columns of many points, and lines of distinct slopes.
+        xs = data.draw(st.lists(st.integers(-3, 3), min_size=1, max_size=3,
+                                unique=True))
+        points = [pt(x, y) for x in xs for y in data.draw(
+            st.lists(st.integers(-12, 12), min_size=1, max_size=10))]
+        lines = _lines_through(data, points, data.draw(st.lists(
+            st.integers(-4, 4), min_size=1, max_size=9, unique=True)))
+    elif kind == "fractions":
+        points = data.draw(st.lists(st.tuples(coordinate, coordinate).map(
+            Point), min_size=1, max_size=14))
+        lines = _lines_through(data, points, data.draw(st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4),
+            min_size=1, max_size=6)))
+    else:
+        # Repeated points and repeated lines, on a small grid.
+        points = data.draw(st.lists(st.tuples(
+            st.integers(-2, 2), st.integers(-2, 2)).map(Point),
+            min_size=1, max_size=10))
+        points += data.draw(st.lists(st.sampled_from(points), min_size=1,
+                                     max_size=5))
+        lines = _lines_through(data, points, data.draw(st.lists(
+            st.integers(-2, 2), min_size=1, max_size=5)))
+        lines += data.draw(st.lists(st.sampled_from(lines), min_size=1,
+                                    max_size=3))
+    _assert_rows_match_reference(points, lines)
+
+
 def test_rows_of_every_range_type_ascend():
     # Duplicate points, Fraction points (the linear types' per-point
     # fallback) and integer points (their packed rows).
@@ -406,6 +464,12 @@ def test_cover_single_cell():
     boxes = [interval(-1, 1)]
     build = build_box_cover(pts, boxes)
     assert [(set(a), set(b)) for a, b in build.cover.pairs] == [({0}, {0})]
+
+
+def test_cover_with_no_points_rejects_boxes_of_two_dimensions():
+    with pytest.raises(InvalidInputError, match="box dimension mismatch"):
+        build_box_cover([], [Box((0,), (1,)), Box((0, 0, 0, 0),
+                                                  (1, 1, 1, 1))])
 
 
 def test_cover_1d_worked():
