@@ -22,10 +22,10 @@ from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
                      UnknownVerdictError)
 from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
 from .fat import build_fat_structure, fat_query
-from .geometry import Triangle, as_rat
+from .geometry import Triangle, as_rat, require_type
 from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
                         find_kkk, incidences_bruteforce, interval_audit,
-                        verify_cover)
+                        require_free, verify_cover)
 from .instances import Instance, load_instance, save_instance
 from .levels import (CensusRow, census_schedule, depth_census,
                      iterated_log2, shallow_census)
@@ -49,13 +49,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _out_dir(args) -> str:
-    return args.out_dir or os.environ.get("KKFREE_OUT", ".")
-
-
 def _out_path(args, name: str) -> str:
-    d = _out_dir(args)
-    os.makedirs(d, exist_ok=True)
+    d = args.out_dir or os.environ.get("KKFREE_OUT", ".")
+    try:
+        os.makedirs(d, exist_ok=True)
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot write {d}: {exc.strerror or exc}") from exc
     return os.path.join(d, name)
 
 
@@ -71,6 +71,9 @@ def _instance_k(args, inst) -> int:
 # gen
 
 def _cmd_gen(args) -> int:
+    if args.d < 1 or min(args.n, args.m) < 0:
+        raise InvalidInputError("need --d >= 1, --n >= 0 and --m >= 0: "
+                                f"d={args.d} n={args.n} m={args.m}")
     rng = random.Random(args.seed)
     prov = {"generator": args.family, "seed": args.seed,
             "params": {"n": args.n, "m": args.m, "d": args.d, "N": args.N,
@@ -81,7 +84,7 @@ def _cmd_gen(args) -> int:
     elif args.family == "lower5d":
         red = lower_bound_5d(args.N)
         if not red.verify():
-            print("embedding certificate failed", file=sys.stderr)
+            print("INTEGRITY: embedding certificate failed")
             return EXIT_INTEGRITY
         inst = Instance(5, red.target_points, red.target_ranges, 2, prov)
     elif args.family == "random-boxes":
@@ -140,16 +143,9 @@ def _cmd_cover(args) -> int:
     if not verify_cover(build.cover, graph):
         print("INTEGRITY: cover does not reproduce the oracle edge set")
         return EXIT_INTEGRITY
-    res = find_kkk(graph, k, args.budget)
-    if res.status == "unknown":
-        print("unknown: biclique search budget exhausted")
-        return EXIT_UNKNOWN
+    require_free(graph, k, args.budget)
     print(f"edges={graph.edge_count} cover_pairs={len(build.cover.pairs)} "
           f"cover_size={build.cover.size()}")
-    if res.found:
-        print(f"K_{{{k},{k}}} witness: points={list(res.points)} "
-              f"ranges={list(res.ranges)}")
-        return EXIT_INTEGRITY
     cb = cover_bound(build.cover, k)
     if cb.certified:
         print(f"certified bound: {cb.bound} >= {graph.edge_count}")
@@ -202,8 +198,7 @@ def _cmd_audit(args) -> int:
 def _audit_fat(args, inst) -> int:
     """Build the reporting structure, replay the instance's triangles as
     queries, and emit per-query instrumentation plus storage totals."""
-    if not all(isinstance(r, Triangle) for r in inst.ranges):
-        raise InvalidInputError("fat audit needs a triangle instance")
+    require_type(inst.ranges, Triangle, "fat audit needs triangles")
     graph = incidences_bruteforce(inst.points, inst.ranges)
     structure = build_fat_structure(inst.points)
     rows = []
@@ -227,15 +222,6 @@ def _audit_fat(args, inst) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _census_r_sweep(m: int, k: int) -> list[int]:
-    out = []
-    r = 2
-    while r <= m // (2 * k):
-        out.append(r)
-        r *= 2
-    return out
-
-
 def _cmd_census(args) -> int:
     if args.kind == "schedule":
         k = 2 if args.k is None else args.k
@@ -249,11 +235,11 @@ def _cmd_census(args) -> int:
         return EXIT_OK
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
-    m = inst.m
-    sweep = args.r or _census_r_sweep(m, k)
+    # By default, every power of two r >= 2 with r <= m/(2k).
+    sweep = args.r or [1 << i
+                       for i in range(1, (inst.m // (2 * k)).bit_length())]
     if not sweep:
-        print("no admissible r (need m >= 4k)", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInputError("no admissible r (need m >= 4k)")
     if args.kind == "shallow":
         rows = shallow_census(inst.points, inst.ranges, k, sweep, args.budget)
     else:
@@ -272,14 +258,15 @@ def _cmd_census(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# Each reduction, and an empty target's dimension from the source's.
 _REDUCTIONS = {
-    "polyhedra-to-boxes": (polyhedra_to_boxes, None),
-    "threesided-to-orthants": (threesided_to_orthants, 3),
-    "orthants-to-halfspaces": (orthants_to_halfspaces, 3),
-    "balls-to-halfspaces": (balls_to_halfspaces, None),
-    "pointline-to-5d": (pointline_to_5d, 5),
-    "wedge-dual": (wedge_dual, 3),
-    "wedge-lift": (wedge_lift, 3),
+    "polyhedra-to-boxes": (polyhedra_to_boxes, None),  # never empty
+    "threesided-to-orthants": (threesided_to_orthants, lambda d: 3),
+    "orthants-to-halfspaces": (orthants_to_halfspaces, lambda d: 3),
+    "balls-to-halfspaces": (balls_to_halfspaces, lambda d: d + 1),
+    "pointline-to-5d": (pointline_to_5d, lambda d: 5),
+    "wedge-dual": (wedge_dual, lambda d: 3),
+    "wedge-lift": (wedge_lift, lambda d: 3),
 }
 
 
@@ -304,15 +291,15 @@ def _cmd_reduce(args) -> int:
     fn, tgt_dim = _REDUCTIONS[args.name]
     red = fn(inst.points, inst.ranges)
     ok = red.verify()
-    # An empty target takes the table's fixed dimension, else the source's.
     targets = [*red.target_ranges, *red.target_points]
-    dim = targets[0].dim if targets else tgt_dim or inst.dimension
+    dim = targets[0].dim if targets else tgt_dim(inst.dimension)
     out_inst = Instance(dim, red.target_points, red.target_ranges, inst.k,
                         {"reduced_from": os.path.basename(args.instance),
                          "reduction": args.name})
+    cert_path = _out_path(args, "certificate.json")  # before any write
     if args.out:
         save_instance(out_inst, args.out)
-    write_json(_out_path(args, "certificate.json"), {
+    write_json(cert_path, {
         "name": red.certificate.name,
         "point_map": red.certificate.point_map,
         "range_map": red.certificate.range_map,
@@ -494,10 +481,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except NotApplicableError as exc:
-        print(f"not applicable: {exc} witness={exc.witness}")
+        print(exc)
         return EXIT_INTEGRITY
-    except UnknownVerdictError:
-        print("unknown: biclique search budget exhausted")
+    except UnknownVerdictError as exc:
+        print(f"unknown: {exc}")
         return EXIT_UNKNOWN
     except KkfreeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -227,6 +227,14 @@ def closed_rank_range(keys: Sequence[Rat], lo: Rat | None,
     return start, stop
 
 
+def require_type(ranges: Sequence, kind: type, what: str) -> None:
+    """Reject the first range that is not a ``kind``, naming ``what``."""
+    for idx, r in enumerate(ranges):
+        if not isinstance(r, kind):
+            raise InvalidInputError(
+                f"{what}: range {idx} is not a {kind.__name__}")
+
+
 def box2(xlo, xhi, ylo, yhi) -> Box:
     conv = lambda v: None if v is None else as_rat(v)
     return Box((conv(xlo), conv(ylo)), (conv(xhi), conv(yhi)))

@@ -19,7 +19,7 @@ from .errors import (DimensionMismatchError, InvalidInputError,
 from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        _integer_form, closed_rank_range, linear_constraints,
-                       linear_test, predicate)
+                       linear_test, predicate, require_type)
 from .packed import PackedColumns, pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -217,10 +217,12 @@ def require_free(graph: IncidenceGraph, k: int,
     """
     verdict = find_kkk(graph, k, node_budget)
     if verdict.found:
-        raise NotApplicableError("graph contains K_{k,k}",
-                                 witness=(verdict.points, verdict.ranges))
+        raise NotApplicableError(
+            f"K_{{{k},{k}}} witness: points={list(verdict.points)} "
+            f"ranges={list(verdict.ranges)}",
+            witness=(verdict.points, verdict.ranges))
     if verdict.status == "unknown":
-        raise UnknownVerdictError("K_{k,k} search budget exhausted")
+        raise UnknownVerdictError("biclique search budget exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -450,8 +452,7 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
     remaining axes.  At dimension one each class is a complete biclique and
     is emitted directly.
     """
-    if not all(isinstance(b, Box) for b in boxes):
-        raise InvalidInputError("cover construction needs boxes")
+    require_type(boxes, Box, "cover construction needs boxes")
     # The boxes share one dimension, the first point's if there is one.
     if len({b.dim for b in boxes} | {p.dim for p in points[:1]}) > 1:
         raise InvalidInputError("box dimension mismatch")
@@ -529,8 +530,7 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     report counts intervals fully covering the block hull and intervals with
     an endpoint inside it.  Requires the graph to be K_{k,k}-free.
     """
-    if any(not isinstance(b, Box) for b in intervals):
-        raise InvalidInputError("interval audit needs intervals (1D boxes)")
+    require_type(intervals, Box, "interval audit needs intervals")
     if any(p.dim != 1 for p in points) or any(b.dim != 1 for b in intervals):
         raise InvalidInputError("interval audit is one-dimensional")
     graph = incidences_bruteforce(points, intervals)

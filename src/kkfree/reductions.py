@@ -14,7 +14,7 @@ from .errors import InvalidInputError, UnsupportedInputError
 from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        closed_rank_range, dot, lift, lift_ball, predicate,
-                       rat_str)
+                       rat_str, require_type)
 from .incidence import incidences_bruteforce
 
 
@@ -61,7 +61,7 @@ def polyhedra_to_boxes(points: list[Point],
     """
     if not polyhedra:
         raise InvalidInputError("no polyhedra")
-    _require(polyhedra, Polyhedron, "polyhedra")
+    require_type(polyhedra, Polyhedron, "polyhedra-to-boxes needs polyhedra")
     frame = polyhedra[0].normals
     for poly in polyhedra:
         if poly.normals != frame:
@@ -101,7 +101,7 @@ def threesided_to_orthants(points: list[Point],
     global reflection (recorded in the certificate); mixed orientations in
     one family are rejected, since no single reflection normalizes them.
     """
-    _require(rects, Box, "3-sided rectangles")
+    require_type(rects, Box, "threesided-to-orthants needs 3-sided boxes")
     for r in rects:
         if r.dim != 2:
             raise InvalidInputError("need 2D ranges")
@@ -151,7 +151,7 @@ def orthants_to_halfspaces(points: list[Point],
     the halfspace x/4^qx + y/4^qy + z/4^qz <= 3.  Exact powers of four make
     the equivalence an exact integer statement.
     """
-    _require(orthants, Box, "orthants")
+    require_type(orthants, Box, "orthants-to-halfspaces needs orthants")
     flips = None
     for o in orthants:
         if o.dim != 3:
@@ -200,16 +200,9 @@ def orthants_to_halfspaces(points: list[Point],
     return Reduction(points, list(orthants), tgt_points, tgt_halfspaces, cert)
 
 
-def _require(ranges, cls, what: str):
-    for r in ranges:
-        if not isinstance(r, cls):
-            raise InvalidInputError(f"reduction needs {what}, got "
-                                    f"{type(r).__name__}")
-
-
 def balls_to_halfspaces(points: list[Point], balls: list[Ball]) -> Reduction:
     """Paraboloid lift: balls in R^d to lower halfspaces in R^{d+1}."""
-    _require(balls, Ball, "balls")
+    require_type(balls, Ball, "balls-to-halfspaces needs balls")
     tgt_points = [lift(p) for p in points]
     tgt_halfspaces = [lift_ball(b) for b in balls]
     cert = ReductionCertificate(
@@ -233,7 +226,7 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
     for p in points:
         if p.dim != 2:
             raise InvalidInputError("need 2D points")
-    _require(lines, Line2, "non-vertical lines")
+    require_type(lines, Line2, "pointline-to-5d needs non-vertical lines")
     coords = [p.coords for p in points]
     # The nearest y != c above and below c = a x + b in each column of
     # points at one x give the column's least positive residual.
@@ -274,7 +267,7 @@ def wedge_dual(points: list[Point], wedges: list[Wedge3]) -> Reduction:
     (px, py, pz) becomes the wedge {beta <= px * alpha - py, gamma <= -pz}.
     Applying the map twice restores the original incidence pattern.
     """
-    _require(wedges, Wedge3, "3D wedges")
+    require_type(wedges, Wedge3, "wedge-dual needs 3D wedges")
     tgt_points = [Point((w.a, -w.b, -w.c)) for w in wedges]
     tgt_wedges = [Wedge3(p[0], -p[1], -p[2]) for p in points]
     cert = ReductionCertificate(
@@ -287,7 +280,7 @@ def wedge_dual(points: list[Point], wedges: list[Wedge3]) -> Reduction:
 
 def wedge_lift(points: list[Point], wedges: list[Wedge2]) -> Reduction:
     """Variant II: lift 2D wedges to 3D wedges via (x, y) -> (x, y, x)."""
-    _require(wedges, Wedge2, "2D wedges")
+    require_type(wedges, Wedge2, "wedge-lift needs 2D wedges")
     tgt_points = [Point((p[0], p[1], p[0])) for p in points]
     tgt_wedges = [Wedge3(w.a, w.b, w.c) for w in wedges]
     cert = ReductionCertificate(
@@ -405,7 +398,8 @@ def origin_triangle_to_curtain(points: list[Point],
     the axis swap (x, y) -> (y/x, -1/x) is a curtain, possibly with unbounded
     ends.
     """
-    _require(triangles, Triangle, "origin-vertex triangles")
+    require_type(triangles, Triangle,
+                 "origin-triangle-to-curtain needs origin-vertex triangles")
     for t in triangles:
         if not any(v[0] == 0 and v[1] == 0 for v in t.vertices):
             raise InvalidInputError("triangle lacks a vertex at the origin")

@@ -6,17 +6,27 @@ keys, fixed float formatting.  Files are written atomically (temp + rename).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
 
+from .errors import InvalidInputError
+
 
 def write_text_atomic(path: str, payload: str) -> None:
+    """Write through a temp file and a rename; a failure is an input error."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):   # none was made, or it is gone
+            os.remove(tmp)
+        raise InvalidInputError(
+            f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def write_csv(path: str, header: list[str], rows: list[list],
@@ -29,8 +39,7 @@ def write_csv(path: str, header: list[str], rows: list[list],
         buf.write(f"# {items}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
 
 

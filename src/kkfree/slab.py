@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .errors import DimensionMismatchError, InvalidInputError
 from .geometry import (Box, Coords, Curtain, Point, Range, closed_rank_range,
-                       predicate)
+                       predicate, require_type)
 
 
 @dataclass
@@ -184,16 +184,15 @@ def _coverage(xs: list, lo, hi) -> tuple[int, int]:
 
 
 def _entry(points: list[Point], ranges: list[Range], dim: int,
-           kind: type) -> list[Coords]:
+           kind: type, what: str) -> list[Coords]:
     """The points' coordinate tuples sorted by (x, index).
 
     This is the audits' one type and dimension check, since the recursion
     tests none: every range must be a ``kind`` with the first range's
     dimension, and every point must have the audit's dimension ``dim``.
     """
+    require_type(ranges, kind, what)
     for idx, r in enumerate(ranges):
-        if not isinstance(r, kind):
-            raise InvalidInputError(f"range {idx} is not a {kind.__name__}")
         if r.dim != ranges[0].dim:
             raise DimensionMismatchError(
                 f"range {idx} has dimension {r.dim}, "
@@ -227,7 +226,8 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     for r in rects:
         if r.dim != 2:
             raise InvalidInputError("rect audit needs 2D boxes")
-    root = _rect_node(_entry(points, rects, 2, Box), rects, b, 0)
+    coords = _entry(points, rects, 2, Box, "rect audit needs rectangles")
+    root = _rect_node(coords, rects, b, 0)
     total = root.subtree_total()
     return RecursionReport("rect", b, k, total, root)
 
@@ -286,7 +286,7 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     if not points and not boxes:
         return RecursionReport("box", b, k, 0, SlabNode("leaf", 0, 0, 0, 0))
     d = boxes[0].dim if boxes else points[0].dim
-    coords = _entry(points, boxes, d, Box)
+    coords = _entry(points, boxes, d, Box, "box audit needs boxes")
     if d < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
     root = _box_node(coords, boxes, b, 0, d)
@@ -362,7 +362,8 @@ def curtain_audit(points: list[Point], curtains: list[Curtain],
     A curtain crossing the median boundary is counted at the node (inside a
     slab it constrains like a wedge); curtains confined to one half recurse.
     """
-    root = _curtain_node(_entry(points, curtains, 2, Curtain), curtains, 0)
+    pts = _entry(points, curtains, 2, Curtain, "curtain audit needs curtains")
+    root = _curtain_node(pts, curtains, 0)
     total = root.subtree_total()
     return RecursionReport("curtain", 2, k, total, root)
 

@@ -14,7 +14,7 @@ from kkfree.incidence import incidences_bruteforce
 from kkfree.instances import (Instance, instance_from_json, instance_to_json,
                               load_instance, save_instance)
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
-                             Point, Polyhedron, Triangle, Wedge3, pt)
+                             Point, Polyhedron, Triangle, Wedge2, Wedge3, pt)
 
 
 def run(args, tmp_path):
@@ -206,19 +206,23 @@ def test_reduce_writes_certificate(tmp_path, capsys):
     assert target.n == 1 and target.m == 1
 
 
-@pytest.mark.parametrize("name, source", [
-    ("balls-to-halfspaces", Ball(pt(0, 0), 4)),
-    ("polyhedra-to-boxes",
-     Polyhedron(((1, 0), (0, 1), (1, 1)), (0, 0, 0), (1, 1, 1)))])
+@pytest.mark.parametrize("name, dim, ranges, want", [
+    ("balls-to-halfspaces", 2, [Ball(pt(0, 0), 4)], 3),
+    ("polyhedra-to-boxes", 2,
+     [Polyhedron(((1, 0), (0, 1), (1, 1)), (0, 0, 0), (1, 1, 1))], 3),
+    ("balls-to-halfspaces", 2, [], 3),
+    ("balls-to-halfspaces", 1, [], 2),
+], ids=["balls-to-halfspaces-source0", "polyhedra-to-boxes-source1",
+        "balls-to-halfspaces-empty-2d", "balls-to-halfspaces-empty-1d"])
 def test_reduce_with_no_points_writes_a_3d_instance(tmp_path, capsys, name,
-                                                    source):
-    # The 2D source has no points, so only the target ranges give the
-    # target's dimension, 3.
+                                                    dim, ranges, want):
+    # The source has no points, so only the target ranges give the target's
+    # dimension; with no ranges either, the lift still adds one dimension.
     path = tmp_path / "src.json"
-    save_instance(Instance(2, [], [source], 2), path)
+    save_instance(Instance(dim, [], ranges, 2), path)
     out = tmp_path / "tgt.json"
     assert run(["reduce", name, path, "--out", out], tmp_path) == 0
-    assert load_instance(out).dimension == 3
+    assert load_instance(out).dimension == want
     capsys.readouterr()
     assert run(["count", out], tmp_path) == 0
     assert capsys.readouterr().out == "0\n"
@@ -435,6 +439,7 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
 
 
 _UPPER = Halfspace(Hyperplane((0,), 1), "upper")
+_UPPER_1D = Halfspace(Hyperplane((), 1), "upper")
 
 
 @pytest.mark.parametrize("argv, inst", [
@@ -488,7 +493,8 @@ def test_audit_fat_of_another_range_type_is_a_usage_error(tmp_path, capsys):
     path = _box_instance(tmp_path)
     assert run(["audit", "fat", path], tmp_path) == 1
     out, err = capsys.readouterr()
-    assert err == "error: fat audit needs a triangle instance\n" and out == ""
+    assert err == ("error: fat audit needs triangles: range 0 is not a "
+                   "Triangle\n") and out == ""
     assert [p.name for p in tmp_path.iterdir()] == ["iv.json"]
 
 
@@ -512,7 +518,7 @@ def test_non_free_instance_is_not_applicable(tmp_path, capsys, argv):
     path = _dense_instances(tmp_path)[argv[0]]
     assert run([*argv, path, "--k", 2], tmp_path) == 2
     out, err = capsys.readouterr()
-    assert out.startswith("not applicable: graph contains K_{k,k} witness=(")
+    assert out == "K_{2,2} witness: points=[0, 1] ranges=[0, 1]\n"
     assert err == ""
     assert not list(tmp_path.glob("*.csv"))
 
@@ -526,6 +532,146 @@ def test_exhausted_budget_is_an_unknown_verdict(tmp_path, capsys, argv):
     assert out == "unknown: biclique search budget exhausted\n"
     assert err == ""
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [["cover"], ["audit", "interval"],
+                                  ["census", "shallow"]],
+                         ids=["cover", "audit-interval", "census-shallow"])
+@pytest.mark.parametrize("flags, code, line", [
+    (["--k", 2], 2, "K_{2,2} witness: points=[0, 1] ranges=[0, 1]"),
+    (["--k", 3, "--budget", 0], 3, "unknown: biclique search budget exhausted"),
+], ids=["found", "unknown"])
+def test_refused_command_prints_one_line_and_writes_no_file(
+        tmp_path, capsys, argv, flags, code, line):
+    paths = _dense_instances(tmp_path)
+    path = paths["census" if argv[0] == "census" else "audit"]
+    assert run([*argv, path, *flags], tmp_path) == code
+    assert capsys.readouterr() == (line + "\n", "")
+    assert sorted(tmp_path.iterdir()) == sorted(paths.values())
+
+
+_WRONG_LAST = [
+    (["cover"], Instance(1, [pt(1)], [Box((0,), (2,)), _UPPER_1D], 2),
+     "cover construction needs boxes: range 1 is not a Box"),
+    (["audit", "interval"],
+     Instance(1, [pt(1)], [Box((0,), (2,)), Box((1,), (3,)), _UPPER_1D], 2),
+     "interval audit needs intervals: range 2 is not a Box"),
+    (["audit", "fat"],
+     Instance(2, [pt(1, 1)], [Triangle(pt(0, 0), pt(4, 0), pt(0, 4)),
+                              Box((0, 0), (2, 2))], 2),
+     "fat audit needs triangles: range 1 is not a Triangle"),
+    (["reduce", "polyhedra-to-boxes"],
+     Instance(2, [pt(1, 1)], [Polyhedron(((1, 0), (0, 1)), (0, 0), (2, 2)),
+                              Box((0, 0), (2, 2))], 2),
+     "polyhedra-to-boxes needs polyhedra: range 1 is not a Polyhedron"),
+    (["reduce", "threesided-to-orthants"],
+     Instance(2, [pt(1, 1)], [Box((0, None), (2, 2)), _UPPER], 2),
+     "threesided-to-orthants needs 3-sided boxes: range 1 is not a Box"),
+    (["reduce", "orthants-to-halfspaces"],
+     Instance(3, [pt(1, 1, 1)], [Box((None,) * 3, (2, 2, 2)),
+                                 Wedge3(2, 1, 4)], 2),
+     "orthants-to-halfspaces needs orthants: range 1 is not a Box"),
+    (["reduce", "balls-to-halfspaces"],
+     Instance(2, [pt(1, 1)], [Ball(pt(0, 0), 4), Box((0, 0), (2, 2))], 2),
+     "balls-to-halfspaces needs balls: range 1 is not a Ball"),
+    (["reduce", "pointline-to-5d"],
+     Instance(2, [pt(1, 1)], [Line2(1, 0), Box((0, 0), (2, 2))], 2),
+     "pointline-to-5d needs non-vertical lines: range 1 is not a Line2"),
+    (["reduce", "wedge-dual"],
+     Instance(3, [pt(1, 2, 3)], [Wedge3(2, 1, 4), Box((0,) * 3, (2,) * 3)],
+              2),
+     "wedge-dual needs 3D wedges: range 1 is not a Wedge3"),
+    (["reduce", "wedge-lift"],
+     Instance(2, [pt(1, 1)], [Wedge2(1, 2, 3), Box((0, 0), (2, 2))], 2),
+     "wedge-lift needs 2D wedges: range 1 is not a Wedge2"),
+    (["reduce", "origin-triangle-to-curtain"],
+     Instance(2, [pt(1, 1)], [Triangle(pt(0, 0), pt(4, 0), pt(0, 4)),
+                              Box((0, 0), (2, 2))], 2),
+     "origin-triangle-to-curtain needs origin-vertex triangles: range 1 is "
+     "not a Triangle"),
+]
+
+
+@pytest.mark.parametrize("argv, inst, message", _WRONG_LAST,
+                         ids=[" ".join(argv) for argv, _, _ in _WRONG_LAST])
+def test_a_wrong_range_type_in_the_last_position_is_named(tmp_path, capsys,
+                                                         argv, inst, message):
+    # Every range before the last has the right type, so a check of the
+    # first range alone would let the command run.
+    path = tmp_path / "wrong.json"
+    save_instance(inst, path)
+    assert run([*argv, path], tmp_path) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["wrong.json"]
+
+
+def test_census_with_no_admissible_r_is_a_usage_error(tmp_path, capsys):
+    # m = 7 < 4k = 8, so no r in [2, m/(2k)] is left to sweep.
+    path = tmp_path / "hp.json"
+    save_instance(Instance(2, [pt(0, 10)],
+                           [Halfspace(Hyperplane((0,), -j), "upper")
+                            for j in range(7)], 2), path)
+    assert run(["census", "shallow", path, "--k", 2], tmp_path) == 1
+    assert capsys.readouterr() == (
+        "", "error: no admissible r (need m >= 4k)\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["hp.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "elekes", "--N", 2, "--out", "missing/grid.json"],
+    ["--out-dir", "afile", "census", "schedule", "--k", 2, "--m", 64],
+    ["gen", "elekes", "--N", 2, "--out", "adir"],
+], ids=["missing-directory", "out-dir-is-a-file", "out-is-a-directory"])
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                               argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    assert main([str(a) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "afile"]
+    assert list((tmp_path / "adir").iterdir()) == []
+
+
+def test_reduce_into_an_unwritable_directory_writes_no_instance(tmp_path,
+                                                              capsys):
+    grid = tmp_path / "grid.json"
+    assert run(["gen", "elekes", "--N", 2, "--out", grid], tmp_path) == 0
+    (tmp_path / "afile").write_text("")
+    capsys.readouterr()
+    assert main(["--out-dir", str(tmp_path / "afile"), "reduce",
+                 "pointline-to-5d", str(grid), "--out",
+                 str(tmp_path / "g5.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile",
+                                                          "grid.json"]
+
+
+@pytest.mark.parametrize("flags, values", [
+    (["--n", 0, "--m", 1, "--d", 0], "d=0 n=0 m=1"),
+    (["--n", -3, "--m", 1], "d=2 n=-3 m=1"),
+    (["--n", 3, "--m", -1], "d=2 n=3 m=-1"),
+], ids=["d-zero", "n-negative", "m-negative"])
+def test_gen_rejects_a_bound_out_of_range(tmp_path, capsys, flags, values):
+    out = tmp_path / "x.json"
+    assert run(["gen", "random-boxes", *flags, "--out", out], tmp_path) == 1
+    assert capsys.readouterr() == (
+        "", f"error: need --d >= 1, --n >= 0 and --m >= 0: {values}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_embedding_certificate_is_an_integrity_line(tmp_path, capsys,
+                                                           monkeypatch):
+    red = kkfree.cli.lower_bound_5d(2)
+    monkeypatch.setattr(type(red), "verify", lambda self: False)
+    out = tmp_path / "l.json"
+    assert run(["gen", "lower5d", "--N", 2, "--out", out], tmp_path) == 2
+    assert capsys.readouterr() == (
+        "INTEGRITY: embedding certificate failed\n", "")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_repeated_main_calls_leave_no_cyclic_garbage(tmp_path):
