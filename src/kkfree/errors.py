@@ -5,12 +5,12 @@ class KkfreeError(Exception):
     """Base class for all library errors."""
 
 
-class DimensionMismatchError(KkfreeError):
-    """A point and a range (or two objects) disagree on ambient dimension."""
-
-
 class InvalidInputError(KkfreeError):
     """Malformed or out-of-contract input."""
+
+
+class DimensionMismatchError(InvalidInputError):
+    """A point and a range (or two objects) disagree on ambient dimension."""
 
 
 class UnsupportedInputError(KkfreeError):

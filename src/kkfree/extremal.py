@@ -110,10 +110,22 @@ def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
 
     Returned as a float: several families involve fractional powers, so the
     value is generally irrational.  Guarded logarithms keep tiny parameters
-    (n = 1, m < 4) well defined; the guards substitute 1.
+    (n = 1, m < 4) well defined; the guards substitute 1.  A value beyond
+    the float range raises ``InvalidInputError``.
     """
     if n < 1 or m < 0 or k < 1:
         raise InvalidInputError("need n >= 1, m >= 0, k >= 1")
+    try:
+        value = constant * _bound_value(formula, n, m, k)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise InvalidInputError(
+            f"{formula.family} bound at n={n} is beyond the float range")
+    return value
+
+
+def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
     fam, d = formula.family, formula.d
     if fam == "interval":
         value = k * n + 3 * k * m
@@ -142,4 +154,4 @@ def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
         star = iterated_log2(float(m))
         llk = math.log2(math.log2(k)) if k >= 4 else 0.0
         value = k * n + k * m * star * (star + llk)
-    return constant * value
+    return value

@@ -87,9 +87,6 @@ class SlantedRangeTree:
         v_max = max(left.v_max, right.v_max, key=v_rank.__getitem__)
         return _Node(lo, hi, v_min, v_max, left, right)
 
-    def __len__(self) -> int:
-        return len(self.kn)
-
     def stored_entries(self) -> int:
         return len(self.kn) + self.node_count
 

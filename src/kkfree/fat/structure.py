@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ..errors import InvalidInputError
-from ..geometry import Point, Rat, Triangle, predicate, triangle_edges
+from ..geometry import (Point, Rat, Triangle, predicate, require_dim,
+                        triangle_edges)
 from ..reductions import apex_cell_constraints
 from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
                        cell_key, centroid_descent, diameter_sq_of)
@@ -145,9 +145,7 @@ class FatQueryStats:
 
 def build_fat_structure(points: list[Point]) -> FatReportStructure:
     """Build the three shifted centroid trees over the points."""
-    for p in points:
-        if p.dim != 2:
-            raise InvalidInputError("fat structure needs planar points")
+    require_dim(points, 2, "point")
     frame = make_frame(points)
     (ox, oy), scale = frame.origin, frame.scale
     # One denominator for every frame coordinate (x - ox) * scale and every

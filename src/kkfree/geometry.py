@@ -235,6 +235,16 @@ def require_type(ranges: Sequence, kind: type, what: str) -> None:
                 f"{what}: range {idx} is not a {kind.__name__}")
 
 
+def require_dim(objs: Sequence, dim: int, what: str) -> None:
+    """Reject the first object of another dimension than ``dim``, naming it
+    ``what`` and its index; an object with no ``dim`` is left to the type
+    check."""
+    for idx, o in enumerate(objs):
+        if getattr(o, "dim", dim) != dim:
+            raise DimensionMismatchError(
+                f"{what} {idx} has dimension {o.dim}, not {dim}")
+
+
 def box2(xlo, xhi, ylo, yhi) -> Box:
     conv = lambda v: None if v is None else as_rat(v)
     return Box((conv(xlo), conv(ylo)), (conv(xhi), conv(yhi)))
@@ -297,9 +307,7 @@ class Triangle:
     v2: Point
 
     def __post_init__(self):
-        for v in (self.v0, self.v1, self.v2):
-            if v.dim != 2:
-                raise InvalidInputError("triangle vertices must be planar")
+        require_dim(self.vertices, 2, "triangle vertex")
 
     @property
     def dim(self) -> int:
@@ -344,6 +352,9 @@ class Polyhedron:
     def __post_init__(self):
         if not (len(self.normals) == len(self.lows) == len(self.highs)):
             raise InvalidInputError("polyhedron constraint arity mismatch")
+        if len(set(map(len, self.normals))) > 1:
+            raise DimensionMismatchError(
+                "polyhedron normals of different dimensions")
 
     @property
     def dim(self) -> int:
@@ -454,9 +465,6 @@ def linear_constraints(r: Halfspace | LinearHalfspace | Polyhedron | Wedge3
         *line, b = _integer_form((-r.a, 1, 0, r.b))
         *top, c = _integer_form((0, 0, 1, r.c))
         return [(tuple(line), b), (tuple(top), c)]
-    if any(len(nrm) != r.dim for nrm in r.normals):
-        raise DimensionMismatchError(
-            "polyhedron normals of different dimensions")
     out = []
     for nrm, lo, hi in zip(r.normals, r.lows, r.highs):
         *scaled, lo, hi = _integer_form((*nrm, lo, hi))

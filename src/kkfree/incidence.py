@@ -14,12 +14,11 @@ from operator import add, and_, eq, ge, le, lt, mul
 from typing import Sequence
 
 from .dyadic import canonical_decomposition
-from .errors import (DimensionMismatchError, InvalidInputError,
-                     NotApplicableError, UnknownVerdictError)
+from .errors import InvalidInputError, NotApplicableError, UnknownVerdictError
 from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        _integer_form, closed_rank_range, linear_constraints,
-                       linear_test, predicate, require_type)
+                       linear_test, predicate, require_dim, require_type)
 from .packed import PackedColumns, pack_columns
 
 DEFAULT_NODE_BUDGET = 200_000
@@ -77,8 +76,8 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     """The defining oracle: every (point, range) pair, decided exactly.
 
     Every point must have the first point's dimension, and every range,
-    checked before it is decided; else ``DimensionMismatchError``.  Each
-    range gives its row, the ascending indices of its points, from
+    all checked before any range is decided; else ``DimensionMismatchError``.
+    Each range gives its row, the ascending indices of its points, from
     ``_CandidateIndex.row``, which compiles it there, so one compiled
     range lives at a time.  A halfspace, linear halfspace, polyhedron or
     ``Wedge3`` is a conjunction of integer ``geometry.linear_constraints``;
@@ -99,19 +98,11 @@ def incidences_bruteforce(points: list[Point], ranges: list[Range]) -> Incidence
     looks up ``a x + b`` in each distinct x's column, the points at that x
     keyed by y, and compiles no predicate.
     """
-    d = points[0].dim if points else None
-    for idx, p in enumerate(points):
-        if p.dim != d:
-            raise DimensionMismatchError(
-                f"point {idx} has dimension {p.dim}, first point has {d}")
+    if points:
+        require_dim(points, points[0].dim, "point")
+        require_dim(ranges, points[0].dim, "range")
     index = _CandidateIndex([p.coords for p in points])
-    rows = []
-    for idx, r in enumerate(ranges):
-        # An object with no dimension is no range; row rejects its type.
-        if d is not None and getattr(r, "dim", d) != d:
-            raise DimensionMismatchError(
-                f"range {idx} has dimension {r.dim}, first point has {d}")
-        rows.append(index.row(r))
+    rows = list(map(index.row, ranges))
     return IncidenceGraph(len(points), len(ranges), rows)
 
 
@@ -453,12 +444,13 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
     is emitted directly.
     """
     require_type(boxes, Box, "cover construction needs boxes")
-    # The boxes share one dimension, the first point's if there is one.
-    if len({b.dim for b in boxes} | {p.dim for p in points[:1]}) > 1:
-        raise InvalidInputError("box dimension mismatch")
+    # The points and boxes share the first point's dimension, else the
+    # first box's.
+    d = points[0].dim if points else boxes[0].dim if boxes else 0
+    require_dim(points, d, "point")
+    require_dim(boxes, d, "range")
     if not points:
         return BoxCoverBuild(BicliqueCover(()), ())
-    d = points[0].dim
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     level_acc: dict[int, list[int]] = {}
 
@@ -531,8 +523,8 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     an endpoint inside it.  Requires the graph to be K_{k,k}-free.
     """
     require_type(intervals, Box, "interval audit needs intervals")
-    if any(p.dim != 1 for p in points) or any(b.dim != 1 for b in intervals):
-        raise InvalidInputError("interval audit is one-dimensional")
+    require_dim(intervals, 1, "range")
+    require_dim(points, 1, "point")
     graph = incidences_bruteforce(points, intervals)
     require_free(graph, k, node_budget)
 

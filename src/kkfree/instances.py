@@ -14,7 +14,7 @@ from typing import Any
 from .errors import InvalidInputError
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                        LinearHalfspace, Point, Polyhedron, Range, Triangle,
-                       Wedge2, Wedge3, as_rat, rat_str)
+                       Wedge2, Wedge3, as_rat, rat_str, require_dim)
 from .reports import write_text_atomic
 
 FORMAT_VERSION = 1
@@ -38,12 +38,8 @@ class Instance:
         if not isinstance(self.provenance, dict):
             raise InvalidInputError(
                 f"provenance must be an object: {self.provenance!r}")
-        for p in self.points:
-            if p.dim != self.dimension:
-                raise InvalidInputError("point dimension mismatch")
-        for r in self.ranges:
-            if r.dim != self.dimension:
-                raise InvalidInputError("range dimension mismatch")
+        require_dim(self.points, self.dimension, "point")
+        require_dim(self.ranges, self.dimension, "range")
 
     @property
     def n(self) -> int:

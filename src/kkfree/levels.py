@@ -149,7 +149,8 @@ def census_schedule(k: int, m: int, mode: str = "general",
                     c: int = 4) -> CensusSchedule:
     """Threshold sequence for banded censuses.
 
-    general: double for c*log2(k) steps, then t -> t^(c/(c-1)) until >= m.
+    general: double for c*log2(k) steps, then t -> ceil(t^(c/(c-1))),
+    the least s with s^(c-1) >= t^c in integers, until >= m.
     fat: double for max(1, ceil(3*log2(log2 k))) steps, then t -> 2^sqrt(t/k)
     until >= m.  Both phases force strict increase at small scales, where the
     raw recurrences are non-monotone (the tower step only dominates doubling
@@ -174,7 +175,7 @@ def census_schedule(k: int, m: int, mode: str = "general",
             if i <= doubling:
                 t = 2 * t
             else:
-                t = max(t + 1, math.ceil(t ** (c / (c - 1))))
+                t = max(t + 1, _ceil_root(t ** c, c - 1))
             out.append(t)
     else:
         loglogk = math.log2(math.log2(k)) if k >= 2 else 0.0
@@ -193,6 +194,15 @@ def census_schedule(k: int, m: int, mode: str = "general",
                 t = max(2 * t, step)
             out.append(t)
     return CensusSchedule(tuple(out), mode, k, m)
+
+
+def _ceil_root(x: int, e: int) -> int:
+    """The least integer s with s^e >= x, for integers x, e >= 1."""
+    # Integer Newton steps from above 2^(bits/e) fall to floor(x^(1/e)).
+    s = 1 << -(-x.bit_length() // e)
+    while (t := ((e - 1) * s + x // s ** (e - 1)) // e) < s:
+        s = t
+    return s if s ** e >= x else s + 1
 
 
 def iterated_log2(x: float) -> int:

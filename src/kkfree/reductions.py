@@ -14,7 +14,7 @@ from .errors import InvalidInputError, UnsupportedInputError
 from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        closed_rank_range, dot, lift, lift_ball, predicate,
-                       rat_str, require_type)
+                       rat_str, require_dim, require_type)
 from .incidence import incidences_bruteforce
 
 
@@ -102,9 +102,7 @@ def threesided_to_orthants(points: list[Point],
     one family are rejected, since no single reflection normalizes them.
     """
     require_type(rects, Box, "threesided-to-orthants needs 3-sided boxes")
-    for r in rects:
-        if r.dim != 2:
-            raise InvalidInputError("need 2D ranges")
+    require_dim(rects, 2, "range")
     orientations = {_threesided_orientation(r) for r in rects}
     if len(orientations) > 1:
         raise InvalidInputError(
@@ -152,10 +150,9 @@ def orthants_to_halfspaces(points: list[Point],
     the equivalence an exact integer statement.
     """
     require_type(orthants, Box, "orthants-to-halfspaces needs orthants")
+    require_dim(orthants, 3, "range")
     flips = None
     for o in orthants:
-        if o.dim != 3:
-            raise InvalidInputError("need 3D orthants")
         this = []
         for axis in range(3):
             lo, hi = o.lows[axis], o.highs[axis]
@@ -223,9 +220,7 @@ def pointline_to_5d(points: list[Point], lines: list[Line2]) -> Reduction:
     found per line and distinct x by bisecting the sorted y values of the
     points at that x, in O(m X log n) for X distinct x.
     """
-    for p in points:
-        if p.dim != 2:
-            raise InvalidInputError("need 2D points")
+    require_dim(points, 2, "point")
     require_type(lines, Line2, "pointline-to-5d needs non-vertical lines")
     coords = [p.coords for p in points]
     # The nearest y != c above and below c = a x + b in each column of

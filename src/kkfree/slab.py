@@ -19,9 +19,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
-from .errors import DimensionMismatchError, InvalidInputError
+from .errors import InvalidInputError
 from .geometry import (Box, Coords, Curtain, Point, Range, closed_rank_range,
-                       predicate, require_type)
+                       predicate, require_dim, require_type)
 
 
 @dataclass
@@ -188,19 +188,12 @@ def _entry(points: list[Point], ranges: list[Range], dim: int,
     """The points' coordinate tuples sorted by (x, index).
 
     This is the audits' one type and dimension check, since the recursion
-    tests none: every range must be a ``kind`` with the first range's
-    dimension, and every point must have the audit's dimension ``dim``.
+    tests none: every range must be a ``kind``, and every range and point
+    must have the audit's dimension ``dim``.
     """
     require_type(ranges, kind, what)
-    for idx, r in enumerate(ranges):
-        if r.dim != ranges[0].dim:
-            raise DimensionMismatchError(
-                f"range {idx} has dimension {r.dim}, "
-                f"first range has {ranges[0].dim}")
-    for idx, p in enumerate(points):
-        if p.dim != dim:
-            raise DimensionMismatchError(
-                f"point {idx} has dimension {p.dim}, the audit has {dim}")
+    require_dim(ranges, dim, "range")
+    require_dim(points, dim, "point")
     # A stable sort by x keeps ties in index order.
     return sorted((p.coords for p in points), key=itemgetter(0))
 
@@ -223,9 +216,6 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     """
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
-    for r in rects:
-        if r.dim != 2:
-            raise InvalidInputError("rect audit needs 2D boxes")
     coords = _entry(points, rects, 2, Box, "rect audit needs rectangles")
     root = _rect_node(coords, rects, b, 0)
     total = root.subtree_total()

@@ -128,6 +128,19 @@ def test_census_schedule(tmp_path, capsys):
     assert (tmp_path / "schedule.csv").exists()
 
 
+def test_census_schedule_steps_in_integers(tmp_path, capsys):
+    # ceil(t^(3/2)) at t = 276709604421 is ...443; a float power gave ...456.
+    assert run(["census", "schedule", "--k", 2, "--c", 3, "--m", 10 ** 12],
+               tmp_path) == 0
+    assert capsys.readouterr().out.startswith(
+        "thresholds=[4, 8, 16, 32, 182, 2456, 121715, 42463536, "
+        "276709604421, 145558090693231443] ")
+    # An m beyond the float range, which a float power overflowed on.
+    assert run(["census", "schedule", "--m", "1" + "0" * 400], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("thresholds=[4, ") and err == ""
+
+
 def test_census_schedule_defaults_k_to_two(tmp_path, capsys):
     assert run(["census", "schedule", "--m", 64], tmp_path) == 0
     assert capsys.readouterr().out.startswith("thresholds=[4, ")
@@ -179,6 +192,23 @@ def test_plot_of_a_cell_beyond_float_is_an_input_error(tmp_path, capsys,
     assert run(["plot", path, "--x", "r", "--y", "reference"], tmp_path) == 1
     out, err = capsys.readouterr()
     assert err.startswith("error: column 'reference': ")
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "plot.svg").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--overlay", "box", "--d", 5000],
+    ["--overlay", "box", "--epsilon", "1e308"],
+    ["--overlay", "halfspace", "--d", 4, "--m", "1" + "0" * 400],
+], ids=["box-d-5000", "box-epsilon-1e308", "halfspace-m-1e400"])
+def test_plot_of_an_overlay_beyond_float_is_an_input_error(tmp_path, capsys,
+                                                           args):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n4,8\n")
+    assert run(["plot", path, "--x", "a", "--y", "b", *args], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith(f"error: {args[1]} bound at n=")
+    assert err.endswith(" is beyond the float range\n")
     assert err.count("\n") == 1 and out == ""
     assert not (tmp_path / "plot.svg").exists()
 
@@ -453,8 +483,12 @@ _UPPER_1D = Halfspace(Hyperplane((), 1), "upper")
     (["audit", "fat"], Instance(2, [pt(1, 1)], [Box((0, 0), (2, 2))], 2)),
     (["cover"], Instance(2, [], [_UPPER], 2)),
     (["cover"], Instance(2, [pt(0, 5)], [_UPPER], 2)),
+    (["audit", "rect"], Instance(3, [pt(1, 1, 1)], [Box((0,) * 3, (2,) * 3)],
+                                 2)),
+    (["audit", "interval"], Instance(2, [pt(1, 1)], [Box((0, 0), (2, 2))],
+                                     2)),
 ], ids=["rect", "box", "curtain", "interval", "fat", "cover-0-points",
-        "cover-1-point"])
+        "cover-1-point", "rect-3d", "interval-2d"])
 def test_audit_of_another_range_type_is_a_usage_error(tmp_path, capsys,
                                                       monkeypatch, argv, inst):
     # Each command rejects the range type before the oracle runs.

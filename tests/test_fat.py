@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkfree import generators as gens
+from kkfree.errors import DimensionMismatchError
 from kkfree.fat import (MAX_LEVEL, SHIFTS, QuadtreeSquare, alignment_level,
                         build_curtain_structure, build_fat_structure,
                         centroid_square, curtain_query, diameter_sq_of,
@@ -180,6 +181,12 @@ def test_fat_structure_pinned_shape(pts, entries, depth):
     # Values of the Fraction-coordinate build the integer build replaced.
     s = build_fat_structure(pts)
     assert (s.stored_entries(), s.max_depth()) == (entries, depth)
+
+
+def test_fat_structure_names_the_last_point_of_another_dimension():
+    with pytest.raises(DimensionMismatchError,
+                       match="point 2 has dimension 3, not 2"):
+        build_fat_structure([pt(0, 0), pt(1, 1), pt(1, 1, 1)])
 
 
 # The seed-1 and seed-7919 `fat` benchmark instances (n = 640 integer points,

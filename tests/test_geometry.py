@@ -47,6 +47,23 @@ def test_dimension_mismatch_raises():
         contains(box2(0, 1, 0, 1), pt(0, 0, 0))
 
 
+def test_a_dimension_mismatch_is_an_input_error():
+    # Callers that catch InvalidInputError see every dimension failure.
+    assert issubclass(DimensionMismatchError, InvalidInputError)
+
+
+def test_triangle_names_its_vertex_of_another_dimension():
+    with pytest.raises(DimensionMismatchError,
+                       match="triangle vertex 2 has dimension 3, not 2"):
+        Triangle(pt(0, 0), pt(1, 0), pt(0, 1, 0))
+
+
+def test_polyhedron_rejects_normals_of_two_lengths_at_construction():
+    with pytest.raises(DimensionMismatchError,
+                       match="polyhedron normals of different dimensions"):
+        Polyhedron(((1, 0), (0, 1), (1, 1, 1)), (0, 0, 0), (1, 1, 1))
+
+
 def test_dualize_worked_example():
     h = Hyperplane((1,), 3)  # x2 = 3 + x1
     assert dualize(h) == Point((1, -3))
@@ -415,11 +432,17 @@ def test_triangle_edges_are_counter_clockwise_integer_forms():
 
 def test_oracle_checks_every_dimension_once():
     square = box2(0, 1, 0, 1)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="point 2 has dimension 3, not 2"):
         incidences_bruteforce([pt(0, 0), pt(1, 1), pt(0, 0, 0)], [square])
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="range 2 has dimension 3, not 2"):
         incidences_bruteforce([pt(0, 0), pt(1, 1)],
                               [square, square, Box((0, 0, 0), (1, 1, 1))])
+    # Every range is checked before the first is decided.
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 3, not 2"):
+        incidences_bruteforce([pt(0, 0)], [object(), Box((0,) * 3, (1,) * 3)])
 
 
 def test_as_rat_bounds_the_exponent():

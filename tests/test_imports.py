@@ -1,15 +1,18 @@
-"""Every name a module of the package imports is read in that module.
+"""Every name a module of the package imports is read in that module, and
+every package name the benchmark's tracer patches exists.
 
 The package ``__init__.py`` files are left out: they import names to
 re-export them.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "kkfree"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "kkfree"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
@@ -39,3 +42,29 @@ def test_unused_imports_finds_a_name_never_read():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def patched_names(source: str) -> list[tuple[str, str]]:
+    """The (module, attribute) pair that starts each ``("kkfree...",
+    "attr", ...)`` tuple in ``source``."""
+    return [(node.elts[0].value, node.elts[1].value)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                    for e in node.elts[:2])
+            and node.elts[0].value.split(".")[0] == "kkfree"]
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    # bench/tracing.py patches these names by string; a renamed one would
+    # fail only the traced benchmark run.
+    names = patched_names((ROOT / "bench" / "tracing.py").read_text())
+    assert ("kkfree.reductions", "Reduction.verify") in names
+    missing = []
+    for module, attr in names:
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

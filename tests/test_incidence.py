@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkfree import generators as gens
-from kkfree.errors import InvalidInputError, NotApplicableError
+from kkfree.errors import (DimensionMismatchError, InvalidInputError,
+                           NotApplicableError)
 from kkfree.extremal import elekes_grid
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
@@ -467,9 +468,24 @@ def test_cover_single_cell():
 
 
 def test_cover_with_no_points_rejects_boxes_of_two_dimensions():
-    with pytest.raises(InvalidInputError, match="box dimension mismatch"):
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 4, not 1"):
         build_box_cover([], [Box((0,), (1,)), Box((0, 0, 0, 0),
                                                   (1, 1, 1, 1))])
+
+
+@pytest.mark.parametrize("build", [build_box_cover,
+                                   lambda p, r: interval_audit(p, r, 2)],
+                         ids=["cover", "interval-audit"])
+@pytest.mark.parametrize("points, ranges, message", [
+    ([pt(0), pt(1), pt(2, 2)], [interval(0, 1)], "point 2 has dimension 2"),
+    ([pt(0), pt(1)], [interval(0, 1), interval(1, 2), box2(0, 1, 0, 1)],
+     "range 2 has dimension 2"),
+], ids=["point", "range"])
+def test_cover_and_interval_audit_name_the_last_object_of_another_dimension(
+        build, points, ranges, message):
+    with pytest.raises(DimensionMismatchError, match=f"{message}, not 1"):
+        build(points, ranges)
 
 
 def test_cover_1d_worked():

@@ -4,10 +4,11 @@ or raises KkfreeError."""
 import copy
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkfree.errors import KkfreeError
+from kkfree.errors import DimensionMismatchError, KkfreeError
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Polyhedron, Triangle, Wedge2,
                              Wedge3, pt)
@@ -110,3 +111,13 @@ def test_mutated_document_loads_correctly_or_raises(which, rounds, data):
 def test_unmutated_documents_round_trip():
     for doc in DOCS:
         assert instance_to_json(instance_from_json(doc)) == doc
+
+
+def test_instance_names_the_last_object_of_another_dimension():
+    square = Box((0, 0), (1, 1))
+    with pytest.raises(DimensionMismatchError,
+                       match="point 1 has dimension 3, not 2"):
+        Instance(2, [pt(0, 0), pt(0, 0, 0)], [square])
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 1, not 2"):
+        Instance(2, [pt(0, 0)], [square, Box((0,), (1,))])

@@ -9,9 +9,9 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
                            NotApplicableError, UnknownVerdictError)
 from kkfree.geometry import Ball, Box, Halfspace, Hyperplane, Point, pt
 from kkfree.incidence import find_kkk, incidences_bruteforce
-from kkfree.levels import (CensusRow, census_rows, census_schedule, depth,
-                           depth_census, iterated_log2, level,
-                           shallow_census)
+from kkfree.levels import (CensusRow, _ceil_root, census_rows,
+                           census_schedule, depth, depth_census,
+                           iterated_log2, level, shallow_census)
 
 from conftest import reference_contains
 
@@ -228,6 +228,22 @@ def test_schedule_general_rejects_c_below_two(c):
 def test_schedule_general_c_two():
     s = census_schedule(2, 64, "general", 2)
     assert s.thresholds == (4, 8, 16, 256)
+
+
+def test_schedule_general_step_is_an_integer_root():
+    # The step is the least s with s^(c-1) >= t^c; a float power gave
+    # 64^(7/6) as 128.00000000000003, so 129.
+    assert _ceil_root(64 ** 7, 6) == 128
+    assert _ceil_root(276709604421 ** 3, 2) == 145558090693231443
+    for e in (1, 2, 3, 6):
+        for x in range(1, 800):
+            s = _ceil_root(x, e)
+            assert (s - 1) ** e < x <= s ** e
+    # The k = 2, m = 64 schedules are as before.
+    assert census_schedule(2, 64, "general", 3).thresholds == (
+        4, 8, 16, 32, 182)
+    assert census_schedule(2, 64, "general", 4).thresholds == (
+        4, 8, 16, 32, 64)
     assert census_schedule(2, 64, "fat", 2).thresholds[-1] >= 64
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from kkfree import generators as gens
-from kkfree.errors import InvalidInputError
+from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import (Box, Curtain, Line2, Point, Polyhedron, Triangle,
                              Wedge2, Wedge3, contains, pt)
 from kkfree.incidence import incidences_bruteforce
@@ -347,6 +347,22 @@ def test_orthants_mixed_rejected():
                 Box((1, None, None), (None, 1, 1))]
     with pytest.raises(InvalidInputError):
         orthants_to_halfspaces([pt(0, 0, 0)], orthants)
+
+
+@pytest.mark.parametrize("reduce, points, ranges, message", [
+    (threesided_to_orthants, [pt(0, 0)],
+     [Box((0, None), (1, 1)), Box((0, None, None), (1, 1, 1))],
+     "range 1 has dimension 3, not 2"),
+    (orthants_to_halfspaces, [pt(0, 0, 0)],
+     [Box((None,) * 3, (1,) * 3), Box((None,) * 2, (1,) * 2)],
+     "range 1 has dimension 2, not 3"),
+    (pointline_to_5d, [pt(0, 0), pt(1, 1), pt(1, 1, 1)], [Line2(1, 0)],
+     "point 2 has dimension 3, not 2"),
+], ids=["threesided", "orthants", "pointline"])
+def test_reductions_name_the_last_object_of_another_dimension(
+        reduce, points, ranges, message):
+    with pytest.raises(DimensionMismatchError, match=message):
+        reduce(points, ranges)
 
 
 def test_reductions_preserve_freeness_verdict(rng):

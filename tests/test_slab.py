@@ -137,44 +137,60 @@ def test_report_json_roundtrip(rng):
 
 
 # Each audit checks dimensions once, on entry: a leaf or node deeper down
-# would otherwise test a range against the wrong coordinates.
+# would otherwise test a range against the wrong coordinates.  The object
+# of another dimension comes last, so a check of the first alone misses it.
 
 def test_curtain_rejects_3d_points():
-    with pytest.raises(DimensionMismatchError):
-        curtain_audit([pt(0, 0, 5), pt(1, 1, 5)], [Curtain(0, 10, -5, 5)], 2)
+    with pytest.raises(DimensionMismatchError,
+                       match="point 1 has dimension 3, not 2"):
+        curtain_audit([pt(0, 0), pt(1, 1, 5)], [Curtain(0, 10, -5, 5)], 2)
 
 
 def test_rect_rejects_3d_points_before_any_leaf():
     # The spanning rectangle is charged at the root split, never at a leaf.
-    with pytest.raises(DimensionMismatchError):
-        rect_audit([pt(i, i, 5) for i in range(20)],
+    with pytest.raises(DimensionMismatchError,
+                       match="point 19 has dimension 3, not 2"):
+        rect_audit([pt(i, i) for i in range(19)] + [pt(19, 19, 5)],
                    [box2(-1, 30, -1, 30)], 4, 2)
 
 
+def test_rect_rejects_boxes_of_another_dimension():
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 3, not 2"):
+        rect_audit([pt(0, 0)], [box2(-1, 5, -1, 5), Box((0,) * 3, (1,) * 3)],
+                   2, 2)
+
+
 def test_box_rejects_boxes_of_another_dimension():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 2, not 3"):
         box_audit([pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)],
-                  [box2(-1, 5, -1, 5)], 2, 2)
+                  [Box((0,) * 3, (1,) * 3), box2(-1, 5, -1, 5)], 2, 2)
 
 
 def test_box_rejects_mixed_point_dimensions():
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="point 6 has dimension 2, not 3"):
         box_audit([pt(i, i, i) for i in range(6)] + [pt(0, 0)],
                   [Box((0, 0, 0), (3, 3, 3))], 8, 2)
 
 
 def test_audits_check_dimensions_with_an_empty_side():
-    # With no points the ranges are compared with each other; with no
-    # ranges the points are compared with the audit's dimension.
-    with pytest.raises(DimensionMismatchError):
+    # With no points the ranges are compared with the audit's dimension,
+    # the first box's for a box audit; with no ranges, so are the points.
+    with pytest.raises(DimensionMismatchError,
+                       match="range 1 has dimension 4, not 1"):
         box_audit([], [Box((0,), (1,)), Box((0, 0, 0, 0), (1, 1, 1, 1))], 2, 2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="point 0 has dimension 3, not 2"):
         rect_audit([pt(1, 2, 3)], [], 2, 2)
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(DimensionMismatchError,
+                       match="point 1 has dimension 3, not 2"):
         curtain_audit([pt(1, 2), pt(1, 2, 3)], [], 2)
     with pytest.raises(InvalidInputError):
         box_audit([], [Box((0,), (1,))], 2, 2)
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(DimensionMismatchError,
+                       match="range 0 has dimension 3, not 2"):
         rect_audit([], [Box((0, 0, 0), (1, 1, 1))], 2, 2)
 
 
