@@ -410,7 +410,7 @@ def test_malformed_instance_is_a_usage_error(tmp_path, capsys, mutate):
     assert run(["count", path], tmp_path) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert "dimension mismatch" not in err
+    assert "has dimension" not in err
 
 
 @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000],

@@ -228,6 +228,7 @@ def test_schedule_general_rejects_c_below_two(c):
 def test_schedule_general_c_two():
     s = census_schedule(2, 64, "general", 2)
     assert s.thresholds == (4, 8, 16, 256)
+    assert census_schedule(2, 64, "fat", 2).thresholds[-1] >= 64
 
 
 def test_schedule_general_step_is_an_integer_root():
@@ -244,7 +245,6 @@ def test_schedule_general_step_is_an_integer_root():
         4, 8, 16, 32, 182)
     assert census_schedule(2, 64, "general", 4).thresholds == (
         4, 8, 16, 32, 64)
-    assert census_schedule(2, 64, "fat", 2).thresholds[-1] >= 64
 
 
 @pytest.mark.parametrize("c", [1, 0, -5])

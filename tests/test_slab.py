@@ -137,10 +137,13 @@ def test_report_json_roundtrip(rng):
 
 
 # Each audit checks dimensions once, on entry: a leaf or node deeper down
-# would otherwise test a range against the wrong coordinates.  The object
-# of another dimension comes last, so a check of the first alone misses it.
+# would otherwise test a range against the wrong coordinates.  Where the
+# object of another dimension comes last, a check of the first alone misses
+# it.
 
 def test_curtain_rejects_3d_points():
+    with pytest.raises(DimensionMismatchError):
+        curtain_audit([pt(0, 0, 5), pt(1, 1, 5)], [Curtain(0, 10, -5, 5)], 2)
     with pytest.raises(DimensionMismatchError,
                        match="point 1 has dimension 3, not 2"):
         curtain_audit([pt(0, 0), pt(1, 1, 5)], [Curtain(0, 10, -5, 5)], 2)
@@ -148,6 +151,9 @@ def test_curtain_rejects_3d_points():
 
 def test_rect_rejects_3d_points_before_any_leaf():
     # The spanning rectangle is charged at the root split, never at a leaf.
+    with pytest.raises(DimensionMismatchError):
+        rect_audit([pt(i, i, 5) for i in range(20)],
+                   [box2(-1, 30, -1, 30)], 4, 2)
     with pytest.raises(DimensionMismatchError,
                        match="point 19 has dimension 3, not 2"):
         rect_audit([pt(i, i) for i in range(19)] + [pt(19, 19, 5)],
@@ -162,6 +168,9 @@ def test_rect_rejects_boxes_of_another_dimension():
 
 
 def test_box_rejects_boxes_of_another_dimension():
+    with pytest.raises(DimensionMismatchError):
+        box_audit([pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)],
+                  [box2(-1, 5, -1, 5)], 2, 2)
     with pytest.raises(DimensionMismatchError,
                        match="range 1 has dimension 2, not 3"):
         box_audit([pt(0, 0, 0), pt(1, 1, 1), pt(2, 2, 2)],
