@@ -111,7 +111,8 @@ def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
     Returned as a float: several families involve fractional powers, so the
     value is generally irrational.  Guarded logarithms keep tiny parameters
     (n = 1, m < 4) well defined; the guards substitute 1.  A value beyond
-    the float range raises ``InvalidInputError``.
+    the float range, or not a number (a NaN constant or epsilon), raises
+    ``InvalidInputError``.
     """
     if n < 1 or m < 0 or k < 1:
         raise InvalidInputError("need n >= 1, m >= 0, k >= 1")
@@ -122,6 +123,9 @@ def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
     if math.isinf(value):
         raise InvalidInputError(
             f"{formula.family} bound at n={n} is beyond the float range")
+    if math.isnan(value):
+        raise InvalidInputError(
+            f"{formula.family} bound at n={n} is not a number")
     return value
 
 

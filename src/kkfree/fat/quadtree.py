@@ -3,13 +3,13 @@
 Quadtree squares are half-open dyadic cells of the unit square; all
 membership tests are exact on rationals.  A coordinate x = num/den lies in
 column floor(x * 2^l) = ``cell_key(num, den, l)`` of level l, so cell
-decisions are integer shifts and compares.  Diameters are carried squared
-so comparisons against powers of two stay exact.
+decisions are integer shifts and compares.  The alignment helpers take
+coordinates as integer numerators over one ``unit``, and diameters
+squared, so comparisons against powers of two stay exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..errors import InvalidInputError
@@ -18,39 +18,6 @@ from ..geometry import Rat
 MAX_LEVEL = 64
 
 SHIFTS = (Fraction(0), Fraction(1, 3), Fraction(2, 3))
-
-
-@dataclass(frozen=True)
-class QuadtreeSquare:
-    """The half-open cell [i/2^l, (i+1)/2^l) x [j/2^l, (j+1)/2^l)."""
-
-    level: int
-    i: int
-    j: int
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise InvalidInputError("negative level")
-        if not (0 <= self.i < (1 << self.level)
-                and 0 <= self.j < (1 << self.level)):
-            raise InvalidInputError("square outside the unit square")
-
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
-    def x0(self) -> Fraction:
-        return Fraction(self.i, 1 << self.level)
-
-    @property
-    def y0(self) -> Fraction:
-        return Fraction(self.j, 1 << self.level)
-
-    def children(self) -> tuple["QuadtreeSquare", ...]:
-        lv, i, j = self.level + 1, 2 * self.i, 2 * self.j
-        return (QuadtreeSquare(lv, i, j), QuadtreeSquare(lv, i + 1, j),
-                QuadtreeSquare(lv, i, j + 1), QuadtreeSquare(lv, i + 1, j + 1))
 
 
 def cell_key(num: int, den: int, level: int) -> int:
@@ -66,13 +33,7 @@ def _cell_of(x: Rat, level: int) -> int:
 # ---------------------------------------------------------------------------
 # alignment
 
-BBox = tuple[Rat, Rat, Rat, Rat]  # xlo, ylo, xhi, yhi
-
-
-def bbox_of(points_xy) -> BBox:
-    xs = [p[0] for p in points_xy]
-    ys = [p[1] for p in points_xy]
-    return (min(xs), min(ys), max(xs), max(ys))
+BBox = tuple[int, int, int, int]  # xlo, ylo, xhi, yhi
 
 
 def diameter_sq_of(points_xy) -> Rat:
@@ -86,8 +47,9 @@ def diameter_sq_of(points_xy) -> Rat:
     return best
 
 
-def alignment_level(diam_sq: Rat) -> int:
-    """Largest level whose cell side (a power of 1/2) is still >= 4 * diameter.
+def alignment_level(diam_sq: int, unit: int) -> int:
+    """Largest level whose cell side (a power of 1/2) is still >= 4 * diameter,
+    for a squared diameter ``diam_sq / unit^2``.
 
     Comparisons are squared: side^2 >= 16 * diam_sq.  A zero diameter is
     capped at MAX_LEVEL; when even the unit cell is smaller than four
@@ -99,35 +61,41 @@ def alignment_level(diam_sq: Rat) -> int:
         return MAX_LEVEL
     level = 0
     # side(level+1)^2 = 1 / 4^(level+1)
-    while level < MAX_LEVEL and 16 * Fraction(diam_sq) * (4 ** (level + 1)) <= 1:
+    while (level < MAX_LEVEL
+           and (16 * diam_sq) << 2 * (level + 1) <= unit * unit):
         level += 1
     return level
 
 
-def is_aligned(bbox: BBox, diam_sq: Rat) -> bool:
+def is_aligned(bbox: BBox, diam_sq: int, unit: int) -> bool:
     """True iff some quadtree square of the alignment level contains the shape.
 
-    The shape is described by its bounding box; only the cell containing the
+    The shape is described by its bounding box, numerators over ``unit``,
+    and its squared diameter over ``unit^2``; only the cell containing the
     lower-left corner can work, so one exact check decides.
     """
     xlo, ylo, xhi, yhi = bbox
-    if not (0 <= xlo and 0 <= ylo and xhi < 1 and yhi < 1):
+    if not (0 <= xlo and 0 <= ylo and xhi < unit and yhi < unit):
         raise InvalidInputError("shape must lie inside the unit square")
-    level = alignment_level(diam_sq)
+    level = alignment_level(diam_sq, unit)
     # The upper corner stays in the lower corner's cell iff its cell index
     # is not larger.
-    return (_cell_of(xhi, level) <= _cell_of(xlo, level)
-            and _cell_of(yhi, level) <= _cell_of(ylo, level))
+    return (cell_key(xhi, unit, level) <= cell_key(xlo, unit, level)
+            and cell_key(yhi, unit, level) <= cell_key(ylo, unit, level))
 
 
-def aligned_shift_index(bbox: BBox, diam_sq: Rat) -> int | None:
-    """Index into SHIFTS of the first shift aligning the shape, or None.
+def aligned_shift_index(bbox: BBox, diam_sq: int, unit: int) -> int | None:
+    """Index into SHIFTS of the first shift aligning the shape, or None;
+    ``unit`` is a multiple of 3, so every shift is an integer over it.
 
     Modulo a cell side the shifts are offsets 0, 1/3 and 2/3 of it, and each
     axis's misaligned window, shorter than a third, rejects at most one.
     """
+    if unit % 3:
+        raise InvalidInputError(f"unit {unit} is not a multiple of 3")
     for idx, shift in enumerate(SHIFTS):
-        if is_aligned(tuple(c + shift for c in bbox), diam_sq):
+        off = shift.numerator * (unit // shift.denominator)
+        if is_aligned(tuple(c + off for c in bbox), diam_sq, unit):
             return idx
     return None
 
@@ -136,8 +104,9 @@ def aligned_shift_index(bbox: BBox, diam_sq: Rat) -> int | None:
 # centroid squares
 
 def centroid_square(points_xy, max_level: int = MAX_LEVEL):
-    """A minimal quadtree square holding at least a fifth of the points,
-    and the points inside it, in input order.
+    """A minimal quadtree square ``(level, i, j)``, the half-open cell
+    [i/2^level, (i+1)/2^level) x [j/2^level, (j+1)/2^level), holding at
+    least a fifth of the points, and the points inside it, in input order.
 
     Greedy descent: while some child holds >= n/5 points, move into the
     first such child (fixed scan order), so the result is deterministic and
@@ -155,7 +124,7 @@ def centroid_square(points_xy, max_level: int = MAX_LEVEL):
             raise InvalidInputError("points must lie in the unit square")
     keys = [(_cell_of(x, max_level), _cell_of(y, max_level)) for x, y in pts]
     level, i, j, members = centroid_descent(keys, range(len(pts)), max_level)
-    return QuadtreeSquare(level, i, j), [pts[m] for m in members]
+    return (level, i, j), [pts[m] for m in members]
 
 
 def centroid_descent(keys, members, bits: int):

@@ -156,30 +156,17 @@ class SlantedRangeTree:
 
 
 # ---------------------------------------------------------------------------
-# public curtain structure over plain 2D points
+# curtain queries over plain 2D points
 
-@dataclass
-class CurtainStructure:
-    """Point structure answering closed curtain queries exactly."""
-
-    tree: SlantedRangeTree
-    n: int
-
-    def stored_entries(self) -> int:
-        return self.tree.stored_entries()
-
-
-def build_curtain_structure(points: list[Point]) -> CurtainStructure:
+def build_curtain_structure(points: list[Point]) -> SlantedRangeTree:
     # Point i as the entry (x q, y q, q, i), with q the least common
     # denominator of x and y.
-    entries = [(*_integer_form((p[0], p[1], 1)), i)
-               for i, p in enumerate(points)]
-    return CurtainStructure(SlantedRangeTree(entries), len(points))
+    return SlantedRangeTree([(*_integer_form((p[0], p[1], 1)), i)
+                             for i, p in enumerate(points)])
 
 
-def curtain_query(structure: CurtainStructure, curtain: Curtain,
+def curtain_query(tree: SlantedRangeTree, curtain: Curtain,
                   stats: QueryStats | None = None) -> list[int]:
     """Indices of the points inside the closed curtain, sorted."""
-    hits = structure.tree.query(curtain.lo, curtain.hi, curtain.a, curtain.b,
-                                stats)
-    return sorted(hits)
+    return sorted(tree.query(curtain.lo, curtain.hi, curtain.a, curtain.b,
+                             stats))

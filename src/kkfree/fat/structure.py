@@ -18,42 +18,11 @@ from fractions import Fraction
 from ..geometry import (Point, Rat, Triangle, predicate, require_dim,
                         triangle_edges)
 from ..reductions import apex_cell_constraints
-from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, bbox_of,
-                       cell_key, centroid_descent, diameter_sq_of)
+from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, cell_key,
+                       centroid_descent, diameter_sq_of)
 from .slanted import QueryStats, SlantedRangeTree
 
 FAT_LEAF_SIZE = 48
-
-
-# ---------------------------------------------------------------------------
-# frame
-
-@dataclass(frozen=True)
-class FrameMap:
-    """Affine map of instance coordinates into the core square [0, 1/4)^2.
-
-    Built from the point bounding box expanded by ten percent, so the three
-    diagonal third-shifts keep everything inside the unit square.
-    """
-
-    origin: tuple[Fraction, Fraction]
-    scale: Fraction
-
-    def to_frame(self, p: Point) -> tuple[Fraction, Fraction]:
-        return ((Fraction(p[0]) - self.origin[0]) * self.scale,
-                (Fraction(p[1]) - self.origin[1]) * self.scale)
-
-
-def make_frame(points: list[Point]) -> FrameMap:
-    if not points:
-        return FrameMap((Fraction(0), Fraction(0)), Fraction(1, 4))
-    xs = [p[0] for p in points]
-    ys = [p[1] for p in points]
-    x0, y0 = min(xs), min(ys)
-    extent = Fraction(max(max(xs) - x0, max(ys) - y0)) or Fraction(1)
-    margin = extent / 20
-    span = extent + 2 * margin
-    return FrameMap((x0 - margin, y0 - margin), Fraction(1, 4) / span)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +58,21 @@ class FatStratum:
 
 @dataclass
 class FatReportStructure:
-    frame: FrameMap
+    """The three strata over one frame: the affine map of the point bounding
+    box, expanded by ten percent, into the core square [0, 1/4)^2, so the
+    diagonal third-shifts keep everything inside the unit square.
+
+    The map sends (x, y) to ((x - ox / c) * s, (y - oy / c) * s), with
+    ``origin = (ox, oy)`` and s = c * k / den; ``_to_frame`` gives that
+    image as integer numerators over ``den * q``.
+    """
+
     n: int
     strata: list[FatStratum]
+    c: int
+    origin: tuple[int, int]
+    k: int
+    den: int
     degenerate: bool = False  # duplicate-heavy build; balance not guaranteed
 
     def stored_entries(self) -> int:
@@ -146,8 +127,13 @@ class FatQueryStats:
 def build_fat_structure(points: list[Point]) -> FatReportStructure:
     """Build the three shifted centroid trees over the points."""
     require_dim(points, 2, "point")
-    frame = make_frame(points)
-    (ox, oy), scale = frame.origin, frame.scale
+    xs = [p[0] for p in points] or [0]
+    ys = [p[1] for p in points] or [0]
+    x0, y0 = min(xs), min(ys)
+    extent = Fraction(max(max(xs) - x0, max(ys) - y0)) or Fraction(1)
+    margin = extent / 20
+    ox, oy = x0 - margin, y0 - margin
+    scale = Fraction(1, 4) / (extent + 2 * margin)
     # One denominator for every frame coordinate (x - ox) * scale and every
     # shift, so each stratum's coordinates are integer numerators over it:
     # with x and ox integers over c, the numerator over c * scale's
@@ -156,10 +142,9 @@ def build_fat_structure(points: list[Point]) -> FatReportStructure:
                  *(v.denominator for p in points for v in p.coords))
     den = math.lcm(c * scale.denominator, *(s.denominator for s in SHIFTS))
     k = den // (c * scale.denominator) * scale.numerator
-    ox, oy = _over(ox, c), _over(oy, c)
-    nums = [((_over(p[0], c) - ox) * k, (_over(p[1], c) - oy) * k)
-            for p in points]
-    structure = FatReportStructure(frame, len(points), [])
+    structure = FatReportStructure(len(points), [], c,
+                                   (_over(ox, c), _over(oy, c)), k, den)
+    nums = [_to_frame(structure, p, 1) for p in points]
     for shift in SHIFTS:
         off = _over(shift, den)
         xy = [(x + off, y + off) for x, y in nums]
@@ -171,6 +156,15 @@ def build_fat_structure(points: list[Point]) -> FatReportStructure:
                                        structure)
         structure.strata.append(stratum)
     return structure
+
+
+def _to_frame(structure: FatReportStructure, p: Point,
+              q: int) -> tuple[int, int]:
+    """p's frame coordinates as numerators over ``structure.den * q``, for
+    a q that clears the denominators of p's coordinates (1 for the points
+    the structure was built on)."""
+    cq, (ox, oy), k = structure.c * q, structure.origin, structure.k
+    return (_over(p[0], cq) - ox * q) * k, (_over(p[1], cq) - oy * q) * k
 
 
 def _over(c: Rat, den: int) -> int:
@@ -243,29 +237,29 @@ def fat_query(structure: FatReportStructure,
     stats = FatQueryStats()
     if structure.n == 0:
         return [], stats
-    frame_verts = [structure.frame.to_frame(v) for v in tri.vertices]
-    in_core = all(0 <= x < Fraction(1, 4) and 0 <= y < Fraction(1, 4)
-                  for x, y in frame_verts)
+    # The vertices' frame coordinates, as numerators over ``unit``.
+    q = math.lcm(*(v.denominator for p in tri.vertices for v in p.coords))
+    unit = structure.den * q
+    frame_verts = [_to_frame(structure, p, q) for p in tri.vertices]
+    xs, ys = zip(*frame_verts)
+    bbox = (min(xs), min(ys), max(xs), max(ys))
     stratum_index = 0
-    if in_core:
+    if all(0 <= x and 4 * x < unit for x in xs + ys):  # in the core square
         stratum_index = aligned_shift_index(
-            bbox_of(frame_verts), diameter_sq_of(frame_verts)) or 0
+            bbox, diameter_sq_of(frame_verts), unit) or 0
     stats.stratum = stratum_index
     stratum = structure.strata[stratum_index]
-    shift = stratum.shift
-    verts = [(x + shift, y + shift) for x, y in frame_verts]
     # The walk runs in units of 1/scale: every vertex, point, box corner and
     # apex of the stratum is an integer there.
-    scale = math.lcm(stratum.den << stratum.apex_bits,
-                     *(c.denominator for v in verts for c in v))
-    verts = [(_over(x, scale), _over(y, scale)) for x, y in verts]
+    scale = math.lcm(stratum.den << stratum.apex_bits, unit)
+    off, m = _over(stratum.shift, unit), scale // unit
+    verts = [((x + off) * m, (y + off) * m) for x, y in frame_verts]
+    tbox = tuple((b + off) * m for b in bbox)
     query = Triangle(*(Point(v) for v in verts))
     in_query = predicate(query)
     # A zero-area query (edges None) has no apex cells to answer it: the
     # walk skips the apex path and lets the leaf tests decide.
     edges = triangle_edges(query)
-    xs, ys = zip(*verts)
-    tbox = (min(xs), min(ys), max(xs), max(ys))
     out: set[int] = set()
     _query_node(stratum, stratum.root, verts, scale // stratum.den, in_query,
                 edges, tbox, out, stats)

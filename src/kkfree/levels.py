@@ -188,9 +188,22 @@ def census_schedule(k: int, m: int, mode: str = "general",
             else:
                 # Tower step, capped just past m to avoid astronomically
                 # large final thresholds (bands beyond m are unreachable).
-                exponent = math.sqrt(t / k)
                 cap = max(m, 2 * t)
-                step = cap if exponent >= math.log2(cap) else math.ceil(2 ** exponent)
+                try:
+                    exponent = math.sqrt(t / k)
+                except OverflowError:
+                    # t / k is past 2^1024, so its root is past log2(cap).
+                    exponent = math.inf
+                if exponent >= math.log2(cap):
+                    step = cap
+                else:
+                    try:
+                        step = math.ceil(2 ** exponent)
+                    except OverflowError:
+                        # 2^exponent = 2^f * 2^e with e = int(exponent).
+                        e = int(exponent)
+                        step = math.ceil(Fraction(2.0 ** (exponent - e))
+                                         * (1 << e))
                 t = max(2 * t, step)
             out.append(t)
     return CensusSchedule(tuple(out), mode, k, m)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -110,3 +111,37 @@ def decomposition_size(alpha, beta):
 def cover_edges(cover):
     """The (point, range) pairs in the union of a biclique cover's products."""
     return frozenset((i, j) for a, b in cover.pairs for i in a for j in b)
+
+
+def reference_stratum(points, tri):
+    """The stratum the fat query picks for tri, by the ``Fraction`` frame
+    and alignment its integer ones replaced.
+
+    The frame maps the points' bounding box, grown by a twentieth of its
+    extent on each side, onto [0, 1/4)^2.  A query with a vertex outside
+    that core square takes stratum 0; one inside takes the first shift in
+    (0, 1/3, 2/3) that puts its bounding box in one quadtree cell of the
+    deepest level whose side is at least four diameters (level 64 at most).
+    """
+    if not points:
+        return 0
+    xs = [Fraction(p[0]) for p in points]
+    ys = [Fraction(p[1]) for p in points]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys)) or Fraction(1)
+    margin = extent / 20
+    scale = Fraction(1, 4) / (extent + 2 * margin)
+    verts = [((v[0] - min(xs) + margin) * scale,
+              (v[1] - min(ys) + margin) * scale) for v in tri.vertices]
+    if not all(0 <= c < Fraction(1, 4) for v in verts for c in v):
+        return 0
+    diam_sq = max((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2
+                  for a in verts for b in verts)
+    level = 0 if diam_sq else 64
+    while level < 64 and 16 * diam_sq * 4 ** (level + 1) <= 1:
+        level += 1
+    for idx, shift in enumerate((0, Fraction(1, 3), Fraction(2, 3))):
+        cells = [{math.floor((v[axis] + shift) * 2 ** level) for v in verts}
+                 for axis in (0, 1)]
+        if all(len(c) == 1 for c in cells):
+            return idx
+    return 0

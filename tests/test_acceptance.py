@@ -488,29 +488,32 @@ def test_c09_fat_structure():
 
 def test_c10_centroid_shift():
     rng = random.Random(SEED + 10)
+    # The shift alignment takes numerators over one unit, a multiple of 3
+    # (for the third-shifts) and of 2^23.
+    unit = 3 << 23
     for _ in range(10_000):
-        x = F(rng.randint(0, 2 ** 18), 2 ** 20)
-        y = F(rng.randint(0, 2 ** 18), 2 ** 20)
-        w = F(rng.randint(1, 2 ** 13), 2 ** 23)
-        h = F(rng.randint(1, 2 ** 13), 2 ** 23)
+        x = rng.randint(0, 2 ** 18) * (unit >> 20)
+        y = rng.randint(0, 2 ** 18) * (unit >> 20)
+        w = rng.randint(1, 2 ** 13) * (unit >> 23)
+        h = rng.randint(1, 2 ** 13) * (unit >> 23)
         bbox = (x, y, x + w, y + h)
         d2 = diameter_sq_of([(x, y), (x + w, y + h)])
-        idx = aligned_shift_index(bbox, d2)
+        idx = aligned_shift_index(bbox, d2, unit)
         assert idx is not None and SHIFTS[idx] in (F(0), F(1, 3), F(2, 3))
     for trial in range(10_000):
         n = rng.randint(1, 40)
         pts = [(F(rng.randint(0, 2 ** 16 - 1), 2 ** 16),
                 F(rng.randint(0, 2 ** 16 - 1), 2 ** 16)) for _ in range(n)]
-        sq, inside = centroid_square(pts)
+        (level, i, j), inside = centroid_square(pts)
         outside = n - len(inside)
         assert 5 * outside <= 4 * n, trial          # <= 4n/5 outside
         assert 5 * len(inside) >= n, trial          # >= n/5 inside
-        if sq.level < MAX_LEVEL:
+        if level < MAX_LEVEL:
             # Integer cell keys at the child's level, as the build uses.
-            keys = [tuple(cell_key(c.numerator, c.denominator, sq.level + 1)
+            keys = [tuple(cell_key(c.numerator, c.denominator, level + 1)
                           for c in p) for p in pts]
-            for child in sq.children():
-                assert 5 * keys.count((child.i, child.j)) < n
+            for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1)):
+                assert 5 * keys.count((2 * i + di, 2 * j + dj)) < n
     _report("C10 centroid + shift", True,
             "10^4 shift alignments and 10^4 centroid splits, all within "
             "guarantees")

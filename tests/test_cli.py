@@ -213,6 +213,38 @@ def test_plot_of_an_overlay_beyond_float_is_an_input_error(tmp_path, capsys,
     assert not (tmp_path / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--overlay", "box", "--constant", "nan"],
+    ["--overlay", "box", "--epsilon", "nan"],
+], ids=["constant-nan", "epsilon-nan"])
+def test_plot_of_a_nan_overlay_is_an_input_error(tmp_path, capsys, args):
+    # A NaN reference would drop out of the SVG without a word; with
+    # epsilon NaN only the point at x = 1 survives, as 1.0 ** nan == 1.0.
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n4,8\n")
+    assert run(["plot", path, "--x", "a", "--y", "b", *args], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: box bound at n=")
+    assert err.endswith(" is not a number\n")
+    assert err.count("\n") == 1 and out == ""
+    assert not (tmp_path / "plot.svg").exists()
+
+
+def test_census_schedule_fat_past_the_float_range(tmp_path, capsys):
+    # The tower step 2^sqrt(t/k) passes 2^1024 before it reaches m.
+    m = 10 ** 400
+    assert run(["census", "schedule", "--mode", "fat", "--k", 5,
+                "--m", m], tmp_path) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    thresholds = [int(t) for t in
+                  out.partition("thresholds=[")[2].partition("]")[0]
+                  .split(", ")]
+    assert thresholds[:8] == [10, 20, 40, 80, 160, 320, 640, 2546]
+    assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+    assert thresholds[-1] >= m
+
+
 def test_census_schedule_rejects_c_below_two_in_fat_mode(tmp_path, capsys):
     assert run(["census", "schedule", "--mode", "fat", "--c", -5,
                 "--m", 64], tmp_path) == 1

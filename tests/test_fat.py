@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kkfree import generators as gens
-from kkfree.errors import DimensionMismatchError
-from kkfree.fat import (MAX_LEVEL, SHIFTS, QuadtreeSquare, alignment_level,
+from kkfree.errors import DimensionMismatchError, InvalidInputError
+from kkfree.fat import (MAX_LEVEL, SHIFTS, alignment_level,
                         build_curtain_structure, build_fat_structure,
                         centroid_square, curtain_query, diameter_sq_of,
                         fat_query, is_aligned)
@@ -19,7 +19,18 @@ from kkfree.fat.slanted import QueryStats, SlantedRangeTree
 from kkfree.generators import min_angle
 from kkfree.geometry import Curtain, Triangle, contains, pt
 
-from conftest import reference_contains
+from conftest import reference_contains, reference_stratum
+
+
+# The alignment helpers take numerators over one unit; U is a multiple of
+# 3 (for the third-shifts) and of every power of two the tests divide by.
+U = 3 << 22
+
+
+def _u(num, den):
+    """The numerator of num / den over U."""
+    assert U % den == 0
+    return num * (U // den)
 
 
 def _square_bbox(x, y, w):
@@ -27,67 +38,81 @@ def _square_bbox(x, y, w):
 
 
 def _in_square(sq, p):
-    """Whether the point of ``Fraction`` coordinates lies in the square,
-    by its integer cell keys at the square's level."""
-    return all(cell_key(c.numerator, c.denominator, sq.level) == k
-               for c, k in zip(p, (sq.i, sq.j)))
+    """Whether the point of ``Fraction`` coordinates lies in the square
+    ``(level, i, j)``, by its integer cell keys at the square's level."""
+    level, i, j = sq
+    return all(cell_key(c.numerator, c.denominator, level) == k
+               for c, k in zip(p, (i, j)))
+
+
+def _children(level, i, j):
+    """The four quadtree children of the square, in the descent's scan
+    order."""
+    return [(level + 1, 2 * i + di, 2 * j + dj)
+            for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))]
 
 
 def test_is_aligned_tiny_centered():
     # A speck near the middle of a deep cell.
-    bb = _square_bbox(F(1, 3), F(1, 3), F(1, 2 ** 12))
+    bb = _square_bbox(_u(1, 3), _u(1, 3), _u(1, 2 ** 12))
     d2 = diameter_sq_of([(bb[0], bb[1]), (bb[2], bb[3])])
-    assert is_aligned(bb, d2)
+    assert is_aligned(bb, d2, U)
 
 
 def test_is_aligned_straddles_top_split():
-    bb = _square_bbox(F(1, 2) - F(1, 2 ** 12), F(1, 4), F(1, 2 ** 11))
+    bb = _square_bbox(_u(1, 2) - _u(1, 2 ** 12), _u(1, 4), _u(1, 2 ** 11))
     d2 = diameter_sq_of([(bb[0], bb[1]), (bb[2], bb[3])])
-    assert not is_aligned(bb, d2)
+    assert not is_aligned(bb, d2, U)
 
 
 def test_alignment_level_rounding():
     # diameter 1/100: 4r = 1/25; the smallest power of 1/2 above it is 1/16.
-    assert alignment_level(F(1, 100) ** 2) == 4
+    assert alignment_level(1, 100) == 4
+    # diameter 1/64: the side 1/16 is exactly four diameters, and counts.
+    assert alignment_level(1, 64) == 4
 
 
 def test_is_aligned_matches_exhaustive(rng):
     for _ in range(200):
-        x = F(rng.randint(0, 2 ** 16), 2 ** 18)
-        y = F(rng.randint(0, 2 ** 16), 2 ** 18)
-        w = F(rng.randint(1, 2 ** 10), 2 ** 20)
+        x = _u(rng.randint(0, 2 ** 16), 2 ** 18)
+        y = _u(rng.randint(0, 2 ** 16), 2 ** 18)
+        w = _u(rng.randint(1, 2 ** 10), 2 ** 20)
         bb = (x, y, x + w, y + w)
         d2 = diameter_sq_of([(x, y), (x + w, y + w)])
-        level = alignment_level(d2)
+        level = alignment_level(d2, U)
         scale = 1 << level
-        # Brute force: scan all cells of that level meeting the box.
+        # Brute force: scan all cells of that level meeting the box; cell
+        # (level, i, j) spans [i U, (i + 1) U) / 2^level on the x axis.
         hit = False
-        for i in range(math.floor(x * scale), math.floor((x + w) * scale) + 1):
-            for j in range(math.floor(y * scale),
-                           math.floor((y + w) * scale) + 1):
+        for i in range(x * scale // U, (x + w) * scale // U + 1):
+            for j in range(y * scale // U, (y + w) * scale // U + 1):
                 if i < scale and j < scale:
-                    sq = QuadtreeSquare(level, i, j)
-                    side = sq.side
-                    if (sq.x0 <= x and x + w < sq.x0 + side
-                            and sq.y0 <= y and y + w < sq.y0 + side):
+                    if (i * U <= x * scale and (x + w) * scale < (i + 1) * U
+                            and j * U <= y * scale
+                            and (y + w) * scale < (j + 1) * U):
                         hit = True
-        assert is_aligned(bb, d2) == hit
+        assert is_aligned(bb, d2, U) == hit
 
 
 def test_shift_align_always_succeeds(rng):
     for _ in range(2000):
-        x = F(rng.randint(0, 2 ** 18), 2 ** 20)
-        y = F(rng.randint(0, 2 ** 18), 2 ** 20)
-        w = F(rng.randint(1, 2 ** 12), 2 ** 22)
+        x = _u(rng.randint(0, 2 ** 18), 2 ** 20)
+        y = _u(rng.randint(0, 2 ** 18), 2 ** 20)
+        w = _u(rng.randint(1, 2 ** 12), 2 ** 22)
         bb = (x, y, x + w, y + w)
         d2 = diameter_sq_of([(x, y), (x + w, y + w)])
-        idx = aligned_shift_index(bb, d2)
+        idx = aligned_shift_index(bb, d2, U)
         assert idx is not None and SHIFTS[idx] in (F(0), F(1, 3), F(2, 3))
+
+
+def test_aligned_shift_index_needs_a_unit_the_shifts_divide():
+    with pytest.raises(InvalidInputError, match="not a multiple of 3"):
+        aligned_shift_index((0, 0, 1, 1), 2, 1 << 20)
 
 
 def test_centroid_single_point():
     sq, _ = centroid_square([(F(1, 3), F(2, 3))])
-    assert sq.level == MAX_LEVEL
+    assert sq[0] == MAX_LEVEL
     assert _in_square(sq, (F(1, 3), F(2, 3)))
 
 
@@ -97,7 +122,9 @@ def test_centroid_cluster():
     cluster = [(F(1, 16) + F(i, 256), F(1, 16)) for i in range(4)]
     pts = cluster + [(F(7, 8), F(7, 8))]
     sq, inside = centroid_square(pts)
-    assert sq.x0 < F(1, 2) and sq.y0 < F(1, 2)  # inside that quadrant
+    level, i, j = sq
+    # The lower-left corner (i, j) / 2^level is inside that quadrant.
+    assert F(i, 1 << level) < F(1, 2) and F(j, 1 << level) < F(1, 2)
     assert len(inside) >= 1
     assert all((x, y) in cluster for x, y in inside)
     assert not _in_square(sq, (F(7, 8), F(7, 8)))
@@ -111,9 +138,9 @@ def test_centroid_balance(rng):
         sq, inside = centroid_square(pts)
         assert 5 * len(inside) >= n          # at least n/5 inside
         assert 5 * (n - len(inside)) <= 4 * n  # at most 4n/5 outside
-        for child in sq.children():
+        for child in _children(*sq):
             cnt = sum(1 for p in pts if _in_square(child, p))
-            assert 5 * cnt < n or sq.level == MAX_LEVEL
+            assert 5 * cnt < n or sq[0] == MAX_LEVEL
 
 
 def _reference_centroid(points, max_level):
@@ -124,14 +151,10 @@ def _reference_centroid(points, max_level):
         return (i * side <= p[0] < (i + 1) * side
                 and j * side <= p[1] < (j + 1) * side)
 
-    def children(level, i, j):
-        return [(level + 1, 2 * i + di, 2 * j + dj)
-                for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1))]
-
     n = len(points)
     sq, members = (0, 0, 0), list(points)
     while sq[0] < max_level:
-        for child in children(*sq):
+        for child in _children(*sq):
             sub = [p for p in members if inside(*child, p)]
             if 5 * len(sub) >= n:
                 sq, members = child, sub
@@ -143,7 +166,7 @@ def _reference_centroid(points, max_level):
     # < 4n/5, and at the cap the level test fails.
     while 5 * len(members) > 4 * n and sq[0] < max_level:
         best = None
-        for child in children(*sq):
+        for child in _children(*sq):
             sub = [p for p in members if inside(*child, p)]
             if best is None or len(sub) > len(best[1]):
                 best = (child, sub)
@@ -167,8 +190,8 @@ def test_centroid_matches_fraction_reference(pool, data, max_level):
     # small cap stops duplicate-heavy inputs above their separating level.
     pts = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40))
     sq, inside = centroid_square(pts, max_level)
-    (level, i, j), want = _reference_centroid(pts, max_level)
-    assert (sq.level, sq.i, sq.j) == (level, i, j)
+    want_sq, want = _reference_centroid(pts, max_level)
+    assert sq == want_sq
     assert inside == want
 
 
@@ -443,6 +466,92 @@ def test_fat_zero_area_query_takes_no_apex_path():
     assert len(want) == 201
     assert got == want
     assert stats.curtain_answers == 0
+
+
+def _random_rat(rng, span):
+    """An integer in [-span, span], or a rational of denominator 2, 3, 7 or
+    4096 in about that range."""
+    if rng.random() < 0.5:
+        return rng.randint(-span, span)
+    return F(rng.randint(-6 * span, 6 * span), rng.choice([2, 3, 7, 4096]))
+
+
+def test_fat_query_stratum_matches_fraction_reference():
+    seen = set()
+    outside = zero_area = 0
+    for seed in range(16):
+        rng = random.Random(f"stratum:{seed}")
+        span = rng.choice([10, 300, 10 ** 6])
+        n = rng.randint(1, 80)
+        if seed % 2:
+            pts = [pt(_random_rat(rng, span), _random_rat(rng, span))
+                   for _ in range(n)]
+        else:
+            pts = gens.random_points(rng, n, 2, span)
+        s = build_fat_structure(pts)
+        queries = [gens.random_fat_triangle(rng, math.pi / 6,
+                                            center_range=span,
+                                            scale_range=(1.0, 1.5 * span),
+                                            grid=rng.choice([1, 7]))
+                   for _ in range(4)]
+        # Small triangles around a point, of integer and rational sides.
+        for _ in range(8):
+            x, y = rng.choice(pts)
+            e = F(1, rng.choice([1, 3, 64, 4096]))
+            queries.append(Triangle(pt(x - e, y - e), pt(x + 2 * e, y - e),
+                                    pt(x, y + 2 * e)))
+        # Far outside the core square, and of zero area.
+        queries.append(Triangle(pt(100 * span, 0), pt(100 * span + 5, 1),
+                                pt(100 * span, F(7, 3))))
+        x, y = rng.choice(pts)
+        queries.append(Triangle(pt(x, y), pt(x + 3, y + F(1, 3)),
+                                pt(x - 6, y - F(2, 3))))
+        for tri in queries:
+            got, stats = fat_query(s, tri)
+            want = reference_stratum(pts, tri)
+            assert stats.stratum == want, (seed, tri)
+            assert got == [i for i, p in enumerate(pts)
+                           if reference_contains(tri, p)], (seed, tri)
+            seen.add(want)
+            outside += any(abs(c) > 2 * span for v in tri.vertices
+                           for c in v)
+            zero_area += tri.signed_area2() == 0
+    assert seen == {0, 1, 2}
+    assert outside and zero_area
+
+
+def test_fat_query_without_an_apex_path_makes_no_fraction():
+    # The seed-7919 `fat` benchmark instance: 640 integer points and 28
+    # triangles with vertices on the 1/4096 grid, two answered through the
+    # slanted trees; one more query has integer vertices.
+    rng = random.Random("fat:7919")
+    pts = gens.random_points(rng, 640, 2)
+    tris = gens.random_fat_triangles(rng, 28, math.pi / 6)
+    tris.append(Triangle(pt(-30, -20), pt(40, -25), pt(2, 50)))
+    s = build_fat_structure(pts)
+    made = []
+
+    def profile(frame, event, arg):
+        if (event == "call" and frame.f_code.co_name == "__new__"
+                and frame.f_code.co_filename == fractions.__file__):
+            made[-1] += 1
+
+    apex_paths = 0
+    for tri in tris:
+        made.append(0)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            got, stats = fat_query(s, tri)
+        finally:
+            sys.setprofile(previous)
+        assert got == [i for i, p in enumerate(pts)
+                       if reference_contains(tri, p)]
+        # The apex path builds its curtain parameters as fractions, which
+        # shows that the watch sees them.
+        assert (made[-1] > 0) == (stats.curtain_answers > 0), tri
+        apex_paths += stats.curtain_answers > 0
+    assert apex_paths == 2
 
 
 def test_fat_structure_vs_bruteforce(rng):

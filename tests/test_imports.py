@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is read in that module, and
-every package name the benchmark's tracer patches exists.
+"""Every name a module of the package imports is read in that module, every
+name a package's ``__all__`` lists exists, and every package name the
+benchmark's tracer patches exists.
 
 The package ``__init__.py`` files are left out: they import names to
 re-export them.
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kkfree"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+PACKAGES = sorted(p.parent for p in PACKAGE.rglob("__init__.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -42,6 +44,15 @@ def test_unused_imports_finds_a_name_never_read():
                          ids=lambda p: p.relative_to(PACKAGE).as_posix())
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("name", [
+    ".".join(p.relative_to(PACKAGE.parent).parts) for p in PACKAGES])
+def test_every_name_in_all_exists(name):
+    # A deleted name left in ``__all__`` breaks only ``import *``.
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ())
+            if not hasattr(module, n)] == []
 
 
 def patched_names(source: str) -> list[tuple[str, str]]:

@@ -264,6 +264,18 @@ def test_schedule_fat_ignores_a_valid_c():
         assert census_schedule(1, 2, "fat", c).thresholds == (2,)
 
 
+def test_schedule_fat_past_the_float_range():
+    # 2^sqrt(t/k) past 2^1024 (m = 10^340), and t/k itself past the float
+    # range (m = 10^2000 and 10^4000), below m.
+    for k in (1, 2, 3, 5, 8, 100):
+        for m in (10 ** 340, 10 ** 400, 10 ** 2000, 10 ** 4000):
+            th = census_schedule(k, m, "fat").thresholds
+            assert all(a < b for a, b in zip(th, th[1:])), (k, m)
+            assert th[-1] >= m, (k, m)
+    assert census_schedule(5, 10 ** 340, "fat").thresholds[:9] == (
+        10, 20, 40, 80, 160, 320, 640, 2546, 6206982)
+
+
 def test_schedule_rejects_small_m():
     with pytest.raises(InvalidInputError):
         census_schedule(4, 7)
