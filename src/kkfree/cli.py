@@ -34,7 +34,7 @@ from .reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                          polyhedra_to_boxes, threesided_to_orthants,
                          wedge_dual, wedge_lift)
 from .reports import svg_plot, write_csv, write_json
-from .slab import box_audit, curtain_audit, rect_audit
+from .slab import box_audit, curtain_audit, fitted_constant, rect_audit
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,13 +185,15 @@ def _cmd_audit(args) -> int:
         rep = curtain_audit(inst.points, inst.ranges, k)
     graph = incidences_bruteforce(inst.points, inst.ranges)
     write_json(_out_path(args, f"{args.kind}_audit.json"), rep.to_json_dict())
+    rows = rep.ledger_rows()
+    fitted = fitted_constant(rows)
     write_csv(_out_path(args, f"{args.kind}_audit_ledger.csv"),
-              rep.LEDGER_HEADER, rep.ledger_rows(),
+              rep.LEDGER_HEADER, rows,
               {"kind": rep.kind, "b": rep.b, "k": rep.k, "total": rep.total,
-               "fitted_constant": f"{rep.fitted_constant():.6g}"})
+               "fitted_constant": f"{fitted:.6g}"})
     ok = rep.total == graph.edge_count
     print(f"audit total={rep.total} oracle={graph.edge_count} exact={ok} "
-          f"fitted_constant={rep.fitted_constant():.4g}")
+          f"fitted_constant={fitted:.4g}")
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 
@@ -201,6 +203,7 @@ def _audit_fat(args, inst) -> int:
     require_type(inst.ranges, Triangle, "fat audit needs triangles")
     graph = incidences_bruteforce(inst.points, inst.ranges)
     structure = build_fat_structure(inst.points)
+    stored_entries = structure.stored_entries()
     rows = []
     ok = True
     for j, tri in enumerate(inst.ranges):
@@ -213,10 +216,9 @@ def _audit_fat(args, inst) -> int:
               ["query", "reported", "tree_nodes", "curtain_nodes",
                "point_tests", "work", "stratum", "curtain_answers"],
               rows, {"n": inst.n, "m": inst.m,
-                     "stored_entries": structure.stored_entries(),
+                     "stored_entries": stored_entries,
                      "max_depth": structure.max_depth()})
-    print(f"fat queries={inst.m} exact={ok} "
-          f"stored_entries={structure.stored_entries()}")
+    print(f"fat queries={inst.m} exact={ok} stored_entries={stored_entries}")
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 

@@ -10,21 +10,42 @@ intersect {0, ..., n-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InvalidInputError
+from .frozen import Frozen, set_field
 
 
-@dataclass(frozen=True, order=True)
-class DyadicRange:
-    """The index range [s * 2^rank, (s+1) * 2^rank - 1]."""
+class DyadicRange(Frozen):
+    """The index range [s * 2^rank, (s+1) * 2^rank - 1], ordered by
+    ``(rank, s)``."""
 
-    rank: int
-    s: int
+    __slots__ = ("rank", "s")
 
-    def __post_init__(self):
-        if self.rank < 0 or self.s < 0:
+    def __init__(self, rank: int, s: int):
+        if rank < 0 or s < 0:
             raise InvalidInputError("dyadic range needs nonnegative rank and s")
+        set_field(self, "rank", rank)
+        set_field(self, "s", s)
+
+    # Hash, equality and order on (rank, s) are written out, not inherited:
+    # the box cover hashes and sorts every range it decomposes into.  ``>``
+    # and ``>=`` reflect to ``__lt__`` and ``__le__``.
+    def __hash__(self) -> int:
+        return hash((self.rank, self.s))
+
+    def __eq__(self, other):
+        if other.__class__ is not DyadicRange:
+            return NotImplemented
+        return self.rank == other.rank and self.s == other.s
+
+    def __lt__(self, other):
+        if other.__class__ is not DyadicRange:
+            return NotImplemented
+        return (self.rank, self.s) < (other.rank, other.s)
+
+    def __le__(self, other):
+        if other.__class__ is not DyadicRange:
+            return NotImplemented
+        return (self.rank, self.s) <= (other.rank, other.s)
 
     @property
     def lo(self) -> int:

@@ -4,10 +4,10 @@ closed-form bound evaluators for overlaying reference curves."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import InvalidInputError
+from .frozen import Frozen, set_field
 from .geometry import Box, Line2, Point, pt
 from .incidence import find_kkk, incidences_bruteforce
 from .levels import iterated_log2
@@ -38,8 +38,7 @@ def lower_bound_5d(n_param: int) -> Reduction:
 # ---------------------------------------------------------------------------
 # favorability
 
-@dataclass(frozen=True)
-class FavorabilityVerdict:
+class FavorabilityVerdict(Frozen):
     """Outcome of the two-condition box-family check.
 
     Condition 1: every box holds at least ``threshold`` points.  Condition 2:
@@ -48,10 +47,14 @@ class FavorabilityVerdict:
     m * threshold incidences.
     """
 
-    favorable: bool
-    failed_condition: int | None = None
-    witness: tuple = ()
-    incidence_floor: int | None = None
+    __slots__ = ("favorable", "failed_condition", "witness", "incidence_floor")
+
+    def __init__(self, favorable: bool, failed_condition: int | None = None,
+                 witness: tuple = (), incidence_floor: int | None = None):
+        set_field(self, "favorable", favorable)
+        set_field(self, "failed_condition", failed_condition)
+        set_field(self, "witness", witness)
+        set_field(self, "incidence_floor", incidence_floor)
 
 
 def verify_favorable(points: list[Point], boxes: list[Box],
@@ -73,8 +76,7 @@ def verify_favorable(points: list[Point], boxes: list[Box],
 FAMILIES = ("interval", "box", "halfspace", "ball", "union", "fat")
 
 
-@dataclass(frozen=True)
-class BoundFormula:
+class BoundFormula(Frozen):
     """Closed-form reference bound with an explicit constant slot.
 
     ``family`` selects the expression; ``d`` the dimension where relevant;
@@ -82,16 +84,18 @@ class BoundFormula:
     union-complexity reference for the "union" family.
     """
 
-    family: str
-    d: int = 2
-    epsilon: float = 0.5
-    f0: Callable[[float], float] | None = None
+    __slots__ = ("family", "d", "epsilon", "f0")
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise InvalidInputError(f"unknown bound family: {self.family!r}")
-        if self.family == "union" and self.f0 is None:
+    def __init__(self, family: str, d: int = 2, epsilon: float = 0.5,
+                 f0: Callable[[float], float] | None = None):
+        if family not in FAMILIES:
+            raise InvalidInputError(f"unknown bound family: {family!r}")
+        if family == "union" and f0 is None:
             raise InvalidInputError("union family needs a reference f0")
+        set_field(self, "family", family)
+        set_field(self, "d", d)
+        set_field(self, "epsilon", epsilon)
+        set_field(self, "f0", f0)
 
 
 def _glog(x: float) -> float:

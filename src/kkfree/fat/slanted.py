@@ -11,21 +11,19 @@ per entry plus one light node per leaf-sized block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import InvalidInputError
 from ..geometry import Curtain, Point, Rat, _integer_form
 
 LEAF_SIZE = 8
 
 
-@dataclass
 class QueryStats:
     """Instrumentation for one query."""
 
-    nodes_visited: int = 0
-    entry_tests: int = 0
-    reported: int = 0
+    def __init__(self):
+        self.nodes_visited = 0
+        self.entry_tests = 0
+        self.reported = 0
 
     @property
     def work(self) -> int:

@@ -12,7 +12,6 @@ descends, so no stabbing assumption is ever trusted for correctness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..geometry import (Point, Rat, Triangle, predicate, require_dim,
@@ -39,7 +38,6 @@ class _FatNode:
         self.apex = None
 
 
-@dataclass
 class FatStratum:
     """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den).
 
@@ -48,15 +46,15 @@ class FatStratum:
     ``s <= apex_bits``.
     """
 
-    shift: Fraction
-    root: _FatNode | None
-    dfs_order: list[int]
-    xy: list[tuple[int, int]]
-    den: int
-    apex_bits: int = 0
+    def __init__(self, shift: Fraction, xy: list[tuple[int, int]], den: int):
+        self.shift = shift
+        self.root: _FatNode | None = None
+        self.dfs_order: list[int] = []
+        self.xy = xy
+        self.den = den
+        self.apex_bits = 0
 
 
-@dataclass
 class FatReportStructure:
     """The three strata over one frame: the affine map of the point bounding
     box, expanded by ten percent, into the core square [0, 1/4)^2, so the
@@ -64,16 +62,19 @@ class FatReportStructure:
 
     The map sends (x, y) to ((x - ox / c) * s, (y - oy / c) * s), with
     ``origin = (ox, oy)`` and s = c * k / den; ``_to_frame`` gives that
-    image as integer numerators over ``den * q``.
+    image as integer numerators over ``den * q``.  ``degenerate`` marks a
+    duplicate-heavy build, whose balance is not guaranteed.
     """
 
-    n: int
-    strata: list[FatStratum]
-    c: int
-    origin: tuple[int, int]
-    k: int
-    den: int
-    degenerate: bool = False  # duplicate-heavy build; balance not guaranteed
+    def __init__(self, n: int, c: int, origin: tuple[int, int], k: int,
+                 den: int):
+        self.n = n
+        self.strata: list[FatStratum] = []
+        self.c = c
+        self.origin = origin
+        self.k = k
+        self.den = den
+        self.degenerate = False
 
     def stored_entries(self) -> int:
         """Total stored slots: tree nodes, per-node structure entries, DFS
@@ -106,14 +107,14 @@ class FatReportStructure:
         return best
 
 
-@dataclass
 class FatQueryStats:
-    nodes_visited: int = 0
-    curtain_stats: QueryStats = field(default_factory=QueryStats)
-    point_tests: int = 0
-    reported: int = 0
-    curtain_answers: int = 0
-    stratum: int = 0
+    def __init__(self):
+        self.nodes_visited = 0
+        self.curtain_stats = QueryStats()
+        self.point_tests = 0
+        self.reported = 0
+        self.curtain_answers = 0
+        self.stratum = 0
 
     @property
     def work(self) -> int:
@@ -142,13 +143,13 @@ def build_fat_structure(points: list[Point]) -> FatReportStructure:
                  *(v.denominator for p in points for v in p.coords))
     den = math.lcm(c * scale.denominator, *(s.denominator for s in SHIFTS))
     k = den // (c * scale.denominator) * scale.numerator
-    structure = FatReportStructure(len(points), [], c,
+    structure = FatReportStructure(len(points), c,
                                    (_over(ox, c), _over(oy, c)), k, den)
     nums = [_to_frame(structure, p, 1) for p in points]
     for shift in SHIFTS:
         off = _over(shift, den)
         xy = [(x + off, y + off) for x, y in nums]
-        stratum = FatStratum(shift, None, [], xy, den)
+        stratum = FatStratum(shift, xy, den)
         if points:
             keys = [(cell_key(x, den, MAX_LEVEL), cell_key(y, den, MAX_LEVEL))
                     for x, y in xy]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import singledispatch
 from math import lcm
@@ -18,6 +17,7 @@ from operator import mul
 from typing import Callable, Sequence, Union
 
 from .errors import DimensionMismatchError, InvalidInputError, UnsupportedInputError
+from .frozen import Frozen, set_field
 
 Rat = Union[int, Fraction]
 
@@ -77,15 +77,15 @@ def rat_str(value: Rat) -> str:
             f"{sys.get_int_max_str_digits()} digits") from None
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """A point in R^d with exact rational coordinates."""
 
-    coords: tuple[Rat, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if len(self.coords) < 1:
+    def __init__(self, coords: tuple[Rat, ...]):
+        if len(coords) < 1:
             raise InvalidInputError("point needs at least one coordinate")
+        set_field(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -102,16 +102,18 @@ def pt(*coords) -> Point:
     return Point(tuple(as_rat(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(Frozen):
     """Non-vertical hyperplane in graph form: x_d = offset + sum_i slopes[i] * x_i.
 
     ``d = len(slopes) + 1``.  Vertical hyperplanes are unrepresentable by
     construction, which is what duality requires.
     """
 
-    slopes: tuple[Rat, ...]
-    offset: Rat
+    __slots__ = ("slopes", "offset")
+
+    def __init__(self, slopes: tuple[Rat, ...], offset: Rat):
+        set_field(self, "slopes", slopes)
+        set_field(self, "offset", offset)
 
     @property
     def dim(self) -> int:
@@ -131,81 +133,82 @@ class Hyperplane:
         return (diff > 0) - (diff < 0)
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Frozen):
     """Closed halfspace bounded by a non-vertical hyperplane.
 
     ``side`` is "upper" (points on or above the boundary) or "lower".
     """
 
-    boundary: Hyperplane
-    side: str  # "upper" | "lower"
+    __slots__ = ("boundary", "side")
 
-    def __post_init__(self):
-        if self.side not in ("upper", "lower"):
-            raise InvalidInputError(f"bad halfspace side: {self.side!r}")
+    def __init__(self, boundary: Hyperplane, side: str):
+        if side not in ("upper", "lower"):
+            raise InvalidInputError(f"bad halfspace side: {side!r}")
+        set_field(self, "boundary", boundary)
+        set_field(self, "side", side)
 
     @property
     def dim(self) -> int:
         return self.boundary.dim
 
 
-@dataclass(frozen=True)
-class LinearHalfspace:
+class LinearHalfspace(Frozen):
     """Closed halfspace in general position: coeffs . x <= rhs (sense 'le') or >= ('ge').
 
     Needed where the bounding hyperplane may be vertical or is more natural in
     implicit form (degree-2 Veronese images, exponential orthant maps).
     """
 
-    coeffs: tuple[Rat, ...]
-    rhs: Rat
-    sense: str = "le"
+    __slots__ = ("coeffs", "rhs", "sense")
 
-    def __post_init__(self):
-        if self.sense not in ("le", "ge"):
-            raise InvalidInputError(f"bad sense: {self.sense!r}")
-        if not any(c != 0 for c in self.coeffs):
+    def __init__(self, coeffs: tuple[Rat, ...], rhs: Rat, sense: str = "le"):
+        if sense not in ("le", "ge"):
+            raise InvalidInputError(f"bad sense: {sense!r}")
+        if not any(c != 0 for c in coeffs):
             raise InvalidInputError("zero normal vector")
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "sense", sense)
 
     @property
     def dim(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class Ball:
+class Ball(Frozen):
     """Closed ball; the squared radius is stored exactly."""
 
-    center: Point
-    radius_sq: Rat
+    __slots__ = ("center", "radius_sq")
 
-    def __post_init__(self):
-        if self.radius_sq < 0:
+    def __init__(self, center: Point, radius_sq: Rat):
+        if radius_sq < 0:
             raise InvalidInputError("negative squared radius")
+        set_field(self, "center", center)
+        set_field(self, "radius_sq", radius_sq)
 
     @property
     def dim(self) -> int:
         return self.center.dim
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """Axis-parallel box; ``None`` bounds are unbounded sides.
 
     Covers intervals (d=1), orthants (one bounded side per axis) and 3-sided
     rectangles as special cases.
     """
 
-    lows: tuple[Rat | None, ...]
-    highs: tuple[Rat | None, ...]
+    __slots__ = ("lows", "highs")
 
-    def __post_init__(self):
-        if len(self.lows) != len(self.highs):
+    def __init__(self, lows: tuple[Rat | None, ...],
+                 highs: tuple[Rat | None, ...]):
+        if len(lows) != len(highs):
             raise InvalidInputError("lows/highs length mismatch")
-        for lo, hi in zip(self.lows, self.highs):
+        for lo, hi in zip(lows, highs):
             if lo is not None and hi is not None and lo > hi:
                 raise InvalidInputError("box has lo > hi on some axis")
+        set_field(self, "lows", lows)
+        set_field(self, "highs", highs)
 
     @property
     def dim(self) -> int:
@@ -250,64 +253,68 @@ def box2(xlo, xhi, ylo, yhi) -> Box:
     return Box((conv(xlo), conv(ylo)), (conv(xhi), conv(yhi)))
 
 
-@dataclass(frozen=True)
-class Wedge2:
+class Wedge2(Frozen):
     """Planar wedge {(x, y) : y <= a x + b, x <= c}."""
 
-    a: Rat
-    b: Rat
-    c: Rat
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Rat, b: Rat, c: Rat):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     @property
     def dim(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
-class Wedge3:
+class Wedge3(Frozen):
     """Spatial wedge {(x, y, z) : y <= a x + b, z <= c}."""
 
-    a: Rat
-    b: Rat
-    c: Rat
+    __slots__ = ("a", "b", "c")
+
+    def __init__(self, a: Rat, b: Rat, c: Rat):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "c", c)
 
     @property
     def dim(self) -> int:
         return 3
 
 
-@dataclass(frozen=True)
-class Curtain:
+class Curtain(Frozen):
     """Planar curtain {(x, y) : y <= a x + b, lo <= x <= hi}.
 
     Either end of the x-range may be ``None`` (unbounded); a wedge is the
     special case with one open end.
     """
 
-    a: Rat
-    b: Rat
-    lo: Rat | None
-    hi: Rat | None
+    __slots__ = ("a", "b", "lo", "hi")
 
-    def __post_init__(self):
-        if self.lo is not None and self.hi is not None and self.lo > self.hi:
+    def __init__(self, a: Rat, b: Rat, lo: Rat | None, hi: Rat | None):
+        if lo is not None and hi is not None and lo > hi:
             raise InvalidInputError("curtain has lo > hi")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
+        set_field(self, "lo", lo)
+        set_field(self, "hi", hi)
 
     @property
     def dim(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Frozen):
     """Closed planar triangle given by its three vertices."""
 
-    v0: Point
-    v1: Point
-    v2: Point
+    __slots__ = ("v0", "v1", "v2")
 
-    def __post_init__(self):
-        require_dim(self.vertices, 2, "triangle vertex")
+    def __init__(self, v0: Point, v1: Point, v2: Point):
+        require_dim((v0, v1, v2), 2, "triangle vertex")
+        set_field(self, "v0", v0)
+        set_field(self, "v1", v1)
+        set_field(self, "v2", v2)
 
     @property
     def dim(self) -> int:
@@ -322,39 +329,42 @@ class Triangle:
         return cross(sub(self.v1, self.v0), sub(self.v2, self.v0))
 
 
-@dataclass(frozen=True)
-class Line2:
+class Line2(Frozen):
     """Non-vertical planar line y = a x + b, as a (measure-zero) range.
 
     Incidence means lying exactly on the line.
     """
 
-    a: Rat
-    b: Rat
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Rat, b: Rat):
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
     @property
     def dim(self) -> int:
         return 2
 
 
-@dataclass(frozen=True)
-class Polyhedron:
+class Polyhedron(Frozen):
     """Intersection of slabs orthogonal to a fixed list of directions.
 
     Constraint i is ``lows[i] <= normals[i] . x <= highs[i]`` with ``None``
     meaning unbounded; generalizes a box, whose directions are the axes.
     """
 
-    normals: tuple[tuple[Rat, ...], ...]
-    lows: tuple[Rat | None, ...]
-    highs: tuple[Rat | None, ...]
+    __slots__ = ("normals", "lows", "highs")
 
-    def __post_init__(self):
-        if not (len(self.normals) == len(self.lows) == len(self.highs)):
+    def __init__(self, normals: tuple[tuple[Rat, ...], ...],
+                 lows: tuple[Rat | None, ...], highs: tuple[Rat | None, ...]):
+        if not (len(normals) == len(lows) == len(highs)):
             raise InvalidInputError("polyhedron constraint arity mismatch")
-        if len(set(map(len, self.normals))) > 1:
+        if len(set(map(len, normals))) > 1:
             raise DimensionMismatchError(
                 "polyhedron normals of different dimensions")
+        set_field(self, "normals", normals)
+        set_field(self, "lows", lows)
+        set_field(self, "highs", highs)
 
     @property
     def dim(self) -> int:

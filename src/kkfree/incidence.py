@@ -5,7 +5,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -15,6 +14,7 @@ from typing import Sequence
 
 from .dyadic import canonical_decomposition
 from .errors import InvalidInputError, NotApplicableError, UnknownVerdictError
+from .frozen import Frozen, set_field
 from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        _integer_form, closed_rank_range, linear_constraints,
@@ -24,7 +24,6 @@ from .packed import PackedColumns, pack_columns
 DEFAULT_NODE_BUDGET = 200_000
 
 
-@dataclass
 class IncidenceGraph:
     """Bipartite incidences of n points and m ranges, as one row per range.
 
@@ -35,21 +34,19 @@ class IncidenceGraph:
     on first use; ``points_in_range`` returns a row as a frozenset.
     """
 
-    n: int
-    m: int
-    rows: Sequence[list[int]]
-
-    def __post_init__(self):
-        self.rows = tuple(self.rows)
-        if len(self.rows) != self.m:
-            raise InvalidInputError(
-                f"{len(self.rows)} rows for {self.m} ranges")
-        for j, row in enumerate(self.rows):
-            if row and not (0 <= row[0] and row[-1] < self.n
+    def __init__(self, n: int, m: int, rows: Sequence[list[int]]):
+        rows = tuple(rows)
+        if len(rows) != m:
+            raise InvalidInputError(f"{len(rows)} rows for {m} ranges")
+        for j, row in enumerate(rows):
+            if row and not (0 <= row[0] and row[-1] < n
                             and all(map(lt, row, row[1:]))):
                 raise InvalidInputError(
                     f"row {j} is not an ascending list of distinct point "
-                    f"indices in [0, {self.n})")
+                    f"indices in [0, {n})")
+        self.n = n
+        self.m = m
+        self.rows = rows
 
     @property
     def edge_count(self) -> int:
@@ -219,18 +216,21 @@ def require_free(graph: IncidenceGraph, k: int,
 # ---------------------------------------------------------------------------
 # K_{k,k} detection
 
-@dataclass(frozen=True)
-class KkkResult:
+class KkkResult(Frozen):
     """Outcome of a biclique search.
 
     ``status`` is "found" (witness attached), "free" (proven absent), or
     "unknown" (search budget exhausted; never treated as absence).
     """
 
-    status: str
-    points: tuple[int, ...] = ()
-    ranges: tuple[int, ...] = ()
-    nodes: int = 0
+    __slots__ = ("status", "points", "ranges", "nodes")
+
+    def __init__(self, status: str, points: tuple[int, ...] = (),
+                 ranges: tuple[int, ...] = (), nodes: int = 0):
+        set_field(self, "status", status)
+        set_field(self, "points", points)
+        set_field(self, "ranges", ranges)
+        set_field(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:
@@ -361,16 +361,16 @@ class _BudgetExhausted(Exception):
 # ---------------------------------------------------------------------------
 # biclique covers
 
-@dataclass(frozen=True)
-class BicliqueCover:
+class BicliqueCover(Frozen):
     """Pairs (A_i, B_i) of point/range index sets whose products cover an edge set."""
 
-    pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
-        for a, b in self.pairs:
+    def __init__(self, pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]):
+        for a, b in pairs:
             if not a or not b:
                 raise InvalidInputError("empty side in a cover pair")
+        set_field(self, "pairs", pairs)
 
     def size(self) -> int:
         """Sum of |A_i| + |B_i| over all pairs."""
@@ -389,15 +389,19 @@ def verify_cover(cover: BicliqueCover, graph: IncidenceGraph) -> bool:
     return all(map(eq, map(sorted, covered), map(list, graph.rows)))
 
 
-@dataclass(frozen=True)
-class CoverBound:
+class CoverBound(Frozen):
     """Either a certified upper bound on the incidence count, or an embedded
     complete pair of size >= k found inside the cover."""
 
-    certified: bool
-    bound: int | None = None
-    witness_points: tuple[int, ...] = ()
-    witness_ranges: tuple[int, ...] = ()
+    __slots__ = ("certified", "bound", "witness_points", "witness_ranges")
+
+    def __init__(self, certified: bool, bound: int | None = None,
+                 witness_points: tuple[int, ...] = (),
+                 witness_ranges: tuple[int, ...] = ()):
+        set_field(self, "certified", certified)
+        set_field(self, "bound", bound)
+        set_field(self, "witness_points", witness_points)
+        set_field(self, "witness_ranges", witness_ranges)
 
 
 def cover_bound(cover: BicliqueCover, k: int) -> CoverBound:
@@ -419,20 +423,26 @@ def cover_bound(cover: BicliqueCover, k: int) -> CoverBound:
 # ---------------------------------------------------------------------------
 # rank-space box cover (range-tree style canonical subsets)
 
-@dataclass(frozen=True)
-class CoverLevelStats:
+class CoverLevelStats(Frozen):
     """Per recursion depth: sums of class point and box counts."""
 
-    depth: int
-    point_total: int
-    box_total: int
-    classes: int
+    __slots__ = ("depth", "point_total", "box_total", "classes")
+
+    def __init__(self, depth: int, point_total: int, box_total: int,
+                 classes: int):
+        set_field(self, "depth", depth)
+        set_field(self, "point_total", point_total)
+        set_field(self, "box_total", box_total)
+        set_field(self, "classes", classes)
 
 
-@dataclass(frozen=True)
-class BoxCoverBuild:
-    cover: BicliqueCover
-    levels: tuple[CoverLevelStats, ...]
+class BoxCoverBuild(Frozen):
+    __slots__ = ("cover", "levels")
+
+    def __init__(self, cover: BicliqueCover,
+                 levels: tuple[CoverLevelStats, ...]):
+        set_field(self, "cover", cover)
+        set_field(self, "levels", levels)
 
 
 def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
@@ -490,28 +500,43 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
 # ---------------------------------------------------------------------------
 # 1D interval audit
 
-@dataclass(frozen=True)
-class IntervalBlockRow:
-    """Ledger row for one block of k consecutive points."""
+class IntervalBlockRow(Frozen):
+    """Ledger row for one block of k consecutive points.
 
-    block: int
-    size: int
-    containing: int   # intervals covering the whole block hull
-    boundary: int     # e_i: an endpoint in the hull, hull not fully covered
-    incidences: int
+    ``containing`` counts the intervals covering the whole block hull;
+    ``boundary`` (e_i) those with an endpoint in the hull that do not cover
+    it.
+    """
+
+    __slots__ = ("block", "size", "containing", "boundary", "incidences")
+
+    def __init__(self, block: int, size: int, containing: int, boundary: int,
+                 incidences: int):
+        set_field(self, "block", block)
+        set_field(self, "size", size)
+        set_field(self, "containing", containing)
+        set_field(self, "boundary", boundary)
+        set_field(self, "incidences", incidences)
 
 
-@dataclass(frozen=True)
-class IntervalAuditReport:
-    n: int
-    m: int
-    k: int
-    blocks: tuple[IntervalBlockRow, ...]
-    incidences: int
-    last_block_term: int   # |P_N| * m, reported separately (it is absorbed
-                           # loosely by the closed-form bound)
-    bound: int             # k*n + 3*k*m
-    holds: bool
+class IntervalAuditReport(Frozen):
+    """``last_block_term`` is |P_N| * m, reported separately (the
+    closed-form bound absorbs it loosely); ``bound`` is k*n + 3*k*m."""
+
+    __slots__ = ("n", "m", "k", "blocks", "incidences", "last_block_term",
+                 "bound", "holds")
+
+    def __init__(self, n: int, m: int, k: int,
+                 blocks: tuple[IntervalBlockRow, ...], incidences: int,
+                 last_block_term: int, bound: int, holds: bool):
+        set_field(self, "n", n)
+        set_field(self, "m", m)
+        set_field(self, "k", k)
+        set_field(self, "blocks", blocks)
+        set_field(self, "incidences", incidences)
+        set_field(self, "last_block_term", last_block_term)
+        set_field(self, "bound", bound)
+        set_field(self, "holds", holds)
 
 
 def interval_audit(points: list[Point], intervals: list[Box], k: int,
@@ -564,10 +589,14 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
 # ---------------------------------------------------------------------------
 # shatter traces
 
-@dataclass(frozen=True)
-class ShatterCount:
-    traces: int
-    heavy: int | None = None  # ranges containing more than k points
+class ShatterCount(Frozen):
+    """``heavy`` counts the ranges containing more than k points."""
+
+    __slots__ = ("traces", "heavy")
+
+    def __init__(self, traces: int, heavy: int | None = None):
+        set_field(self, "traces", traces)
+        set_field(self, "heavy", heavy)
 
 
 def shatter_trace_count(points: list[Point], ranges: list[Range],

@@ -8,7 +8,6 @@ other tooling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
 from .errors import InvalidInputError
@@ -19,27 +18,44 @@ from .reports import write_text_atomic
 
 FORMAT_VERSION = 1
 
+# Stands for an omitted provenance, which becomes a new empty dict; an
+# explicit ``None`` is rejected like any other value that is not a dict.
+_NO_PROVENANCE = object()
 
-@dataclass
+
 class Instance:
-    dimension: int
-    points: list[Point]
-    ranges: list[Range]
-    k: int | None = None
-    provenance: dict = field(default_factory=dict)
+    """Points and ranges in one dimension, with an optional k and a
+    provenance dict.  Two instances are equal when all five fields are."""
 
-    def __post_init__(self):
-        if not _is_int(self.dimension) or self.dimension < 1:
+    def __init__(self, dimension: int, points: list[Point],
+                 ranges: list[Range], k: int | None = None,
+                 provenance: dict = _NO_PROVENANCE):
+        if provenance is _NO_PROVENANCE:
+            provenance = {}
+        if not _is_int(dimension) or dimension < 1:
             raise InvalidInputError(
-                f"dimension must be a positive integer: {self.dimension!r}")
-        if self.k is not None and (not _is_int(self.k) or self.k < 1):
+                f"dimension must be a positive integer: {dimension!r}")
+        if k is not None and (not _is_int(k) or k < 1):
             raise InvalidInputError(
-                f"k must be a positive integer or null: {self.k!r}")
-        if not isinstance(self.provenance, dict):
+                f"k must be a positive integer or null: {k!r}")
+        if not isinstance(provenance, dict):
             raise InvalidInputError(
-                f"provenance must be an object: {self.provenance!r}")
-        require_dim(self.points, self.dimension, "point")
-        require_dim(self.ranges, self.dimension, "range")
+                f"provenance must be an object: {provenance!r}")
+        require_dim(points, dimension, "point")
+        require_dim(ranges, dimension, "range")
+        self.dimension = dimension
+        self.points = points
+        self.ranges = ranges
+        self.k = k
+        self.provenance = provenance
+
+    def __eq__(self, other):  # so Instance, being mutable, is unhashable
+        if other.__class__ is not Instance:
+            return NotImplemented
+        return ((self.dimension, self.points, self.ranges, self.k,
+                 self.provenance)
+                == (other.dimension, other.points, other.ranges, other.k,
+                    other.provenance))
 
     @property
     def n(self) -> int:

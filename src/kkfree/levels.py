@@ -10,11 +10,11 @@ reading stays visible in audit output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
+from .frozen import Frozen, set_field
 from .geometry import Halfspace, Hyperplane, Point, Range, Rat, contains
 from .incidence import (DEFAULT_NODE_BUDGET, IncidenceGraph,
                         incidences_bruteforce, require_free)
@@ -33,8 +33,7 @@ def depth(p: Point, shapes: Sequence[Range]) -> int:
 # ---------------------------------------------------------------------------
 # censuses
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(Frozen):
     """One census observation: exact band count against a reference value.
 
     ``observed`` counts the half-open band [m/r, 2m/r); ``observed_closed``
@@ -42,11 +41,15 @@ class CensusRow:
     curve value; ``ratio`` = observed / reference (None when reference is 0).
     """
 
-    r: Rat
-    observed: int
-    observed_closed: int
-    reference: float
-    ratio: float | None
+    __slots__ = ("r", "observed", "observed_closed", "reference", "ratio")
+
+    def __init__(self, r: Rat, observed: int, observed_closed: int,
+                 reference: float, ratio: float | None):
+        set_field(self, "r", r)
+        set_field(self, "observed", observed)
+        set_field(self, "observed_closed", observed_closed)
+        set_field(self, "reference", reference)
+        set_field(self, "ratio", ratio)
 
     @staticmethod
     def csv_header() -> list[str]:
@@ -125,21 +128,21 @@ def depth_census(points: list[Point], shapes: list[Range], k: int,
 # ---------------------------------------------------------------------------
 # census schedules
 
-@dataclass(frozen=True)
-class CensusSchedule:
+class CensusSchedule(Frozen):
     """Strictly increasing depth thresholds t_0 < ... < t_l, t_0 = 2k, t_l >= m."""
 
-    thresholds: tuple[int, ...]
-    mode: str
-    k: int
-    m: int
+    __slots__ = ("thresholds", "mode", "k", "m")
 
-    def __post_init__(self):
-        t = self.thresholds
-        if not t or t[0] != 2 * self.k or t[-1] < self.m:
+    def __init__(self, thresholds: tuple[int, ...], mode: str, k: int, m: int):
+        t = thresholds
+        if not t or t[0] != 2 * k or t[-1] < m:
             raise InvalidInputError("malformed schedule")
         if any(a >= b for a, b in zip(t, t[1:])):
             raise InvalidInputError("thresholds must strictly increase")
+        set_field(self, "thresholds", thresholds)
+        set_field(self, "mode", mode)
+        set_field(self, "k", k)
+        set_field(self, "m", m)
 
     def __len__(self) -> int:
         return len(self.thresholds)

@@ -7,7 +7,6 @@ match under the stated index maps.  All maps are exact on rationals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError, UnsupportedInputError
@@ -18,27 +17,30 @@ from .geometry import (Ball, Box, Curtain, Line2, LinearHalfspace, Point,
 from .incidence import incidences_bruteforce
 
 
-@dataclass
 class ReductionCertificate:
     """Record of one reduction with its edge-isomorphism verdict."""
 
-    name: str
-    point_map: str
-    range_map: str
-    swapped_sides: bool = False
-    notes: dict = field(default_factory=dict)
-    verified: bool = False
+    def __init__(self, name: str, point_map: str, range_map: str,
+                 swapped_sides: bool = False, notes: dict | None = None):
+        self.name = name
+        self.point_map = point_map
+        self.range_map = range_map
+        self.swapped_sides = swapped_sides
+        self.notes = {} if notes is None else notes
+        self.verified = False
 
 
-@dataclass
 class Reduction:
     """Target instance of a reduction, with enough data to verify it."""
 
-    source_points: list[Point]
-    source_ranges: list[Range]
-    target_points: list[Point]
-    target_ranges: list[Range]
-    certificate: ReductionCertificate
+    def __init__(self, source_points: list[Point], source_ranges: list[Range],
+                 target_points: list[Point], target_ranges: list[Range],
+                 certificate: ReductionCertificate):
+        self.source_points = source_points
+        self.source_ranges = source_ranges
+        self.target_points = target_points
+        self.target_ranges = target_ranges
+        self.certificate = certificate
 
     def verify(self) -> bool:
         """Edge-for-edge check of both oracles under the index maps."""
@@ -344,23 +346,33 @@ def transform_point_cell(p: Point, sigma: int) -> tuple[Fraction, Fraction]:
     return (Fraction(p[1]) / Fraction(big_x), Fraction(-1) / Fraction(big_x))
 
 
-@dataclass
 class CellReduction:
-    """One sign cell of the origin-triangle transform."""
+    """One sign cell of the origin-triangle transform: the source indices
+    of the points in the cell, their (u, v) images in the same order, and
+    one curtain per triangle (None where the triangle's image is empty)."""
 
-    sigma: int
-    point_indices: list[int]               # source indices in this cell
-    target_points: list[Point]             # (u, v) images, same order
-    target_curtains: list[Curtain | None]  # one per triangle; None = empty
+    def __init__(self, sigma: int, point_indices: list[int],
+                 target_points: list[Point],
+                 target_curtains: list[Curtain | None]):
+        self.sigma = sigma
+        self.point_indices = point_indices
+        self.target_points = target_points
+        self.target_curtains = target_curtains
 
 
-@dataclass
 class OriginTriangleReduction:
-    source_points: list[Point]
-    source_triangles: list[Triangle]
-    cells: list[CellReduction]
-    vertical_indices: list[int]            # points with x == 0 (special case)
-    certificate: ReductionCertificate
+    """The sign cells of the origin-triangle transform, plus the points
+    with x == 0 (``vertical_indices``), which no cell holds."""
+
+    def __init__(self, source_points: list[Point],
+                 source_triangles: list[Triangle], cells: list[CellReduction],
+                 vertical_indices: list[int],
+                 certificate: ReductionCertificate):
+        self.source_points = source_points
+        self.source_triangles = source_triangles
+        self.cells = cells
+        self.vertical_indices = vertical_indices
+        self.certificate = certificate
 
     def verify(self) -> bool:
         """Each triangle's row is its curtains' rows in the sign cells,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import InvalidInputError
@@ -24,23 +23,34 @@ from .geometry import (Box, Coords, Curtain, Point, Range, closed_rank_range,
                        predicate, require_dim, require_type)
 
 
-@dataclass
 class SlabNode:
-    """One node of an audit recursion tree."""
+    """One node of an audit recursion tree.
 
-    kind: str                # "split" | "leaf" | "projected"
-    depth: int
-    dim: int
-    n: int
-    m: int
-    charged: int = 0         # ranges counted at this node (m0 / long)
-    attributed: int = 0      # incidences attributed at this node
-    inside_counts: tuple[int, ...] = ()
-    threesided: int = 0
-    crossing: int = 0
-    vertices: int = 0        # weighted endpoint ledger for box audits
-    child_vertices: int = 0
-    children: list["SlabNode"] = field(default_factory=list)
+    ``kind`` is "split", "leaf", "projected" or "rect-base"; ``charged``
+    counts the ranges counted at this node (m0, or the long ones) and
+    ``attributed`` the incidences attributed here; ``vertices`` is the
+    weighted endpoint ledger of the box audit.  The instance dict holds the
+    fields in this order, which the audit JSON keeps.
+    """
+
+    def __init__(self, kind: str, depth: int, dim: int, n: int, m: int,
+                 charged: int = 0, attributed: int = 0,
+                 inside_counts: tuple[int, ...] = (), threesided: int = 0,
+                 crossing: int = 0, vertices: int = 0,
+                 child_vertices: int = 0):
+        self.kind = kind
+        self.depth = depth
+        self.dim = dim
+        self.n = n
+        self.m = m
+        self.charged = charged
+        self.attributed = attributed
+        self.inside_counts = inside_counts
+        self.threesided = threesided
+        self.crossing = crossing
+        self.vertices = vertices
+        self.child_vertices = child_vertices
+        self.children: list[SlabNode] = []
 
     def subtree_total(self) -> int:
         return self.attributed + sum(c.subtree_total() for c in self.children)
@@ -51,64 +61,54 @@ class SlabNode:
             yield from c.walk()
 
 
-@dataclass
 class RecursionReport:
     """Audit output: the recursion tree plus global parameters."""
 
-    kind: str
-    b: int
-    k: int
-    total: int
-    root: SlabNode
+    def __init__(self, kind: str, b: int, k: int, total: int, root: SlabNode):
+        self.kind = kind
+        self.b = b
+        self.k = k
+        self.total = total
+        self.root = root
 
     def nodes(self):
         return self.root.walk()
 
-    def level_ledger(self) -> list[dict]:
-        """Per-depth sums of the recurrence terms k*n and b*k*m0."""
-        acc: dict[int, dict] = {}
-        for node in self.nodes():
-            row = acc.setdefault(node.depth, {
-                "depth": node.depth, "nodes": 0, "points": 0,
-                "charged": 0, "attributed": 0})
-            row["nodes"] += 1
-            row["points"] += node.n
-            row["charged"] += node.charged
-            row["attributed"] += node.attributed
-        out = []
-        for depth in sorted(acc):
-            row = acc[depth]
-            row["reference"] = self.k * row["points"] + self.b * self.k * row["charged"]
-            out.append(row)
-        return out
-
-    def fitted_constant(self) -> float:
-        """Smallest single constant C with attributed <= C * reference per level."""
-        best = 0.0
-        for row in self.level_ledger():
-            if row["attributed"]:
-                ref = max(row["reference"], 1)
-                best = max(best, row["attributed"] / ref)
-        return best
-
     def to_json_dict(self) -> dict:
-        # Every node field as is: dataclasses.asdict would deep-copy each
-        # value, many times slower on a large tree.
+        # Every node field as is, with no copy of its value: a deep copy
+        # would be many times slower on a large tree.
         def node_dict(node: SlabNode) -> dict:
             return {**vars(node),
                     "children": [node_dict(c) for c in node.children]}
         return {"kind": self.kind, "b": self.b, "k": self.k,
                 "total": self.total, "root": node_dict(self.root)}
 
-    def ledger_rows(self) -> list[list]:
-        rows = []
-        for row in self.level_ledger():
-            rows.append([row["depth"], row["nodes"], row["points"],
-                         row["charged"], row["attributed"], row["reference"]])
-        return rows
+    def ledger_rows(self) -> list[list[int]]:
+        """One row per depth, in ``LEDGER_HEADER`` order: the node count,
+        the sums of points, charged ranges and attributed incidences, and
+        the recurrence reference k*points + b*k*charged."""
+        acc: dict[int, list[int]] = {}
+        for node in self.nodes():
+            row = acc.setdefault(node.depth, [node.depth, 0, 0, 0, 0])
+            row[1] += 1
+            row[2] += node.n
+            row[3] += node.charged
+            row[4] += node.attributed
+        return [[*row, self.k * row[2] + self.b * self.k * row[3]]
+                for _, row in sorted(acc.items())]
 
     LEDGER_HEADER = ["depth", "nodes", "points", "charged", "attributed",
                      "reference"]
+
+
+def fitted_constant(ledger_rows: list[list[int]]) -> float:
+    """Smallest single constant C with attributed <= C * reference on every
+    row of ``RecursionReport.ledger_rows``."""
+    best = 0.0
+    for *_, attributed, reference in ledger_rows:
+        if attributed:
+            best = max(best, attributed / max(reference, 1))
+    return best
 
 
 # ---------------------------------------------------------------------------

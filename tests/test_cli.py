@@ -339,6 +339,10 @@ def test_instance_roundtrip(tmp_path):
     assert back.points == inst.points
     assert back.ranges == inst.ranges
     assert back.provenance == {"note": "roundtrip"}
+    path = tmp_path / "inst.json"
+    save_instance(inst, str(path))
+    assert load_instance(str(path)) == inst == back
+    assert inst != Instance(2, inst.points, inst.ranges, 2, inst.provenance)
 
 
 def test_census_csv_byte_identical(tmp_path):

@@ -30,6 +30,21 @@ def test_invalid_range():
         canonical_decomposition(3, 2, 8)
 
 
+def test_dyadic_ranges_are_values_ordered_by_rank_then_start():
+    # The box cover keys its classes by range and sorts them.
+    ranges = [DyadicRange(rank, s) for rank in (2, 0, 1) for s in (3, 0, 1)]
+    assert sorted(ranges) == sorted(ranges, key=lambda r: (r.rank, r.s))
+    a, b = DyadicRange(1, 5), DyadicRange(2, 0)
+    assert a < b and a <= b and b > a and b >= a and a <= DyadicRange(1, 5)
+    assert not (b < a or b <= a or a > b or a >= b)
+    assert a == DyadicRange(1, 5) and hash(a) == hash(DyadicRange(1, 5))
+    assert a != b and a != (1, 5)
+    with pytest.raises(TypeError):
+        a < (1, 5)
+    with pytest.raises(AttributeError):
+        a.rank = 0
+
+
 # --- exhaustive oracle: minimal disjoint dyadic covers by dynamic programming
 
 def _all_dyadic_starting_at(x, beta):

@@ -590,7 +590,6 @@ def test_min_angle_equilateral():
     assert min_angle(Triangle(pt(0, 0), pt(1, 0), pt(2, 0))) == 0.0
 
 
-@pytest.mark.slow
 def test_fat_storage_constant_across_sizes(rng):
     # One constant bounds storage across the size sweep.
     for exp in (8, 10, 12, 14):

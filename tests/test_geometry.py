@@ -1,4 +1,7 @@
+import copy
 import fractions
+import inspect
+import pickle
 import sys
 from fractions import Fraction as F
 from math import isqrt
@@ -23,6 +26,41 @@ from conftest import brute_edges, reference_contains
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)
+
+
+# Each geometry type with two argument tuples that differ in one field.
+VALUE_TYPES = [
+    (Point, ((1, F(1, 2)),), ((1, 2),)),
+    (Hyperplane, ((1, 2), 3), ((1, 2), 4)),
+    (Halfspace, (Hyperplane((1,), 0), "upper"), (Hyperplane((1,), 0), "lower")),
+    (LinearHalfspace, ((1, 0), 2, "ge"), ((1, 0), 2)),
+    (Ball, (pt(0, 0), F(7, 2)), (pt(0, 1), F(7, 2))),
+    (Box, ((None, 0), (1, None)), ((None, 0), (1, 2))),
+    (Wedge2, (1, 2, 3), (1, 2, 4)),
+    (Wedge3, (1, 2, 3), (0, 2, 3)),
+    (Curtain, (1, 2, None, 5), (1, 2, 0, 5)),
+    (Triangle, (pt(0, 0), pt(1, 0), pt(0, 1)), (pt(0, 0), pt(1, 0), pt(1, 1))),
+    (Line2, (1, F(1, 3)), (1, 0)),
+    (Polyhedron, (((1, 0), (1, 1)), (0, None), (2, 3)),
+     (((1, 0), (1, 1)), (0, 1), (2, 3))),
+]
+
+
+@pytest.mark.parametrize("cls, args, other", VALUE_TYPES,
+                         ids=[c.__name__ for c, _, _ in VALUE_TYPES])
+def test_value_types_compare_hash_and_refuse_assignment(cls, args, other):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != cls(*other) and a != args
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    for name in inspect.signature(cls).parameters:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert a == b and hash(a) == hash(b)
 
 
 def test_box_boundary_is_inside():

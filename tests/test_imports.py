@@ -1,6 +1,7 @@
 """Every name a module of the package imports is read in that module, every
-name a package's ``__all__`` lists exists, and every package name the
-benchmark's tracer patches exists.
+name a package's ``__all__`` lists exists, every package name the
+benchmark's tracer patches exists, and importing the command line loads no
+``dataclasses``.
 
 The package ``__init__.py`` files are left out: they import names to
 re-export them.
@@ -8,6 +9,9 @@ re-export them.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,3 +83,14 @@ def test_every_name_the_benchmark_tracer_patches_exists():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # Every command and every benchmark worker imports the CLI first;
+    # dataclasses would generate and compile methods for each class there.
+    # -S leaves out site, whose imports depend on the environment.
+    code = "import sys, kkfree.cli; print('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr

@@ -9,7 +9,7 @@ from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import (Box, Curtain, Halfspace, Hyperplane, Triangle,
                              box2, pt)
 from kkfree.incidence import incidences_bruteforce
-from kkfree.slab import box_audit, curtain_audit, rect_audit
+from kkfree.slab import box_audit, curtain_audit, fitted_constant, rect_audit
 
 
 def test_rect_requires_branching():
@@ -59,8 +59,8 @@ def test_rect_ledger_has_constant(rng):
     pts = gens.random_points(rng, 90, 2, 100)
     rects = gens.random_boxes(rng, 50, 2, 100)
     rep = rect_audit(pts, rects, 4, 2)
-    assert rep.fitted_constant() < 64
     rows = rep.ledger_rows()
+    assert fitted_constant(rows) < 64
     assert sum(r[4] for r in rows) == rep.total
 
 
@@ -124,7 +124,7 @@ def test_curtain_ledger(rng):
     rep = curtain_audit(pts, curtains, 2)
     rows = rep.ledger_rows()
     assert sum(r[4] for r in rows) == rep.total
-    assert rep.fitted_constant() < 64
+    assert fitted_constant(rows) < 64
 
 
 def test_report_json_roundtrip(rng):
@@ -134,6 +134,21 @@ def test_report_json_roundtrip(rng):
     doc = rep.to_json_dict()
     assert doc["total"] == rep.total
     assert doc["root"]["n"] == 30
+    # The audit JSON writes each node's fields in this order.
+    rep = box_audit(gens.random_points(rng, 40, 3, 50),
+                    gens.random_boxes(rng, 20, 3, 50), 4, 2)
+    doc = rep.to_json_dict()
+    assert list(doc) == ["kind", "b", "k", "total", "root"]
+    stack, kinds = [doc["root"]], set()
+    while stack:
+        node = stack.pop()
+        kinds.add(node["kind"])
+        assert list(node) == [
+            "kind", "depth", "dim", "n", "m", "charged", "attributed",
+            "inside_counts", "threesided", "crossing", "vertices",
+            "child_vertices", "children"]
+        stack.extend(node["children"])
+    assert {"split", "leaf"} <= kinds
 
 
 # Each audit checks dimensions once, on entry: a leaf or node deeper down
