@@ -9,13 +9,12 @@ from .extremal import (BoundFormula, FavorabilityVerdict, elekes_grid,
                        eval_bound, lower_bound_5d, verify_favorable)
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                        LinearHalfspace, Point, Polyhedron, Range, Triangle,
-                       Wedge2, Wedge3, box2, contains, dualize, interval,
-                       lift, lift_ball, pt)
+                       Wedge2, Wedge3, contains, dualize, lift, lift_ball,
+                       pt)
 from .incidence import (BicliqueCover, BoxCoverBuild, CoverBound,
                         IncidenceGraph, IntervalAuditReport, KkkResult,
-                        ShatterCount, build_box_cover, cover_bound, find_kkk,
-                        incidences_bruteforce, interval_audit,
-                        shatter_trace_count, verify_cover)
+                        build_box_cover, cover_bound, find_kkk,
+                        incidences_bruteforce, interval_audit, verify_cover)
 from .instances import Instance, load_instance, save_instance
 from .levels import (CensusRow, CensusSchedule, census_rows, census_schedule,
                      depth, depth_census, level, shallow_census)

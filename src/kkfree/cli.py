@@ -20,7 +20,8 @@ import sys
 from . import generators as gens
 from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
                      UnknownVerdictError)
-from .extremal import BoundFormula, elekes_grid, eval_bound, lower_bound_5d
+from .extremal import (FAMILIES, BoundFormula, elekes_grid, eval_bound,
+                       lower_bound_5d)
 from .fat import build_fat_structure, fat_query
 from .geometry import Triangle, as_rat, require_type
 from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
@@ -70,42 +71,63 @@ def _instance_k(args, inst) -> int:
 # ---------------------------------------------------------------------------
 # gen
 
+def _lower5d(a, rng):
+    red = lower_bound_5d(a.N)
+    if not red.verify():
+        raise NotApplicableError("INTEGRITY: embedding certificate failed")
+    return 5, red.target_points, red.target_ranges, 2
+
+
+def _random(draw, dim=None):
+    """A family of --n random points of dimension ``dim``, else --d, then
+    the ranges ``draw(rng, args)``, with k from --k."""
+    def make(a, rng):
+        d = dim or a.d
+        return d, gens.random_points(rng, a.n, d), draw(rng, a), a.k
+    return make
+
+
+def _unit_frame(d: int) -> tuple[tuple[int, ...], ...]:
+    """The d unit vectors and (1, ..., 1): random-polyhedra's fixed frame."""
+    return (*(tuple(int(i == j) for j in range(d)) for i in range(d)),
+            (1,) * d)
+
+
+# Each family: (args, rng) -> (dimension, points, ranges, k).
+_FAMILIES = {
+    "elekes": lambda a, rng: (2, *elekes_grid(a.N), 2),
+    "lower5d": _lower5d,
+    "census-halfplanes": lambda a, rng: (
+        2, *gens.census_halfplane_instance(a.n), 2),
+    "random-boxes": _random(lambda r, a: gens.random_boxes(r, a.m, a.d)),
+    "random-halfspaces": _random(
+        lambda r, a: gens.random_halfspaces(r, a.m, a.d, side=a.side)),
+    "random-fat": _random(
+        lambda r, a: gens.random_fat_triangles(r, a.m, a.delta), 2),
+    "random-curtains": _random(lambda r, a: gens.random_curtains(r, a.m), 2),
+    "random-polyhedra": _random(
+        lambda r, a: gens.random_polyhedra(r, a.m, _unit_frame(a.d))),
+    "random-threesided": _random(
+        lambda r, a: gens.random_threesided(r, a.m), 2),
+    "random-orthants": _random(lambda r, a: gens.random_orthants(r, a.m), 3),
+    "random-balls": _random(lambda r, a: gens.random_balls(r, a.m, a.d)),
+    "random-wedges2": _random(lambda r, a: gens.random_wedges2(r, a.m), 2),
+    "random-wedges3": _random(lambda r, a: gens.random_wedges3(r, a.m), 3),
+    "random-origin-triangles": _random(
+        lambda r, a: gens.random_origin_triangles(r, a.m), 2),
+}
+
+
 def _cmd_gen(args) -> int:
     if args.d < 1 or min(args.n, args.m) < 0:
         raise InvalidInputError("need --d >= 1, --n >= 0 and --m >= 0: "
                                 f"d={args.d} n={args.n} m={args.m}")
-    rng = random.Random(args.seed)
     prov = {"generator": args.family, "seed": args.seed,
             "params": {"n": args.n, "m": args.m, "d": args.d, "N": args.N,
                        "k": args.k, "delta": args.delta}}
-    if args.family == "elekes":
-        points, ranges = elekes_grid(args.N)
-        inst = Instance(2, points, list(ranges), 2, prov)
-    elif args.family == "lower5d":
-        red = lower_bound_5d(args.N)
-        if not red.verify():
-            print("INTEGRITY: embedding certificate failed")
-            return EXIT_INTEGRITY
-        inst = Instance(5, red.target_points, red.target_ranges, 2, prov)
-    elif args.family == "random-boxes":
-        points = gens.random_points(rng, args.n, args.d)
-        ranges = gens.random_boxes(rng, args.m, args.d)
-        inst = Instance(args.d, points, ranges, args.k, prov)
-    elif args.family == "random-halfspaces":
-        points = gens.random_points(rng, args.n, args.d)
-        ranges = gens.random_halfspaces(rng, args.m, args.d, side=args.side)
-        inst = Instance(args.d, points, ranges, args.k, prov)
-    elif args.family == "random-fat":
-        points = gens.random_points(rng, args.n, 2)
-        ranges = gens.random_fat_triangles(rng, args.m, args.delta)
-        inst = Instance(2, points, ranges, args.k, prov)
-    elif args.family == "random-curtains":
-        points = gens.random_points(rng, args.n, 2)
-        ranges = gens.random_curtains(rng, args.m)
-        inst = Instance(2, points, ranges, args.k, prov)
-    else:  # census-halfplanes
-        points, ranges = gens.census_halfplane_instance(args.n)
-        inst = Instance(2, points, ranges, 2, prov)
+    dim, points, ranges, k = _FAMILIES[args.family](
+        args, random.Random(args.seed))
+    inst = Instance(dim, points, ranges, k, prov)
     save_instance(inst, args.out)
     print(f"wrote {args.out}: n={inst.n} m={inst.m} d={inst.dimension}")
     return EXIT_OK
@@ -274,42 +296,33 @@ _REDUCTIONS = {
 
 def _cmd_reduce(args) -> int:
     inst = load_instance(args.instance)
+    out_inst = None  # origin triangles map to one curtain family per cell
     if args.name == "origin-triangle-to-curtain":
         red = origin_triangle_to_curtain(inst.points, inst.ranges)
-        ok = red.verify()
-        write_json(_out_path(args, "certificate.json"), {
-            "name": red.certificate.name,
-            "point_map": red.certificate.point_map,
-            "range_map": red.certificate.range_map,
-            "notes": red.certificate.notes,
-            "verified": ok,
-            "cells": [{"sigma": c.sigma, "points": len(c.point_indices),
-                       "curtains": sum(1 for t in c.target_curtains
-                                       if t is not None)}
-                      for c in red.cells],
-        })
-        print(f"verified={ok}")
-        return EXIT_OK if ok else EXIT_INTEGRITY
-    fn, tgt_dim = _REDUCTIONS[args.name]
-    red = fn(inst.points, inst.ranges)
+        extra = {"cells": [{"sigma": c.sigma, "points": len(c.point_indices),
+                            "curtains": sum(1 for t in c.target_curtains
+                                            if t is not None)}
+                           for c in red.cells]}
+    else:
+        fn, tgt_dim = _REDUCTIONS[args.name]
+        red = fn(inst.points, inst.ranges)
+        targets = [*red.target_ranges, *red.target_points]
+        dim = targets[0].dim if targets else tgt_dim(inst.dimension)
+        out_inst = Instance(dim, red.target_points, red.target_ranges, inst.k,
+                            {"reduced_from": os.path.basename(args.instance),
+                             "reduction": args.name})
+        extra = {"swapped_sides": red.certificate.swapped_sides}
     ok = red.verify()
-    targets = [*red.target_ranges, *red.target_points]
-    dim = targets[0].dim if targets else tgt_dim(inst.dimension)
-    out_inst = Instance(dim, red.target_points, red.target_ranges, inst.k,
-                        {"reduced_from": os.path.basename(args.instance),
-                         "reduction": args.name})
     cert_path = _out_path(args, "certificate.json")  # before any write
-    if args.out:
-        save_instance(out_inst, args.out)
-    write_json(cert_path, {
-        "name": red.certificate.name,
-        "point_map": red.certificate.point_map,
-        "range_map": red.certificate.range_map,
-        "swapped_sides": red.certificate.swapped_sides,
-        "notes": red.certificate.notes,
-        "verified": ok,
-    })
-    print(f"verified={ok}" + (f" wrote {args.out}" if args.out else ""))
+    out = args.out if out_inst is not None else None
+    if out:
+        save_instance(out_inst, out)
+    write_json(cert_path, {"name": red.certificate.name,
+                           "point_map": red.certificate.point_map,
+                           "range_map": red.certificate.range_map,
+                           "notes": red.certificate.notes,
+                           "verified": ok, **extra})
+    print(f"verified={ok}" + (f" wrote {out}" if out else ""))
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 
@@ -391,9 +404,7 @@ def build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate an instance file")
-    g.add_argument("family", choices=["elekes", "lower5d", "random-boxes",
-                                      "random-halfspaces", "random-fat",
-                                      "random-curtains", "census-halfplanes"])
+    g.add_argument("family", choices=_FAMILIES)
     g.add_argument("--out", required=True)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--n", type=int, default=50)
@@ -462,8 +473,7 @@ def build_parser() -> _Parser:
     pl.add_argument("--y", required=True)
     pl.add_argument("--out", default="plot.svg")
     pl.add_argument("--title", default="")
-    pl.add_argument("--overlay", default=None,
-                    choices=["interval", "box", "halfspace", "ball", "fat"])
+    pl.add_argument("--overlay", default=None, choices=FAMILIES)
     pl.add_argument("--d", type=int, default=2)
     pl.add_argument("--epsilon", type=float, default=0.5)
     pl.add_argument("--m", type=int, default=1)

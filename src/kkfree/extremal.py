@@ -4,7 +4,6 @@ closed-form bound evaluators for overlaying reference curves."""
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .errors import InvalidInputError
 from .frozen import Frozen, set_field
@@ -73,29 +72,24 @@ def verify_favorable(points: list[Point], boxes: list[Box],
 # ---------------------------------------------------------------------------
 # bound formulas
 
-FAMILIES = ("interval", "box", "halfspace", "ball", "union", "fat")
+FAMILIES = ("interval", "box", "halfspace", "ball", "fat")
 
 
 class BoundFormula(Frozen):
     """Closed-form reference bound with an explicit constant slot.
 
     ``family`` selects the expression; ``d`` the dimension where relevant;
-    ``epsilon`` the slack exponent for box-type bounds; ``f0`` the
-    union-complexity reference for the "union" family.
+    ``epsilon`` the slack exponent for box-type bounds.
     """
 
-    __slots__ = ("family", "d", "epsilon", "f0")
+    __slots__ = ("family", "d", "epsilon")
 
-    def __init__(self, family: str, d: int = 2, epsilon: float = 0.5,
-                 f0: Callable[[float], float] | None = None):
+    def __init__(self, family: str, d: int = 2, epsilon: float = 0.5):
         if family not in FAMILIES:
             raise InvalidInputError(f"unknown bound family: {family!r}")
-        if family == "union" and f0 is None:
-            raise InvalidInputError("union family needs a reference f0")
         set_field(self, "family", family)
         set_field(self, "d", d)
         set_field(self, "epsilon", epsilon)
-        set_field(self, "f0", f0)
 
 
 def _glog(x: float) -> float:
@@ -155,9 +149,6 @@ def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
             h = (d + 1) // 2
             value = (k ** (2 / (h + 1)) * (m * n) ** (h / (h + 1))
                      + k * (n + m))
-    elif fam == "union":
-        logk = math.log2(k) if k >= 2 else 0.0
-        value = k * n + k * formula.f0(float(m)) * (_gloglog(m) + logk)
     else:  # fat
         star = iterated_log2(float(m))
         llk = math.log2(math.log2(k)) if k >= 4 else 0.0

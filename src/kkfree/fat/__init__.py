@@ -3,14 +3,12 @@ fat-triangle reporting structure."""
 
 from .quadtree import (MAX_LEVEL, SHIFTS, alignment_level, centroid_square,
                        diameter_sq_of, is_aligned)
-from .slanted import (QueryStats, SlantedRangeTree, build_curtain_structure,
-                      curtain_query)
+from .slanted import QueryStats, SlantedRangeTree
 from .structure import (FatQueryStats, FatReportStructure,
                         build_fat_structure, fat_query)
 
 __all__ = [
     "MAX_LEVEL", "SHIFTS", "alignment_level", "centroid_square",
     "diameter_sq_of", "is_aligned", "QueryStats", "SlantedRangeTree",
-    "build_curtain_structure", "curtain_query", "FatQueryStats",
-    "FatReportStructure", "build_fat_structure", "fat_query",
+    "FatQueryStats", "FatReportStructure", "build_fat_structure", "fat_query",
 ]

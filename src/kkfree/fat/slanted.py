@@ -12,7 +12,7 @@ per entry plus one light node per leaf-sized block.
 from __future__ import annotations
 
 from ..errors import InvalidInputError
-from ..geometry import Curtain, Point, Rat, _integer_form
+from ..geometry import Rat, _integer_form
 
 LEAF_SIZE = 8
 
@@ -152,19 +152,3 @@ class SlantedRangeTree:
         if i1 > node.right.lo:
             self._collect(node.right, i0, i1, line, out, stats)
 
-
-# ---------------------------------------------------------------------------
-# curtain queries over plain 2D points
-
-def build_curtain_structure(points: list[Point]) -> SlantedRangeTree:
-    # Point i as the entry (x q, y q, q, i), with q the least common
-    # denominator of x and y.
-    return SlantedRangeTree([(*_integer_form((p[0], p[1], 1)), i)
-                             for i, p in enumerate(points)])
-
-
-def curtain_query(tree: SlantedRangeTree, curtain: Curtain,
-                  stats: QueryStats | None = None) -> list[int]:
-    """Indices of the points inside the closed curtain, sorted."""
-    return sorted(tree.query(curtain.lo, curtain.hi, curtain.a, curtain.b,
-                             stats))

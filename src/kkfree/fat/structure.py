@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from ..geometry import (Point, Rat, Triangle, predicate, require_dim,
                         triangle_edges)
@@ -79,32 +80,29 @@ class FatReportStructure:
     def stored_entries(self) -> int:
         """Total stored slots: tree nodes, per-node structure entries, DFS
         order arrays, and side buckets."""
-        total = 0
+        return self._sizes[0]
+
+    def max_depth(self) -> int:
+        return self._sizes[1]
+
+    @cached_property
+    def _sizes(self) -> tuple[int, int]:
+        # One walk gives both sizes, on first use, after the build.
+        total = best = 0
         for stratum in self.strata:
             total += len(stratum.dfs_order)
-            stack = [stratum.root] if stratum.root else []
+            stack = [(stratum.root, 0)] if stratum.root else []
             while stack:
-                node = stack.pop()
+                node, d = stack.pop()
+                best = max(best, d)
                 total += 1 + len(node.axis_pts)
                 for tree in (node.pos_tree, node.neg_tree):
                     if tree is not None:
                         total += tree.stored_entries()
                 for child in (node.inside, node.outside):
                     if child is not None:
-                        stack.append(child)
-        return total
-
-    def max_depth(self) -> int:
-        best = 0
-        for stratum in self.strata:
-            stack = [(stratum.root, 0)] if stratum.root else []
-            while stack:
-                node, d = stack.pop()
-                best = max(best, d)
-                for child in (node.inside, node.outside):
-                    if child is not None:
                         stack.append((child, d + 1))
-        return best
+        return total, best
 
 
 class FatQueryStats:

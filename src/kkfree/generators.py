@@ -13,23 +13,13 @@ from fractions import Fraction
 
 from .errors import InvalidInputError
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Point,
-                       Polyhedron, Range, Triangle, Wedge2, Wedge3, pt)
-from .incidence import IncidenceGraph, find_kkk, incidences_bruteforce
+                       Polyhedron, Triangle, Wedge2, Wedge3, pt)
 
 
 def random_points(rng: random.Random, n: int, d: int,
                   coord_range: int = 1000) -> list[Point]:
     return [Point(tuple(rng.randint(-coord_range, coord_range)
                         for _ in range(d))) for _ in range(n)]
-
-
-def distinct_random_points(rng: random.Random, n: int, d: int,
-                           coord_range: int = 10 ** 6) -> list[Point]:
-    seen: set[tuple] = set()
-    while len(seen) < n:
-        seen.add(tuple(rng.randint(-coord_range, coord_range)
-                       for _ in range(d)))
-    return [Point(c) for c in sorted(seen)]
 
 
 def random_boxes(rng: random.Random, m: int, d: int,
@@ -49,11 +39,6 @@ def random_boxes(rng: random.Random, m: int, d: int,
             highs.append(hi)
         out.append(Box(tuple(lows), tuple(highs)))
     return out
-
-
-def random_intervals(rng: random.Random, m: int, coord_range: int = 1000,
-                     max_extent: int = 60) -> list[Box]:
-    return random_boxes(rng, m, 1, coord_range, max_extent)
 
 
 def random_halfspaces(rng: random.Random, m: int, d: int,
@@ -230,31 +215,6 @@ def random_origin_triangles(rng: random.Random, m: int,
         if tri.signed_area2() != 0:
             out.append(tri)
     return out
-
-
-# ---------------------------------------------------------------------------
-# freeness repair
-
-def make_kkk_free(points: list[Point], ranges: list[Range], k: int,
-                  node_budget: int = 500_000) -> list[Range]:
-    """Drop ranges until the incidence graph is K_{k,k}-free.
-
-    It makes the K_{k,k}-free random inputs for the I <= kn + 3km interval
-    tests (C3 and ``test_incidence.py``).  Deterministic repair: the oracle
-    runs once, then while a witness exists its last range is removed
-    together with its row.
-    """
-    ranges = list(ranges)
-    rows = list(incidences_bruteforce(points, ranges).rows)
-    while True:
-        verdict = find_kkk(IncidenceGraph(len(points), len(ranges), rows), k,
-                           node_budget)
-        if verdict.free:
-            return ranges
-        # On "unknown", shrinking the instance keeps the repair moving.
-        j = (len(ranges) - 1 if verdict.status == "unknown"
-             else max(verdict.ranges))
-        del ranges[j], rows[j]
 
 
 # ---------------------------------------------------------------------------

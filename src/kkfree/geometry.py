@@ -215,12 +215,6 @@ class Box(Frozen):
         return len(self.lows)
 
 
-def interval(lo: Rat | None, hi: Rat | None) -> Box:
-    """1-dimensional box."""
-    return Box((None if lo is None else as_rat(lo),),
-               (None if hi is None else as_rat(hi),))
-
-
 def closed_rank_range(keys: Sequence[Rat], lo: Rat | None,
                       hi: Rat | None) -> tuple[int, int]:
     """The ranks ``[start, stop)`` of the ascending ``keys`` that lie in the
@@ -246,11 +240,6 @@ def require_dim(objs: Sequence, dim: int, what: str) -> None:
         if getattr(o, "dim", dim) != dim:
             raise DimensionMismatchError(
                 f"{what} {idx} has dimension {o.dim}, not {dim}")
-
-
-def box2(xlo, xhi, ylo, yhi) -> Box:
-    conv = lambda v: None if v is None else as_rat(v)
-    return Box((conv(xlo), conv(ylo)), (conv(xhi), conv(yhi)))
 
 
 class Wedge2(Frozen):

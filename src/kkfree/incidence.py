@@ -585,24 +585,3 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     return IntervalAuditReport(n, m, k, tuple(rows), total, last_term,
                                bound, total <= bound)
 
-
-# ---------------------------------------------------------------------------
-# shatter traces
-
-class ShatterCount(Frozen):
-    """``heavy`` counts the ranges containing more than k points."""
-
-    __slots__ = ("traces", "heavy")
-
-    def __init__(self, traces: int, heavy: int | None = None):
-        set_field(self, "traces", traces)
-        set_field(self, "heavy", heavy)
-
-
-def shatter_trace_count(points: list[Point], ranges: list[Range],
-                        k: int | None = None) -> ShatterCount:
-    """Count distinct traces {P ∩ f : f in F}; with k, also the number of
-    ranges containing more than k points."""
-    rows = incidences_bruteforce(points, ranges).rows
-    heavy = None if k is None else sum(len(row) > k for row in rows)
-    return ShatterCount(len(set(map(tuple, rows))), heavy)

@@ -4,14 +4,73 @@ from fractions import Fraction
 
 import pytest
 
+from kkfree.fat.slanted import SlantedRangeTree
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Line2,
-                             LinearHalfspace, Polyhedron, Triangle, Wedge2,
-                             Wedge3)
+                             LinearHalfspace, Point, Polyhedron, Triangle,
+                             Wedge2, Wedge3)
+from kkfree.incidence import IncidenceGraph, find_kkk, incidences_bruteforce
 
 
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def interval(lo, hi):
+    """The 1-dimensional box [lo, hi]; a None end is open."""
+    return Box((lo,), (hi,))
+
+
+def box2(xlo, xhi, ylo, yhi):
+    """The rectangle [xlo, xhi] x [ylo, yhi]; a None side is open."""
+    return Box((xlo, ylo), (xhi, yhi))
+
+
+def distinct_random_points(rng, n, d, coord_range=10 ** 6):
+    """n distinct random integer points in [-coord_range, coord_range]^d,
+    sorted."""
+    seen = set()
+    while len(seen) < n:
+        seen.add(tuple(rng.randint(-coord_range, coord_range)
+                       for _ in range(d)))
+    return [Point(c) for c in sorted(seen)]
+
+
+def make_kkk_free(points, ranges, k, node_budget=500_000):
+    """Drop ranges until the incidence graph is K_{k,k}-free.
+
+    It makes the K_{k,k}-free random inputs for the I <= kn + 3km interval
+    tests.  Deterministic repair: the oracle runs once, then while a
+    witness exists its last range is removed together with its row.
+    """
+    ranges = list(ranges)
+    rows = list(incidences_bruteforce(points, ranges).rows)
+    while True:
+        verdict = find_kkk(IncidenceGraph(len(points), len(ranges), rows), k,
+                           node_budget)
+        if verdict.free:
+            return ranges
+        # On "unknown", shrinking the instance keeps the repair moving.
+        j = (len(ranges) - 1 if verdict.status == "unknown"
+             else max(verdict.ranges))
+        del ranges[j], rows[j]
+
+
+def build_curtain_structure(points):
+    """A slanted-range tree over 2D points: point i is the entry
+    (x q, y q, q, i), with q the least common denominator of x and y."""
+    entries = []
+    for i, p in enumerate(points):
+        x, y = Fraction(p[0]), Fraction(p[1])
+        q = math.lcm(x.denominator, y.denominator)
+        entries.append((int(x * q), int(y * q), q, i))
+    return SlantedRangeTree(entries)
+
+
+def curtain_query(tree, curtain, stats=None):
+    """Indices of the points inside the closed curtain, sorted."""
+    return sorted(tree.query(curtain.lo, curtain.hi, curtain.a, curtain.b,
+                             stats))
 
 
 def _dot(u, v):

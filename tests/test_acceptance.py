@@ -15,9 +15,8 @@ import pytest
 from kkfree import generators as gens
 from kkfree.dyadic import canonical_decomposition
 from kkfree.extremal import elekes_grid
-from kkfree.fat import (SHIFTS, build_curtain_structure, build_fat_structure,
-                        centroid_square, curtain_query, diameter_sq_of,
-                        fat_query)
+from kkfree.fat import (SHIFTS, build_fat_structure, centroid_square,
+                        diameter_sq_of, fat_query)
 from kkfree.fat.quadtree import MAX_LEVEL, aligned_shift_index, cell_key
 from kkfree.geometry import (Ball, Hyperplane, Line2, Point, contains,
                              dualize, lift, lift_ball)
@@ -31,7 +30,8 @@ from kkfree.reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
                                wedge_dual, wedge_lift)
 from kkfree.slab import box_audit, curtain_audit, rect_audit
 
-from conftest import ceil_log2, cover_edges
+from conftest import (build_curtain_structure, ceil_log2, cover_edges,
+                      curtain_query, distinct_random_points, make_kkk_free)
 
 SEED = 20240811
 
@@ -216,8 +216,8 @@ def test_c03_interval_bound():
         n = rng.randint(1, 40)
         m = rng.randint(0, 28)
         pts = gens.random_points(rng, n, 1, 300)
-        intervals = gens.make_kkk_free(
-            pts, gens.random_intervals(rng, m, 300, 40), k)
+        intervals = make_kkk_free(
+            pts, gens.random_boxes(rng, m, 1, 300, 40), k)
         rep = interval_audit(pts, intervals, k)
         assert rep.holds, trial
         assert rep.incidences <= k * n + 3 * k * len(intervals)
@@ -459,7 +459,7 @@ def _np_triangle_hits(xs, ys, tri):
 def test_c09_fat_structure():
     rng = random.Random(SEED + 9)
     n = 2 ** 12
-    pts = gens.distinct_random_points(rng, n, 2, 10 ** 6)
+    pts = distinct_random_points(rng, n, 2, 10 ** 6)
     structure = build_fat_structure(pts)
     entries = structure.stored_entries()
     budget = 8 * n * math.log2(n)

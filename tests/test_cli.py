@@ -1,6 +1,8 @@
 import gc
+import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -17,8 +19,42 @@ from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              Point, Polyhedron, Triangle, Wedge2, Wedge3, pt)
 
 
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
 def run(args, tmp_path):
     return main(["--out-dir", str(tmp_path)] + [str(a) for a in args])
+
+
+def test_readme_quick_start(tmp_path, capsys, monkeypatch):
+    # Every command of the quick-start block, run in a fresh directory; the
+    # commented ones print what their comment says.
+    with open(README) as fh:
+        block = fh.read().split("## CLI quick start")[1]
+    block = block.split("```sh\n")[1].split("```")[0]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KKFREE_OUT", raising=False)
+    results = {}
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if not command.strip():
+            continue
+        argv = shlex.split(command)
+        assert argv[0] == "kkfree"
+        code = main(argv[1:])
+        out, err = capsys.readouterr()
+        assert err == "", line
+        if comment:
+            results[comment.strip()] = (code, out)
+        else:
+            assert code == 0, line
+    assert results == {
+        "16": (0, "16\n"),
+        "free": (0, "free\n"),
+        "cover verified; exit 2 and a K_{2,2} witness":
+            (2, "K_{2,2} witness: points=[15, 35] ranges=[21, 22]\n"),
+        "still 16: the graph is preserved": (0, "16\n"),
+    }
 
 
 def test_gen_count_elekes(tmp_path, capsys):
@@ -290,6 +326,43 @@ def test_reduce_with_no_points_writes_a_3d_instance(tmp_path, capsys, name,
     assert capsys.readouterr().out == "0\n"
 
 
+# Each reduction but pointline-to-5d, with the gen family of its source.
+_SOURCES = [
+    ("random-polyhedra", ["--d", 3], "polyhedra-to-boxes"),
+    ("random-threesided", [], "threesided-to-orthants"),
+    ("random-orthants", [], "orthants-to-halfspaces"),
+    ("random-balls", ["--d", 3], "balls-to-halfspaces"),
+    ("random-wedges2", [], "wedge-lift"),
+    ("random-wedges3", [], "wedge-dual"),
+    ("random-origin-triangles", [], "origin-triangle-to-curtain"),
+]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family, flags, name", _SOURCES,
+                         ids=[name for _, _, name in _SOURCES])
+def test_gen_family_reduces_with_its_count(tmp_path, capsys, family, flags,
+                                           name, seed):
+    # The certificate verifies, and the target instance keeps the source's
+    # edge count.
+    src, tgt = tmp_path / "src.json", tmp_path / "tgt.json"
+    assert run(["gen", family, "--n", 50, "--m", 50, "--seed", seed, *flags,
+                "--out", src], tmp_path) == 0
+    assert run(["reduce", name, src, "--out", tgt], tmp_path) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verified"] is True
+    if name == "origin-triangle-to-curtain":
+        # Each sign cell has its own points and curtains: no one target.
+        assert not tgt.exists()
+        return
+    capsys.readouterr()
+    counts = []
+    for path in (src, tgt):
+        assert run(["count", path], tmp_path) == 0
+        counts.append(int(capsys.readouterr().out))
+    assert counts[0] == counts[1] > 0
+
+
 def test_reduce_origin_triangle_writes_cells(tmp_path, capsys):
     # Three points with x > 0, one with x < 0 and one on x = 0.
     path = tmp_path / "tri.json"
@@ -312,6 +385,39 @@ def test_report(tmp_path, capsys):
     run(["gen", "elekes", "--N", 2, "--out", path], tmp_path)
     assert run(["report", path], tmp_path) == 0
     assert (tmp_path / "summary.csv").exists()
+
+
+# SHA-256 of each family's file at fixed flags, as the if/elif chain that
+# preceded the family table wrote it: a reordered draw, another k or
+# another provenance changes the file.
+_GEN_DIGESTS = {
+    "elekes": (["--N", 3], "00ec805d404dd2172d054ecb5fcf5880"
+               "f9c377f7ed2283f8450107f1e4964a65"),
+    "lower5d": (["--N", 2], "ecba1c412452830cc18284f60f22f629"
+                "df7ffab840fc98f81606db74a16c4e13"),
+    "random-boxes": (["--n", 30, "--m", 20, "--d", 3, "--seed", 5, "--k", 3],
+                     "db0289ad65e0693f5514fbe74aea003c"
+                     "e7007a077e4345f4c931b39142cbb101"),
+    "random-halfspaces": (["--n", 30, "--m", 20, "--d", 3, "--seed", 5],
+                          "10472a8815bb3bc5972747b3a26d4e4c"
+                          "4dcecdbacddde96fb00fd5e3e5de630c"),
+    "random-fat": (["--n", 30, "--m", 10, "--seed", 5],
+                   "34eaf5caf4183e4aaff5ff941b335512"
+                   "39d696883536a09f99ff1c5ccdccb681"),
+    "random-curtains": (["--n", 30, "--m", 20, "--seed", 5],
+                        "066cf289c29b78ee6566d17cdfb5af0e"
+                        "1a36e2b371749091da480cdd528f8133"),
+    "census-halfplanes": (["--n", 32], "36eff49b1f06809fc687afc1812d408c"
+                          "96bdfa242c6936e7fa9769fe92d192a1"),
+}
+
+
+@pytest.mark.parametrize("family", _GEN_DIGESTS)
+def test_gen_output_is_pinned(tmp_path, capsys, family):
+    flags, digest = _GEN_DIGESTS[family]
+    out = tmp_path / "x.json"
+    assert run(["gen", family, *flags, "--out", out], tmp_path) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_usage_error_exit_code(tmp_path):

@@ -11,15 +11,16 @@ from hypothesis import strategies as st
 from kkfree import generators as gens
 from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.fat import (MAX_LEVEL, SHIFTS, alignment_level,
-                        build_curtain_structure, build_fat_structure,
-                        centroid_square, curtain_query, diameter_sq_of,
+                        build_fat_structure, centroid_square, diameter_sq_of,
                         fat_query, is_aligned)
 from kkfree.fat.quadtree import aligned_shift_index, cell_key
 from kkfree.fat.slanted import QueryStats, SlantedRangeTree
 from kkfree.generators import min_angle
 from kkfree.geometry import Curtain, Triangle, contains, pt
 
-from conftest import reference_contains, reference_stratum
+from conftest import (build_curtain_structure, curtain_query,
+                      distinct_random_points, reference_contains,
+                      reference_stratum)
 
 
 # The alignment helpers take numerators over one unit; U is a multiple of
@@ -282,7 +283,7 @@ def test_curtain_structure_vs_bruteforce(rng):
 
 def test_curtain_structure_visit_bound(rng):
     n = 4096
-    pts = gens.distinct_random_points(rng, n, 2, 10 ** 6)
+    pts = distinct_random_points(rng, n, 2, 10 ** 6)
     s = build_curtain_structure(pts)
     logn = math.log2(n)
     worst = 0.0
@@ -380,7 +381,7 @@ def test_slanted_tree_runs_no_fraction_arithmetic():
 
 def test_curtain_structure_storage(rng):
     n = 2048
-    pts = gens.distinct_random_points(rng, n, 2, 10 ** 5)
+    pts = distinct_random_points(rng, n, 2, 10 ** 5)
     s = build_curtain_structure(pts)
     assert s.stored_entries() <= 2 * n
 
@@ -578,7 +579,7 @@ def test_fat_structure_duplicate_points():
 
 def test_fat_structure_storage_and_depth(rng):
     n = 1024
-    pts = gens.distinct_random_points(rng, n, 2, 10 ** 6)
+    pts = distinct_random_points(rng, n, 2, 10 ** 6)
     s = build_fat_structure(pts)
     assert s.stored_entries() <= 8 * n * math.log2(n)
     assert s.max_depth() <= math.log(n / 8) / math.log(1.25) + 2
@@ -594,6 +595,6 @@ def test_fat_storage_constant_across_sizes(rng):
     # One constant bounds storage across the size sweep.
     for exp in (8, 10, 12, 14):
         n = 2 ** exp
-        pts = gens.distinct_random_points(rng, n, 2, 10 ** 6)
+        pts = distinct_random_points(rng, n, 2, 10 ** 6)
         s = build_fat_structure(pts)
         assert s.stored_entries() <= 8 * n * math.log2(n), n

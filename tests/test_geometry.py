@@ -14,15 +14,15 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
                            UnsupportedInputError)
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
-                             Wedge2, Wedge3, box2, closed_rank_range,
-                             contains, dualize, as_rat, interval, lift,
+                             Wedge2, Wedge3, closed_rank_range,
+                             contains, dualize, as_rat, lift,
                              lift_ball,
                              linear_constraints, predicate, pt,
                              rat_str, triangle_edges)
 from kkfree.incidence import incidences_bruteforce
 from kkfree.packed import pack_columns
 
-from conftest import brute_edges, reference_contains
+from conftest import box2, brute_edges, interval, reference_contains
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)

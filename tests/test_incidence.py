@@ -13,14 +13,14 @@ from kkfree.errors import (DimensionMismatchError, InvalidInputError,
 from kkfree.extremal import elekes_grid
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Point, Polyhedron, Triangle,
-                             Wedge2, Wedge3, box2, interval, pt)
+                             Wedge2, Wedge3, pt)
 from kkfree.incidence import (DEFAULT_NODE_BUDGET, BicliqueCover,
                               IncidenceGraph, KkkResult, build_box_cover,
                               cover_bound, find_kkk, incidences_bruteforce,
-                              interval_audit, shatter_trace_count,
-                              verify_cover)
+                              interval_audit, verify_cover)
 
-from conftest import brute_edges, cover_edges
+from conftest import (box2, brute_edges, cover_edges, interval,
+                      make_kkk_free)
 
 
 def test_oracle_single_edge():
@@ -258,7 +258,7 @@ def test_find_kkk_vs_exhaustive(rng):
         n = rng.randint(1, 12)
         m = rng.randint(1, 12)
         pts = gens.random_points(rng, n, 1, 8)
-        boxes = gens.random_intervals(rng, m, 8, 6)
+        boxes = gens.random_boxes(rng, m, 1, 8, 6)
         g = incidences_bruteforce(pts, boxes)
         for k in (1, 2, 3, 4):
             res = find_kkk(g, k)
@@ -400,7 +400,7 @@ def test_find_kkk_budget_edge():
 def test_find_kkk_k2_ignores_budget():
     pts = gens.random_points(random.Random(11), 30, 1, 20)
     g = incidences_bruteforce(
-        pts, gens.random_intervals(random.Random(12), 30, 20, 10))
+        pts, gens.random_boxes(random.Random(12), 30, 1, 20, 10))
     res = find_kkk(g, 2)
     assert res.nodes > 0 and res.status != "unknown"
     assert find_kkk(g, 2, node_budget=0) == res
@@ -447,7 +447,7 @@ def test_find_kkk_leaves_nothing_for_gc():
 def test_find_kkk_budget_returns_unknown():
     rng = random.Random(5)
     pts = gens.random_points(rng, 40, 1, 30)
-    boxes = gens.random_intervals(rng, 40, 30, 25)
+    boxes = gens.random_boxes(rng, 40, 1, 30, 25)
     g = incidences_bruteforce(pts, boxes)
     res = find_kkk(g, 3, node_budget=1)
     assert res.status in ("unknown", "found", "free")
@@ -596,7 +596,7 @@ def test_interval_audit_randomized(rng):
         n = rng.randint(1, 40)
         m = rng.randint(0, 25)
         pts = gens.random_points(rng, n, 1, 200)
-        boxes = gens.make_kkk_free(pts, gens.random_intervals(rng, m, 200, 30), k)
+        boxes = make_kkk_free(pts, gens.random_boxes(rng, m, 1, 200, 30), k)
         rep = interval_audit(pts, boxes, k)
         assert rep.holds, trial
         assert rep.incidences == incidences_bruteforce(pts, boxes).edge_count
@@ -607,39 +607,3 @@ def test_interval_audit_randomized(rng):
         checked += 1
     assert checked == 150
 
-
-# ---------------------------------------------------------------------------
-# shatter traces
-
-def test_shatter_identical_ranges():
-    pts = [pt(0, 0), pt(1, 1)]
-    boxes = [box2(-1, 2, -1, 2)] * 3
-    assert shatter_trace_count(pts, boxes).traces == 1
-
-
-def test_shatter_singletons():
-    pts = [pt(i, 0) for i in range(5)]
-    boxes = [box2(i, i, 0, 0) for i in range(5)]
-    res = shatter_trace_count(pts, boxes, k=0)
-    assert res.traces == 5
-    assert res.heavy == 5  # each contains 1 > 0 points
-
-
-def test_shatter_heavy_strict(rng):
-    pts = [pt(i, 0) for i in range(4)]
-    boxes = [box2(0, 3, -1, 1)]
-    # The single box holds 4 points: heavy iff k < 4, strictly.
-    assert shatter_trace_count(pts, boxes, k=4).heavy == 0
-    assert shatter_trace_count(pts, boxes, k=3).heavy == 1
-
-
-def test_shatter_vs_independent_enumeration(rng):
-    from kkfree.geometry import Halfspace, contains
-    pts = gens.random_points(rng, 10, 2, 40)
-    planes = gens.random_halfspaces(rng, 12, 2)
-    res = shatter_trace_count(pts, planes)
-    realized = set()
-    for h in planes:
-        realized.add(tuple(sorted(i for i, p in enumerate(pts)
-                                  if contains(h, p))))
-    assert res.traces == len(realized)

@@ -7,9 +7,11 @@ import pytest
 from kkfree import generators as gens
 from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import (Box, Curtain, Halfspace, Hyperplane, Triangle,
-                             box2, pt)
+                             pt)
 from kkfree.incidence import incidences_bruteforce
 from kkfree.slab import box_audit, curtain_audit, fitted_constant, rect_audit
+
+from conftest import box2
 
 
 def test_rect_requires_branching():
