@@ -1,7 +1,7 @@
 """Exact incidence-graph toolkit for point/range families that forbid an
 induced complete bipartite subgraph."""
 
-from .dyadic import DyadicRange, canonical_decomposition
+from .dyadic import canonical_decomposition
 from .errors import (DimensionMismatchError, InvalidInputError, KkfreeError,
                      NotApplicableError, UnknownVerdictError,
                      UnsupportedInputError)

@@ -295,9 +295,13 @@ _REDUCTIONS = {
 
 
 def _cmd_reduce(args) -> int:
+    origin = args.name == "origin-triangle-to-curtain"
+    if origin and args.out:
+        raise InvalidInputError(
+            "origin-triangle-to-curtain gives one curtain family per sign "
+            "cell, not one target instance: drop --out")
     inst = load_instance(args.instance)
-    out_inst = None  # origin triangles map to one curtain family per cell
-    if args.name == "origin-triangle-to-curtain":
+    if origin:
         red = origin_triangle_to_curtain(inst.points, inst.ranges)
         extra = {"cells": [{"sigma": c.sigma, "points": len(c.point_indices),
                             "curtains": sum(1 for t in c.target_curtains
@@ -314,15 +318,14 @@ def _cmd_reduce(args) -> int:
         extra = {"swapped_sides": red.certificate.swapped_sides}
     ok = red.verify()
     cert_path = _out_path(args, "certificate.json")  # before any write
-    out = args.out if out_inst is not None else None
-    if out:
-        save_instance(out_inst, out)
+    if args.out:
+        save_instance(out_inst, args.out)
     write_json(cert_path, {"name": red.certificate.name,
                            "point_map": red.certificate.point_map,
                            "range_map": red.certificate.range_map,
                            "notes": red.certificate.notes,
                            "verified": ok, **extra})
-    print(f"verified={ok}" + (f" wrote {out}" if out else ""))
+    print(f"verified={ok}" + (f" wrote {args.out}" if args.out else ""))
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 

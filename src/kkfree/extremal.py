@@ -129,6 +129,8 @@ def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
 
 def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
     fam, d = formula.family, formula.d
+    if fam == "ball":  # the paraboloid lift maps balls in R^d to halfspaces
+        fam, d = "halfspace", d + 1
     if fam == "interval":
         value = k * n + 3 * k * m
     elif fam == "box":
@@ -140,13 +142,6 @@ def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
             value = k * (n + m)
         else:
             h = d // 2
-            value = (k ** (2 / (h + 1)) * (m * n) ** (h / (h + 1))
-                     + k * (n + m))
-    elif fam == "ball":
-        if d == 2:
-            value = k * (n + m)
-        else:
-            h = (d + 1) // 2
             value = (k ** (2 / (h + 1)) * (m * n) ** (h / (h + 1))
                      + k * (n + m))
     else:  # fat

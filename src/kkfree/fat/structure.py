@@ -40,15 +40,17 @@ class _FatNode:
 
 
 class FatStratum:
-    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den).
+    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den)
+    in the unshifted frame, a list the strata share.
 
-    A node's bounding box holds integer numerators over ``den`` too, and
-    its apex ``(ax, ay, s)`` sits at (ax / 2^s, ay / 2^s) with
-    ``s <= apex_bits``.
+    The shift ``off / den`` only moves the quadtree cells.  A node's
+    bounding box holds integer numerators over ``den`` in the unshifted
+    frame too, and its apex ``(ax, ay, s)`` sits at (ax / (den * 2^s),
+    ay / (den * 2^s)) with ``s <= apex_bits``.
     """
 
-    def __init__(self, shift: Fraction, xy: list[tuple[int, int]], den: int):
-        self.shift = shift
+    def __init__(self, off: int, xy: list[tuple[int, int]], den: int):
+        self.off = off
         self.root: _FatNode | None = None
         self.dfs_order: list[int] = []
         self.xy = xy
@@ -146,11 +148,10 @@ def build_fat_structure(points: list[Point]) -> FatReportStructure:
     nums = [_to_frame(structure, p, 1) for p in points]
     for shift in SHIFTS:
         off = _over(shift, den)
-        xy = [(x + off, y + off) for x, y in nums]
-        stratum = FatStratum(shift, xy, den)
+        stratum = FatStratum(off, nums, den)
         if points:
-            keys = [(cell_key(x, den, MAX_LEVEL), cell_key(y, den, MAX_LEVEL))
-                    for x, y in xy]
+            keys = [(cell_key(x + off, den, MAX_LEVEL),
+                     cell_key(y + off, den, MAX_LEVEL)) for x, y in nums]
             stratum.root = _build_node(stratum, keys, list(range(len(points))),
                                        structure)
         structure.strata.append(stratum)
@@ -173,41 +174,42 @@ def _over(c: Rat, den: int) -> int:
 
 def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
                 idxs: list[int], structure: FatReportStructure) -> _FatNode:
-    """``keys[i]`` holds the level-MAX_LEVEL cell indices of point i."""
+    """``keys[i]`` holds the level-MAX_LEVEL cell indices of shifted point
+    i."""
     node = _FatNode()
     xy, den = stratum.xy, stratum.den
     xs = [xy[i][0] for i in idxs]
     ys = [xy[i][1] for i in idxs]
     node.bbox = (min(xs), min(ys), max(xs), max(ys))
     node.start = len(stratum.dfs_order)
-    distinct = len({xy[i] for i in idxs}) > 1
-    if len(idxs) <= FAT_LEAF_SIZE or not distinct:
-        stratum.dfs_order.extend(sorted(idxs))
-        node.end = len(stratum.dfs_order)
-        if not distinct and len(idxs) > FAT_LEAF_SIZE:
-            structure.degenerate = True
-        return node
-    level, sq_i, sq_j, inside_idx = centroid_descent(keys, idxs, MAX_LEVEL)
-    drop = MAX_LEVEL - level
-    outside_idx = [i for i in idxs if keys[i][0] >> drop != sq_i
-                   or keys[i][1] >> drop != sq_j]
+    inside_idx = outside_idx = None
+    if len(idxs) > FAT_LEAF_SIZE and len({xy[i] for i in idxs}) > 1:
+        level, sq_i, sq_j, inside_idx = centroid_descent(keys, idxs, MAX_LEVEL)
+        drop = MAX_LEVEL - level
+        outside_idx = [i for i in idxs if keys[i][0] >> drop != sq_i
+                       or keys[i][1] >> drop != sq_j]
     if not inside_idx or not outside_idx:
-        # Degenerate split; keep the node a leaf to guarantee termination.
-        structure.degenerate = True
+        # A leaf.  A large one (all one point, or a degenerate split) stays
+        # a leaf to guarantee termination.
+        if len(idxs) > FAT_LEAF_SIZE:
+            structure.degenerate = True
         stratum.dfs_order.extend(sorted(idxs))
         node.end = len(stratum.dfs_order)
         return node
-    node.apex = (2 * sq_i + 1, 2 * sq_j + 1, level + 1)
-    stratum.apex_bits = max(stratum.apex_bits, level + 1)
-    # Scaled by den * 2^(level+1), the apex (gx, gy), every point and 1
-    # itself (``unit``) are integers, so a slope dy / |dx| and the value
-    # -1 / |x - apex_x| = -unit / |dx| are integers over |dx|.
-    unit = den << (level + 1)
-    gx, gy = (2 * sq_i + 1) * den, (2 * sq_j + 1) * den
+    s = level + 1
+    # The apex ((2 sq + 1) / 2^s in the shifted frame) and every point and 1
+    # itself (``unit``), scaled by den * 2^s, are integers, so a slope
+    # dy / |dx| and the value -1 / |x - apex_x| = -unit / |dx| are integers
+    # over |dx|.
+    unit = den << s
+    gx = (2 * sq_i + 1) * den - (stratum.off << s)
+    gy = (2 * sq_j + 1) * den - (stratum.off << s)
+    node.apex = (gx, gy, s)
+    stratum.apex_bits = max(stratum.apex_bits, s)
     pos_entries, neg_entries, axis_pts = [], [], []
     for i in idxs:
-        dx = (xy[i][0] << (level + 1)) - gx
-        dy = (xy[i][1] << (level + 1)) - gy
+        dx = (xy[i][0] << s) - gx
+        dy = (xy[i][1] << s) - gy
         if dx:
             big_x = abs(dx)
             entries = pos_entries if dx > 0 else neg_entries
@@ -251,9 +253,9 @@ def fat_query(structure: FatReportStructure,
     # The walk runs in units of 1/scale: every vertex, point, box corner and
     # apex of the stratum is an integer there.
     scale = math.lcm(stratum.den << stratum.apex_bits, unit)
-    off, m = _over(stratum.shift, unit), scale // unit
-    verts = [((x + off) * m, (y + off) * m) for x, y in frame_verts]
-    tbox = tuple((b + off) * m for b in bbox)
+    m = scale // unit
+    verts = [(x * m, y * m) for x, y in frame_verts]
+    tbox = tuple(b * m for b in bbox)
     query = Triangle(*(Point(v) for v in verts))
     in_query = predicate(query)
     # A zero-area query (edges None) has no apex cells to answer it: the
@@ -283,7 +285,7 @@ def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
         return
     if edges is not None:
         ax, ay, s = node.apex
-        step = (f * stratum.den) >> s
+        step = f >> s
         apex = (ax * step, ay * step)
         if in_query(apex):
             stats.curtain_answers += 1

@@ -479,8 +479,8 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
             for rng in canonical_decomposition(alpha, stop - 1, n):
                 classes.setdefault(rng, []).append(j)
         stats = level_acc.setdefault(depth, [0, 0, 0])
-        for rng, class_boxes in sorted(classes.items()):
-            class_points = order[rng.lo:min(rng.hi + 1, n)]
+        for (rank, s), class_boxes in sorted(classes.items()):
+            class_points = order[s << rank:min((s + 1) << rank, n)]
             if not class_points:
                 continue  # dyadic range entirely in the padding
             stats[0] += len(class_points)

@@ -149,6 +149,12 @@ def ceil_log2(n):
     return (n - 1).bit_length()
 
 
+def dyadic_bounds(rng):
+    """The closed index range [lo, hi] of the dyadic ``(rank, s)`` pair."""
+    rank, s = rng
+    return s << rank, ((s + 1) << rank) - 1
+
+
 def decomposition_size(alpha, beta):
     """Size of the canonical dyadic decomposition of [alpha, beta], by the
     bottom-up halving scan; independent of the ground-set size, so a

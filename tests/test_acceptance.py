@@ -31,7 +31,8 @@ from kkfree.reductions import (balls_to_halfspaces, origin_triangle_to_curtain,
 from kkfree.slab import box_audit, curtain_audit, rect_audit
 
 from conftest import (build_curtain_structure, ceil_log2, cover_edges,
-                      curtain_query, distinct_random_points, make_kkk_free)
+                      curtain_query, distinct_random_points, dyadic_bounds,
+                      make_kkk_free)
 
 SEED = 20240811
 
@@ -186,9 +187,10 @@ def test_c02_dyadic_exhaustive():
                 got = canonical_decomposition(alpha, beta, n)
                 size, ways, cover = _min_cover(alpha, beta)
                 assert ways == 1
-                assert [(r.lo, r.hi) for r in got] == \
-                    [(r.lo, r.hi) for r in cover]
-                flat = [x for r in got for x in range(r.lo, r.hi + 1)]
+                assert [dyadic_bounds(r) for r in got] == \
+                    [dyadic_bounds(r) for r in cover]
+                flat = [x for lo, hi in map(dyadic_bounds, got)
+                        for x in range(lo, hi + 1)]
                 assert flat == list(range(alpha, beta + 1))
     rng = random.Random(SEED + 2)
     for _ in range(4000):
@@ -198,7 +200,8 @@ def test_c02_dyadic_exhaustive():
         got = canonical_decomposition(alpha, beta, n)
         c, ln = _np_decomposition_stats(np.array([alpha]), np.array([beta]))
         assert len(got) == int(c[0])
-        flat = [x for r in got for x in range(r.lo, r.hi + 1)]
+        flat = [x for lo, hi in map(dyadic_bounds, got)
+                for x in range(lo, hi + 1)]
         assert flat == list(range(alpha, beta + 1))
     _report("C2 canonical decomposition", True,
             f"all (alpha,beta) for n in 2..{top}: exact cover + size bound; "

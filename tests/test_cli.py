@@ -348,12 +348,13 @@ def test_gen_family_reduces_with_its_count(tmp_path, capsys, family, flags,
     src, tgt = tmp_path / "src.json", tmp_path / "tgt.json"
     assert run(["gen", family, "--n", 50, "--m", 50, "--seed", seed, *flags,
                 "--out", src], tmp_path) == 0
-    assert run(["reduce", name, src, "--out", tgt], tmp_path) == 0
+    # Each sign cell has its own points and curtains: no one target.
+    origin = name == "origin-triangle-to-curtain"
+    out = [] if origin else ["--out", tgt]
+    assert run(["reduce", name, src, *out], tmp_path) == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verified"] is True
-    if name == "origin-triangle-to-curtain":
-        # Each sign cell has its own points and curtains: no one target.
-        assert not tgt.exists()
+    if origin:
         return
     capsys.readouterr()
     counts = []
@@ -378,6 +379,20 @@ def test_reduce_origin_triangle_writes_cells(tmp_path, capsys):
     assert cert["notes"] == {"vertical_points": 1}
     assert cert["cells"] == [{"sigma": 1, "points": 3, "curtains": 1},
                              {"sigma": -1, "points": 1, "curtains": 1}]
+
+
+def test_reduce_origin_triangle_refuses_out(tmp_path, capsys):
+    # The reduction gives one curtain family per sign cell, so there is no
+    # one target instance to write; nothing is read or written.
+    tgt = tmp_path / "t.json"
+    assert run(["reduce", "origin-triangle-to-curtain",
+                tmp_path / "missing.json", "--out", tgt], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: origin-triangle-to-curtain gives one "
+                          "curtain family per sign cell")
+    assert not tgt.exists()
+    assert not (tmp_path / "certificate.json").exists()
 
 
 def test_report(tmp_path, capsys):

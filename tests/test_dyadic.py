@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kkfree.dyadic import DyadicRange, canonical_decomposition
+from kkfree.dyadic import canonical_decomposition
 from kkfree.errors import InvalidInputError
 
-from conftest import ceil_log2, decomposition_size
+from conftest import ceil_log2, decomposition_size, dyadic_bounds
 
 
 def _ranges(decomp):
-    return [(r.lo, r.hi) for r in decomp]
+    return [dyadic_bounds(r) for r in decomp]
 
 
 def test_already_dyadic():
@@ -30,19 +30,14 @@ def test_invalid_range():
         canonical_decomposition(3, 2, 8)
 
 
-def test_dyadic_ranges_are_values_ordered_by_rank_then_start():
-    # The box cover keys its classes by range and sorts them.
-    ranges = [DyadicRange(rank, s) for rank in (2, 0, 1) for s in (3, 0, 1)]
-    assert sorted(ranges) == sorted(ranges, key=lambda r: (r.rank, r.s))
-    a, b = DyadicRange(1, 5), DyadicRange(2, 0)
-    assert a < b and a <= b and b > a and b >= a and a <= DyadicRange(1, 5)
-    assert not (b < a or b <= a or a > b or a >= b)
-    assert a == DyadicRange(1, 5) and hash(a) == hash(DyadicRange(1, 5))
-    assert a != b and a != (1, 5)
-    with pytest.raises(TypeError):
-        a < (1, 5)
-    with pytest.raises(AttributeError):
-        a.rank = 0
+def test_ranges_are_rank_start_int_pairs_in_increasing_start_order():
+    # The box cover keys its classes by these pairs and sorts them.
+    got = canonical_decomposition(1, 6, 8)
+    assert got == [(0, 1), (1, 1), (1, 2), (0, 6)]
+    assert all(type(r) is tuple and len(r) == 2
+               and all(type(v) is int for v in r) for r in got)
+    starts = [dyadic_bounds(r)[0] for r in got]
+    assert starts == sorted(starts)
 
 
 # --- exhaustive oracle: minimal disjoint dyadic covers by dynamic programming
@@ -52,7 +47,7 @@ def _all_dyadic_starting_at(x, beta):
     i = 0
     while x + (1 << i) - 1 <= beta:
         if (x >> i) << i == x:
-            out.append(DyadicRange(i, x >> i))
+            out.append((i, x >> i))
         i += 1
     return out
 
@@ -68,7 +63,7 @@ def _min_cover(alpha, beta):
             return memo[x]
         best = None
         for r in _all_dyadic_starting_at(x, beta):
-            size, ways, cover = go(r.hi + 1)
+            size, ways, cover = go(dyadic_bounds(r)[1] + 1)
             cand = (size + 1, ways, [r] + cover)
             if best is None or cand[0] < best[0]:
                 best = cand
@@ -88,7 +83,7 @@ def test_exhaustive_unique_minimal(n):
             size, ways, cover = _min_cover(alpha, beta)
             assert ways == 1, (alpha, beta, n)
             assert len(got) == size
-            assert [(r.lo, r.hi) for r in got] == [(r.lo, r.hi) for r in cover]
+            assert _ranges(got) == _ranges(cover)
             assert len(got) <= 2 * ceil_log2(n)
 
 
@@ -100,7 +95,8 @@ def test_decomposition_properties(n, data):
     decomp = canonical_decomposition(alpha, beta, n)
     covered = []
     for r in decomp:
-        covered.extend(range(r.lo, r.hi + 1))
+        lo, hi = dyadic_bounds(r)
+        covered.extend(range(lo, hi + 1))
     assert covered == list(range(alpha, beta + 1))  # disjoint + exact + sorted
     assert len(decomp) <= 2 * ceil_log2(n)
     assert len(decomp) == decomposition_size(alpha, beta)

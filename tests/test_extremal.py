@@ -93,6 +93,21 @@ def test_eval_bound_unknown_family():
         BoundFormula("mystery")
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_ball_bound_is_the_lifted_halfspace_bound(d):
+    # The paraboloid lift maps balls in R^d to halfspaces in R^{d+1}.  A 1D
+    # ball is an interval, whose lift is a halfplane family: k(n + m).
+    h = (d + 1) // 2
+    for n, m, k in ((1, 0, 1), (5, 7, 2), (1000, 40, 3), (4096, 10 ** 6, 8)):
+        ball = eval_bound(BoundFormula("ball", d=d), n, m, k)
+        assert ball == eval_bound(BoundFormula("halfspace", d=d + 1), n, m, k)
+        if d <= 2:
+            assert ball == k * (n + m)
+        else:
+            assert ball == (k ** (2 / (h + 1)) * (m * n) ** (h / (h + 1))
+                            + k * (n + m))
+
+
 def test_eval_bound_monotone():
     fams = [BoundFormula("interval"), BoundFormula("box", d=2),
             BoundFormula("box", d=3), BoundFormula("halfspace", d=3),

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -508,6 +509,25 @@ def test_cover_matches_oracle_random(rng):
             build = build_box_cover(pts, boxes)
             assert verify_cover(build.cover, g), (d, trial)
             assert cover_edges(build.cover) == brute_edges(pts, boxes)
+
+
+@pytest.mark.parametrize("d, digest", [
+    (1, "cb5cb01803f8a76e35e3e68c9fbe4142e8ef427826fb8dc1a288ed5f790bcdcd"),
+    (2, "fff21622a5ae26a867a1bb7d36a2e86ebac51983f0413654d9958affc16a12a8"),
+    (3, "c67a955383d570f20a4fa62c8bc98acb80d5600d248ea238a837862af2e879cd"),
+])
+def test_box_cover_is_pinned(d, digest):
+    # The pairs, their order and the level stats of a seeded cover, so a
+    # rewrite of the cover cannot change any of them unnoticed.
+    rng = random.Random(2300 + d)
+    pts = gens.random_points(rng, 60, d, 100)
+    boxes = gens.random_boxes(rng, 40, d, 100)
+    build = build_box_cover(pts, boxes)
+    pairs = [(sorted(a), sorted(b)) for a, b in build.cover.pairs]
+    levels = [(lvl.depth, lvl.point_total, lvl.box_total, lvl.classes)
+              for lvl in build.levels]
+    got = hashlib.sha256(repr((pairs, levels)).encode()).hexdigest()
+    assert got == digest
 
 
 def test_cover_level_accounting(rng):
