@@ -122,11 +122,11 @@ def _cmd_gen(args) -> int:
     if args.d < 1 or min(args.n, args.m) < 0:
         raise InvalidInputError("need --d >= 1, --n >= 0 and --m >= 0: "
                                 f"d={args.d} n={args.n} m={args.m}")
-    prov = {"generator": args.family, "seed": args.seed,
-            "params": {"n": args.n, "m": args.m, "d": args.d, "N": args.N,
-                       "k": args.k, "delta": args.delta}}
     dim, points, ranges, k = _FAMILIES[args.family](
         args, random.Random(args.seed))
+    prov = {"generator": args.family, "seed": args.seed,
+            "params": {"n": args.n, "m": args.m, "d": dim, "N": args.N,
+                       "k": args.k, "delta": args.delta}}
     inst = Instance(dim, points, ranges, k, prov)
     save_instance(inst, args.out)
     print(f"wrote {args.out}: n={inst.n} m={inst.m} d={inst.dimension}")

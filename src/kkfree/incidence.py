@@ -253,7 +253,8 @@ def find_kkk(graph: IncidenceGraph, k: int,
     over the ranges of its points; each child entered is one node.  The
     witness is the first k-set of ranges in that order with k common points,
     and its k smallest common points.  k = 2 always decides; for k >= 3 more
-    than ``node_budget`` nodes give "unknown".
+    than ``node_budget`` nodes give "unknown".  The search keeps its own
+    stack of frames, so k is not bounded by Python's recursion limit.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -270,41 +271,28 @@ def find_kkk(graph: IncidenceGraph, k: int,
 
     order, core, live_points, ranges_of = _kk_core(graph, k)
     nodes = 0
-
-    def search(chosen: list[int], inter: frozenset[int], children):
-        # chosen and children are positions in order; inter is the set of
-        # core points common to the chosen ranges.
-        nonlocal nodes
-        need = k - len(chosen)
-        for idx, q in enumerate(children):
-            if len(children) - idx < need:
-                break
-            nodes += 1
-            if k > 2 and nodes > node_budget:
-                raise _BudgetExhausted
-            new = inter & live_points[q] if chosen else live_points[q]
-            if need == 1:
-                return (tuple(sorted(new)[:k]),
-                        tuple(order[c] for c in chosen) + (order[q],))
-            shared = Counter(chain.from_iterable(
-                ranges_of[i][bisect_right(ranges_of[i], q):] for i in new))
-            hit = search(chosen + [q], new,
-                         sorted(c for c, t in shared.items() if t >= k))
-            if hit is not None:
-                return hit
-        return None
-
-    try:
-        hit = search([], frozenset(), core)
-    except _BudgetExhausted:
-        return KkkResult("unknown", nodes=nodes)
-    finally:
-        # search refers to itself through its closure cell; clearing the
-        # cell frees the search's data now instead of at the next gc pass.
-        del search
-    if hit is None:
-        return KkkResult("free", nodes=nodes)
-    return KkkResult("found", hit[0], hit[1], nodes=nodes)
+    # A frame: the chosen positions in order, the core points common to
+    # them (None before the first pick), its children and the next index.
+    stack = [([], None, core, 0)]
+    while stack:
+        chosen, inter, children, idx = stack.pop()
+        if len(children) - idx < k - len(chosen):
+            continue
+        stack.append((chosen, inter, children, idx + 1))
+        q = children[idx]
+        nodes += 1
+        if k > 2 and nodes > node_budget:
+            return KkkResult("unknown", nodes=nodes)
+        new = live_points[q] if inter is None else inter & live_points[q]
+        chosen = chosen + [q]
+        if len(chosen) == k:
+            return KkkResult("found", tuple(sorted(new)[:k]),
+                             tuple(map(order.__getitem__, chosen)), nodes)
+        shared = Counter(chain.from_iterable(
+            ranges_of[i][bisect_right(ranges_of[i], q):] for i in new))
+        stack.append((chosen, new,
+                      sorted(c for c, t in shared.items() if t >= k), 0))
+    return KkkResult("free", nodes=nodes)
 
 
 def _kk_core(graph: IncidenceGraph, k: int):
@@ -352,10 +340,6 @@ def _kk_core(graph: IncidenceGraph, k: int):
             pts = compress(pts, map(point_alive.__getitem__, pts))
         live_points[q] = frozenset(pts)
     return order, core, live_points, ranges_of
-
-
-class _BudgetExhausted(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +408,7 @@ def cover_bound(cover: BicliqueCover, k: int) -> CoverBound:
 # rank-space box cover (range-tree style canonical subsets)
 
 class CoverLevelStats(Frozen):
-    """Per recursion depth: sums of class point and box counts."""
+    """Per axis (``depth``): sums of class point and box counts."""
 
     __slots__ = ("depth", "point_total", "box_total", "classes")
 
@@ -446,12 +430,13 @@ class BoxCoverBuild(Frozen):
 
 
 def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
-    """Recursive dyadic decomposition of a point/box incidence graph.
+    """Dyadic decomposition of a point/box incidence graph, axis by axis.
 
     Points are sorted by the leading axis; each box's contiguous rank range
-    decomposes into canonical dyadic classes; classes recurse on the
-    remaining axes.  At dimension one each class is a complete biclique and
-    is emitted directly.
+    decomposes into canonical dyadic classes; each class is a subproblem on
+    the next axis, taken depth first from a work list, so d is not bounded
+    by Python's recursion limit.  On the last axis each class is a complete
+    biclique and is emitted directly.
     """
     require_type(boxes, Box, "cover construction needs boxes")
     # The points and boxes share the first point's dimension, else the
@@ -459,14 +444,15 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
     d = points[0].dim if points else boxes[0].dim if boxes else 0
     require_dim(points, d, "point")
     require_dim(boxes, d, "range")
-    if not points:
+    if not points or not boxes:
         return BoxCoverBuild(BicliqueCover(()), ())
     pairs: list[tuple[frozenset[int], frozenset[int]]] = []
     level_acc: dict[int, list[int]] = {}
-
-    def recurse(pt_idx: list[int], bx_idx: list[int], axis: int, depth: int):
-        if not pt_idx or not bx_idx:
-            return
+    # Each subproblem's classes are pushed in reverse (rank, s) order, so
+    # they are taken, and their pairs emitted, in that order.
+    work = [(list(range(len(points))), list(range(len(boxes))), 0)]
+    while work:
+        pt_idx, bx_idx, axis = work.pop()
         n = len(pt_idx)
         order = sorted(pt_idx, key=lambda i: (points[i][axis], i))
         xs = [points[i][axis] for i in order]
@@ -478,7 +464,8 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
                 continue
             for rng in canonical_decomposition(alpha, stop - 1, n):
                 classes.setdefault(rng, []).append(j)
-        stats = level_acc.setdefault(depth, [0, 0, 0])
+        stats = level_acc.setdefault(axis, [0, 0, 0])
+        subproblems = []
         for (rank, s), class_boxes in sorted(classes.items()):
             class_points = order[s << rank:min((s + 1) << rank, n)]
             if not class_points:
@@ -489,9 +476,8 @@ def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
             if axis == d - 1:
                 pairs.append((frozenset(class_points), frozenset(class_boxes)))
             else:
-                recurse(class_points, class_boxes, axis + 1, depth + 1)
-
-    recurse(list(range(len(points))), list(range(len(boxes))), 0, 0)
+                subproblems.append((class_points, class_boxes, axis + 1))
+        work += reversed(subproblems)
     levels = tuple(CoverLevelStats(depth, s[0], s[1], s[2])
                    for depth, s in sorted(level_acc.items()))
     return BoxCoverBuild(BicliqueCover(tuple(pairs)), levels)

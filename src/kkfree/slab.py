@@ -29,8 +29,11 @@ class SlabNode:
     ``kind`` is "split", "leaf", "projected" or "rect-base"; ``charged``
     counts the ranges counted at this node (m0, or the long ones) and
     ``attributed`` the incidences attributed here; ``vertices`` is the
-    weighted endpoint ledger of the box audit.  The instance dict holds the
-    fields in this order, which the audit JSON keeps.
+    weighted endpoint ledger of the box audit, and ``child_vertices`` the
+    part of it handed down to the child slabs.  A box split node hands each
+    leading-axis endpoint to the one slab that holds it, so there the two
+    are equal.  The instance dict holds the fields in this order, which the
+    audit JSON keeps.
     """
 
     def __init__(self, kind: str, depth: int, dim: int, n: int, m: int,
@@ -300,7 +303,6 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
     inside: list[list[Box]] = [[] for _ in range(b)]
     long_per_slab: list[list[Box]] = [[] for _ in range(b)]
     vertices = 0
-    assigned = 0  # endpoints handed to exactly one child slab each
     for box in boxes:
         lows, highs = box.lows, box.highs
         alpha, beta = _coverage(xs, lows[0], highs[0])
@@ -310,11 +312,9 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
         if lows[0] is not None:
             owners.add(_slab_of(cuts, alpha))
             vertices += 1 << (d - 1)
-            assigned += 1 << (d - 1)
         if highs[0] is not None:
             owners.add(_slab_of(cuts, beta))
             vertices += 1 << (d - 1)
-            assigned += 1 << (d - 1)
         for s in owners:
             inside[s].append(box)
         proj = None
@@ -327,7 +327,7 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
     node = SlabNode("split", depth, d, n, len(boxes),
                     charged=sum(len(g) for g in long_per_slab),
                     inside_counts=tuple(len(s) for s in inside),
-                    vertices=vertices, child_vertices=assigned)
+                    vertices=vertices, child_vertices=vertices)
     for s in range(b):
         child_coords = coords[cuts[s]:cuts[s + 1]]
         child = _box_node(child_coords, inside[s], b, depth + 1, d)

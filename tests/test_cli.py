@@ -403,13 +403,14 @@ def test_report(tmp_path, capsys):
 
 
 # SHA-256 of each family's file at fixed flags, as the if/elif chain that
-# preceded the family table wrote it: a reordered draw, another k or
-# another provenance changes the file.
+# preceded the family table wrote it, but with lower5d's provenance giving
+# d = 5, its dimension: a reordered draw, another k or another provenance
+# changes the file.
 _GEN_DIGESTS = {
     "elekes": (["--N", 3], "00ec805d404dd2172d054ecb5fcf5880"
                "f9c377f7ed2283f8450107f1e4964a65"),
-    "lower5d": (["--N", 2], "ecba1c412452830cc18284f60f22f629"
-                "df7ffab840fc98f81606db74a16c4e13"),
+    "lower5d": (["--N", 2], "cdfb2683404b1f1f23ad6b1379733567"
+                "bd26eb51bccb7f30eabd93666c54f348"),
     "random-boxes": (["--n", 30, "--m", 20, "--d", 3, "--seed", 5, "--k", 3],
                      "db0289ad65e0693f5514fbe74aea003c"
                      "e7007a077e4345f4c931b39142cbb101"),
@@ -433,6 +434,17 @@ def test_gen_output_is_pinned(tmp_path, capsys, family):
     out = tmp_path / "x.json"
     assert run(["gen", family, *flags, "--out", out], tmp_path) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("family", kkfree.cli._FAMILIES)
+def test_gen_provenance_records_the_dimension(tmp_path, capsys, family):
+    # --d 4 is the dimension of no fixed-dimension family, so one that
+    # ignores it cannot record it unnoticed.
+    out = tmp_path / "x.json"
+    assert run(["gen", family, "--N", 2, "--n", 8, "--m", 4, "--d", 4,
+                "--out", out], tmp_path) == 0
+    inst = load_instance(out)
+    assert inst.provenance["params"]["d"] == inst.dimension
 
 
 def test_usage_error_exit_code(tmp_path):

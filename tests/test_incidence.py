@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -458,6 +459,34 @@ def test_find_kkk_budget_returns_unknown():
         assert not _exhaustive_kkk(g, 3)
 
 
+# The search and the box cover keep their own stacks: each depth test runs
+# with the recursion limit this many frames above its own stack depth, and
+# goes 50 levels deeper than that.
+_MARGIN = 100
+
+
+def _lowered_recursion_limit() -> int:
+    """Set the limit _MARGIN frames above the caller; return the old one."""
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + _MARGIN)
+    return old
+
+
+def test_find_kkk_depth_is_not_bounded_by_the_recursion_limit():
+    k = _MARGIN + 50
+    g = IncidenceGraph(k, k, [list(range(k))] * k)
+    old = _lowered_recursion_limit()
+    try:
+        res = find_kkk(g, k)
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.status == "found"
+    assert res.points == res.ranges == tuple(range(k))
+
+
 # ---------------------------------------------------------------------------
 # covers
 
@@ -528,6 +557,23 @@ def test_box_cover_is_pinned(d, digest):
               for lvl in build.levels]
     got = hashlib.sha256(repr((pairs, levels)).encode()).hexdigest()
     assert got == digest
+
+
+def test_box_cover_depth_is_not_bounded_by_the_recursion_limit():
+    # Boxes bounded on the first axis only: every axis after it holds one
+    # class per class of the axis before.
+    d = _MARGIN + 50
+    pts = [Point((i,) + (i % 3,) * (d - 1)) for i in range(12)]
+    free = (None,) * (d - 1)
+    boxes = [Box((lo,) + free, (hi,) + free) for lo, hi in
+             ((0, 11), (2, 6), (5, 9))]
+    old = _lowered_recursion_limit()
+    try:
+        build = build_box_cover(pts, boxes)
+    finally:
+        sys.setrecursionlimit(old)
+    assert [lvl.depth for lvl in build.levels] == list(range(d))
+    assert verify_cover(build.cover, incidences_bruteforce(pts, boxes))
 
 
 def test_cover_level_accounting(rng):
