@@ -257,6 +257,8 @@ def _cmd_census(args) -> int:
         print(f"thresholds={list(sched.thresholds)} length={len(sched)} "
               f"log_star_m={iterated_log2(args.m)}")
         return EXIT_OK
+    if args.instance is None:
+        raise InvalidInputError(f"census {args.kind} needs an instance file")
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
     # By default, every power of two r >= 2 with r <= m/(2k).

@@ -23,7 +23,6 @@ class QueryStats:
     def __init__(self):
         self.nodes_visited = 0
         self.entry_tests = 0
-        self.reported = 0
 
     @property
     def work(self) -> int:
@@ -114,41 +113,33 @@ class SlantedRangeTree:
             return []
         # a = ca / cl and b = cb / cl; entry t is below the line iff
         # vn[t] * cl <= ca * kn[t] + cb * q[t].
-        line = _integer_form((a, b, 1))
-        out: list[int] = []
-        self._collect(self.root, i0, i1, line, out, stats)
-        stats.reported += len(out)
-        return out
-
-    def _test_slice(self, lo: int, hi: int, line, out, stats):
-        ca, cb, cl = line
+        ca, cb, cl = _integer_form((a, b, 1))
         kn, vn, q, payload = self.kn, self.vn, self.q, self.payload
-        for t in range(lo, hi):
-            stats.entry_tests += 1
-            if vn[t] * cl <= ca * kn[t] + cb * q[t]:
-                out.append(payload[t])
-
-    def _collect(self, node: _Node, i0: int, i1: int, line, out, stats):
-        stats.nodes_visited += 1
-        if i0 <= node.lo and node.hi <= i1:
-            ca, cb, cl = line
-            kn, vn, q = self.kn, self.vn, self.q
-            # The line at the node's two end keys, each as num / (cl *
-            # q[end]); over the key extent it lies between them.
-            ends = [(ca * kn[e] + cb * q[e], q[e])
-                    for e in (node.lo, node.hi - 1)]
-            t_min, t_max = node.v_min, node.v_max
-            if all(vn[t_min] * cl * qe > ye * q[t_min] for ye, qe in ends):
-                return
-            if all(vn[t_max] * cl * qe <= ye * q[t_max] for ye, qe in ends):
-                out.extend(self.payload[node.lo:node.hi])
-                return
-        if node.left is None:
-            self._test_slice(max(node.lo, i0), min(node.hi, i1), line, out,
-                             stats)
-            return
-        if i0 < node.left.hi:
-            self._collect(node.left, i0, i1, line, out, stats)
-        if i1 > node.right.lo:
-            self._collect(node.right, i0, i1, line, out, stats)
-
+        out: list[int] = []
+        stack = [self.root]
+        while stack:  # left before right
+            node = stack.pop()
+            stats.nodes_visited += 1
+            lo, hi = node.lo, node.hi
+            if i0 <= lo and hi <= i1:
+                # The line at the node's two end keys, each as num / (cl *
+                # q[end]); over the key extent it lies between them.
+                ends = [(ca * kn[e] + cb * q[e], q[e]) for e in (lo, hi - 1)]
+                t_min, t_max = node.v_min, node.v_max
+                if all(vn[t_min] * cl * qe > ye * q[t_min] for ye, qe in ends):
+                    continue
+                if all(vn[t_max] * cl * qe <= ye * q[t_max]
+                       for ye, qe in ends):
+                    out.extend(payload[lo:hi])
+                    continue
+            if node.left is None:
+                for t in range(max(lo, i0), min(hi, i1)):
+                    stats.entry_tests += 1
+                    if vn[t] * cl <= ca * kn[t] + cb * q[t]:
+                        out.append(payload[t])
+                continue
+            if i1 > node.right.lo:
+                stack.append(node.right)
+            if i0 < node.left.hi:
+                stack.append(node.left)
+        return out

@@ -40,8 +40,7 @@ class _FatNode:
 
 
 class FatStratum:
-    """One shifted tree; point i sits at (xy[i][0] / den, xy[i][1] / den)
-    in the unshifted frame, a list the strata share.
+    """One shifted tree over the structure's frame.
 
     The shift ``off / den`` only moves the quadtree cells.  A node's
     bounding box holds integer numerators over ``den`` in the unshifted
@@ -49,12 +48,10 @@ class FatStratum:
     ay / (den * 2^s)) with ``s <= apex_bits``.
     """
 
-    def __init__(self, off: int, xy: list[tuple[int, int]], den: int):
+    def __init__(self, off: int):
         self.off = off
         self.root: _FatNode | None = None
         self.dfs_order: list[int] = []
-        self.xy = xy
-        self.den = den
         self.apex_bits = 0
 
 
@@ -65,8 +62,10 @@ class FatReportStructure:
 
     The map sends (x, y) to ((x - ox / c) * s, (y - oy / c) * s), with
     ``origin = (ox, oy)`` and s = c * k / den; ``_to_frame`` gives that
-    image as integer numerators over ``den * q``.  ``degenerate`` marks a
-    duplicate-heavy build, whose balance is not guaranteed.
+    image as integer numerators over ``den * q``.  Point i sits at
+    (xy[i][0] / den, xy[i][1] / den) in the unshifted frame, a list the
+    strata share.  ``degenerate`` marks a duplicate-heavy build, whose
+    balance is not guaranteed.
     """
 
     def __init__(self, n: int, c: int, origin: tuple[int, int], k: int,
@@ -77,6 +76,7 @@ class FatReportStructure:
         self.origin = origin
         self.k = k
         self.den = den
+        self.xy: list[tuple[int, int]] = []
         self.degenerate = False
 
     def stored_entries(self) -> int:
@@ -145,13 +145,14 @@ def build_fat_structure(points: list[Point]) -> FatReportStructure:
     k = den // (c * scale.denominator) * scale.numerator
     structure = FatReportStructure(len(points), c,
                                    (_over(ox, c), _over(oy, c)), k, den)
-    nums = [_to_frame(structure, p, 1) for p in points]
+    structure.xy = [_to_frame(structure, p, 1) for p in points]
     for shift in SHIFTS:
         off = _over(shift, den)
-        stratum = FatStratum(off, nums, den)
+        stratum = FatStratum(off)
         if points:
             keys = [(cell_key(x + off, den, MAX_LEVEL),
-                     cell_key(y + off, den, MAX_LEVEL)) for x, y in nums]
+                     cell_key(y + off, den, MAX_LEVEL))
+                    for x, y in structure.xy]
             stratum.root = _build_node(stratum, keys, list(range(len(points))),
                                        structure)
         structure.strata.append(stratum)
@@ -177,7 +178,7 @@ def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],
     """``keys[i]`` holds the level-MAX_LEVEL cell indices of shifted point
     i."""
     node = _FatNode()
-    xy, den = stratum.xy, stratum.den
+    xy, den = structure.xy, structure.den
     xs = [xy[i][0] for i in idxs]
     ys = [xy[i][1] for i in idxs]
     node.bbox = (min(xs), min(ys), max(xs), max(ys))
@@ -250,10 +251,12 @@ def fat_query(structure: FatReportStructure,
             bbox, diameter_sq_of(frame_verts), unit) or 0
     stats.stratum = stratum_index
     stratum = structure.strata[stratum_index]
+    xy, dfs_order = structure.xy, stratum.dfs_order
     # The walk runs in units of 1/scale: every vertex, point, box corner and
-    # apex of the stratum is an integer there.
-    scale = math.lcm(stratum.den << stratum.apex_bits, unit)
-    m = scale // unit
+    # apex of the stratum is an integer there, and frame numerators over
+    # ``den`` scale by f.
+    scale = math.lcm(structure.den << stratum.apex_bits, unit)
+    m, f = scale // unit, scale // structure.den
     verts = [(x * m, y * m) for x, y in frame_verts]
     tbox = tuple(b * m for b in bbox)
     query = Triangle(*(Point(v) for v in verts))
@@ -262,56 +265,42 @@ def fat_query(structure: FatReportStructure,
     # walk skips the apex path and lets the leaf tests decide.
     edges = triangle_edges(query)
     out: set[int] = set()
-    _query_node(stratum, stratum.root, verts, scale // stratum.den, in_query,
-                edges, tbox, out, stats)
+    stack = [stratum.root]
+    while stack:  # inside before outside
+        node = stack.pop()
+        stats.nodes_visited += 1
+        rel = _tri_bbox_relation(tbox, edges, tuple(c * f for c in node.bbox))
+        if rel == "disjoint":
+            continue
+        if rel == "covered":
+            out.update(dfs_order[node.start:node.end])
+            continue
+        if node.inside is None:  # leaf
+            idxs = dfs_order[node.start:node.end]
+        else:
+            ax, ay, s = node.apex
+            apex = (ax * (f >> s), ay * (f >> s))
+            if edges is None or not in_query(apex):
+                stack += (node.outside, node.inside)
+                continue
+            stats.curtain_answers += 1
+            _apex_answer(node, verts, scale, apex, out, stats)
+            idxs = node.axis_pts
+        for i in idxs:
+            stats.point_tests += 1
+            x, y = xy[i]
+            if in_query((x * f, y * f)):
+                out.add(i)
     stats.reported = len(out)
     return sorted(out), stats
 
 
-def _query_node(stratum: FatStratum, node: _FatNode, verts, f: int,
-                in_query, edges, tbox, out: set, stats: FatQueryStats):
-    """``verts``, their ``triangle_edges`` and bounding box ``tbox`` are
-    integers over ``f * stratum.den``."""
-    stats.nodes_visited += 1
-    rel = _tri_bbox_relation(tbox, edges, tuple(c * f for c in node.bbox))
-    if rel == "disjoint":
-        return
-    if rel == "covered":
-        out.update(stratum.dfs_order[node.start:node.end])
-        return
-    if node.inside is None:  # leaf
-        _test_points(stratum, stratum.dfs_order[node.start:node.end], f,
-                     in_query, out, stats)
-        return
-    if edges is not None:
-        ax, ay, s = node.apex
-        step = f >> s
-        apex = (ax * step, ay * step)
-        if in_query(apex):
-            stats.curtain_answers += 1
-            _apex_answer(stratum, node, verts, f, apex, in_query, out, stats)
-            return
-    for child in (node.inside, node.outside):
-        _query_node(stratum, child, verts, f, in_query, edges, tbox, out,
-                    stats)
-
-
-def _test_points(stratum: FatStratum, idxs, f: int, in_query, out: set,
+def _apex_answer(node: _FatNode, verts, scale: int, apex, out: set,
                  stats: FatQueryStats):
-    xy = stratum.xy
-    for i in idxs:
-        stats.point_tests += 1
-        x, y = xy[i]
-        if in_query((x * f, y * f)):
-            out.add(i)
-
-
-def _apex_answer(stratum: FatStratum, node: _FatNode, verts, f: int, apex,
-                 in_query, out: set, stats: FatQueryStats):
-    # The local coordinates are integers over scale = f * den, while the
-    # slanted trees hold values -1 / |x - apex_x| in frame units: those, and
-    # so the line's slope and intercept, scale by 1 / scale.
-    scale = f * stratum.den
+    """Add the points off the apex's vertical line through the node's two
+    slanted trees.  ``verts`` and ``apex`` are integers over ``scale``,
+    while the trees hold values -1 / |x - apex_x| in frame units: those, and
+    so the line's slope and intercept, scale by 1 / scale."""
     gx, gy = apex
     for a in range(3):
         va, vb = verts[a], verts[(a + 1) % 3]
@@ -324,10 +313,8 @@ def _apex_answer(stratum: FatStratum, node: _FatNode, verts, f: int, apex,
             if res in ("degenerate", "empty"):
                 continue
             ulo, uhi, slope, intercept = res
-            hits = tree.query(ulo, uhi, slope * scale, intercept * scale,
-                              stats.curtain_stats)
-            out.update(hits)
-    _test_points(stratum, node.axis_pts, f, in_query, out, stats)
+            out.update(tree.query(ulo, uhi, slope * scale, intercept * scale,
+                                  stats.curtain_stats))
 
 
 # ---------------------------------------------------------------------------

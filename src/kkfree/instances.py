@@ -14,7 +14,7 @@ from .errors import InvalidInputError
 from .geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                        LinearHalfspace, Point, Polyhedron, Range, Triangle,
                        Wedge2, Wedge3, as_rat, rat_str, require_dim)
-from .reports import write_text_atomic
+from .reports import write_json
 
 FORMAT_VERSION = 1
 
@@ -196,8 +196,7 @@ def instance_from_json(obj: dict[str, Any]) -> Instance:
 
 def save_instance(inst: Instance, path) -> None:
     """Atomic write: serialize to a sibling temp file, then rename."""
-    write_text_atomic(path, json.dumps(instance_to_json(inst), indent=1,
-                                       sort_keys=True) + "\n")
+    write_json(path, instance_to_json(inst))
 
 
 def load_instance(path) -> Instance:

@@ -55,9 +55,6 @@ class SlabNode:
         self.child_vertices = child_vertices
         self.children: list[SlabNode] = []
 
-    def subtree_total(self) -> int:
-        return self.attributed + sum(c.subtree_total() for c in self.children)
-
     def walk(self):
         yield self
         for c in self.children:
@@ -65,13 +62,14 @@ class SlabNode:
 
 
 class RecursionReport:
-    """Audit output: the recursion tree plus global parameters."""
+    """Audit output: the recursion tree plus global parameters; ``total``
+    sums the incidences attributed over the tree."""
 
-    def __init__(self, kind: str, b: int, k: int, total: int, root: SlabNode):
+    def __init__(self, kind: str, b: int, k: int, root: SlabNode):
         self.kind = kind
         self.b = b
         self.k = k
-        self.total = total
+        self.total = sum(node.attributed for node in root.walk())
         self.root = root
 
     def nodes(self):
@@ -220,9 +218,7 @@ def rect_audit(points: list[Point], rects: list[Box], b: int,
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
     coords = _entry(points, rects, 2, Box, "rect audit needs rectangles")
-    root = _rect_node(coords, rects, b, 0)
-    total = root.subtree_total()
-    return RecursionReport("rect", b, k, total, root)
+    return RecursionReport("rect", b, k, _rect_node(coords, rects, b, 0))
 
 
 def _rect_node(pts: list[Coords], rects: list[Box], b: int,
@@ -277,14 +273,12 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
     if not points and not boxes:
-        return RecursionReport("box", b, k, 0, SlabNode("leaf", 0, 0, 0, 0))
+        return RecursionReport("box", b, k, SlabNode("leaf", 0, 0, 0, 0))
     d = boxes[0].dim if boxes else points[0].dim
     coords = _entry(points, boxes, d, Box, "box audit needs boxes")
     if d < 2:
         raise InvalidInputError("box audit needs dimension >= 2")
-    root = _box_node(coords, boxes, b, 0, d)
-    total = root.subtree_total()
-    return RecursionReport("box", b, k, total, root)
+    return RecursionReport("box", b, k, _box_node(coords, boxes, b, 0, d))
 
 
 def _box_node(coords: list[Coords], boxes: list[Box], b: int,
@@ -353,9 +347,7 @@ def curtain_audit(points: list[Point], curtains: list[Curtain],
     slab it constrains like a wedge); curtains confined to one half recurse.
     """
     pts = _entry(points, curtains, 2, Curtain, "curtain audit needs curtains")
-    root = _curtain_node(pts, curtains, 0)
-    total = root.subtree_total()
-    return RecursionReport("curtain", 2, k, total, root)
+    return RecursionReport("curtain", 2, k, _curtain_node(pts, curtains, 0))
 
 
 def _curtain_node(pts: list[Coords], curtains: list[Curtain],

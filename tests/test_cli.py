@@ -820,6 +820,14 @@ def test_census_with_no_admissible_r_is_a_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["hp.json"]
 
 
+@pytest.mark.parametrize("kind", ["shallow", "depth"])
+def test_census_without_an_instance_is_a_usage_error(tmp_path, capsys, kind):
+    assert run(["census", kind, "--k", 2], tmp_path) == 1
+    assert capsys.readouterr() == (
+        "", f"error: census {kind} needs an instance file\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "elekes", "--N", 2, "--out", "missing/grid.json"],
     ["--out-dir", "afile", "census", "schedule", "--k", 2, "--m", 64],

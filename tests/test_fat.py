@@ -1,4 +1,5 @@
 import fractions
+import hashlib
 import math
 import random
 import sys
@@ -377,6 +378,41 @@ def test_slanted_tree_runs_no_fraction_arithmetic():
     assert got == expected
     assert stats.entry_tests > 0 and any(got)
     assert any(len(g) < len(entries) for g in got)
+
+
+def test_slanted_tree_pinned_query_stats():
+    # 600 points over denominators 1, 2, 3, 7 and 4096 and 50 rational
+    # curtains, some with an open end; SHA-256 of each query's sorted answer
+    # with its (nodes_visited, entry_tests), as the recursive walk gave them.
+    rng = random.Random("slanted-pinned")
+    dens = (1, 2, 3, 7, 4096)
+
+    def rat(r):
+        d = rng.choice(dens)
+        return F(rng.randint(-r * d, r * d), d)
+
+    pts = [pt(rat(300), rat(300)) for _ in range(600)]
+    curtains = []
+    for _ in range(50):
+        lo, hi = rat(300), rat(300)
+        lo, hi = min(lo, hi), max(lo, hi)
+        lo = None if rng.random() < 0.15 else lo
+        hi = None if rng.random() < 0.15 else hi
+        curtains.append(Curtain(F(rng.randint(-20, 20), rng.choice((1, 3))),
+                                rat(300), lo, hi))
+    s = build_curtain_structure(pts)
+    rows = []
+    for c in curtains:
+        stats = QueryStats()
+        got = curtain_query(s, c, stats)
+        assert got == [i for i, p in enumerate(pts)
+                       if reference_contains(c, p)]
+        rows.append((got, stats.nodes_visited, stats.entry_tests))
+    assert sum(len(r[0]) for r in rows) > 0
+    assert any(r[2] > 0 for r in rows)
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == (
+        "24c8a4e68f3e93c1d8baa668dd2917735c1af8dbc141ad9db2a0481d6dfb1bce")
 
 
 def test_curtain_structure_storage(rng):
