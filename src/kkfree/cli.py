@@ -20,9 +20,8 @@ import sys
 from . import generators as gens
 from .errors import (InvalidInputError, KkfreeError, NotApplicableError,
                      UnknownVerdictError)
-from .extremal import (FAMILIES, BoundFormula, elekes_grid, eval_bound,
-                       lower_bound_5d)
-from .fat import build_fat_structure, fat_query
+from .extremal import FAMILIES, elekes_grid, eval_bound, lower_bound_5d
+from .fat.structure import build_fat_structure, fat_query
 from .geometry import Triangle, as_rat, require_type
 from .incidence import (DEFAULT_NODE_BUDGET, build_box_cover, cover_bound,
                         find_kkk, incidences_bruteforce, interval_audit,
@@ -369,9 +368,9 @@ def _cmd_plot(args) -> int:
             xs_ys.append((x, y))
     series = [(args.y, xs_ys)]
     if args.overlay:
-        formula = BoundFormula(args.overlay, d=args.d, epsilon=args.epsilon)
-        ref = [(x, eval_bound(formula, max(int(x), 1), args.m, args.k,
-                              args.constant)) for x, _ in xs_ys]
+        ref = [(x, eval_bound(args.overlay, max(int(x), 1), args.m, args.k,
+                              args.constant, d=args.d, epsilon=args.epsilon))
+               for x, _ in xs_ys]
         series.append((f"{args.overlay} reference", ref))
     svg_plot(_out_path(args, args.out), series, title=args.title,
              xlabel=args.x, ylabel=args.y, loglog=not args.linear)

@@ -75,23 +75,6 @@ def verify_favorable(points: list[Point], boxes: list[Box],
 FAMILIES = ("interval", "box", "halfspace", "ball", "fat")
 
 
-class BoundFormula(Frozen):
-    """Closed-form reference bound with an explicit constant slot.
-
-    ``family`` selects the expression; ``d`` the dimension where relevant;
-    ``epsilon`` the slack exponent for box-type bounds.
-    """
-
-    __slots__ = ("family", "d", "epsilon")
-
-    def __init__(self, family: str, d: int = 2, epsilon: float = 0.5):
-        if family not in FAMILIES:
-            raise InvalidInputError(f"unknown bound family: {family!r}")
-        set_field(self, "family", family)
-        set_field(self, "d", d)
-        set_field(self, "epsilon", epsilon)
-
-
 def _glog(x: float) -> float:
     """log2 with the small-argument guard: values below 2 count as 1."""
     return math.log2(x) if x >= 2 else 1.0
@@ -102,33 +85,38 @@ def _gloglog(x: float) -> float:
     return math.log2(math.log2(x)) if x >= 4 else 1.0
 
 
-def eval_bound(formula: BoundFormula, n: int, m: int, k: int,
-               constant: float = 1.0) -> float:
-    """Evaluate the chosen closed form at (n, m, k) times the constant.
+def eval_bound(family: str, n: int, m: int, k: int, constant: float = 1.0,
+               *, d: int = 2, epsilon: float = 0.5) -> float:
+    """Evaluate the closed form of ``family`` at (n, m, k) times the constant.
 
-    Returned as a float: several families involve fractional powers, so the
-    value is generally irrational.  Guarded logarithms keep tiny parameters
-    (n = 1, m < 4) well defined; the guards substitute 1.  A value beyond
-    the float range, or not a number (a NaN constant or epsilon), raises
-    ``InvalidInputError``.
+    ``d`` is the dimension where the family has one; ``epsilon`` the slack
+    exponent of the box bound.  Returned as a float: several families
+    involve fractional powers, so the value is generally irrational.
+    Guarded logarithms keep tiny parameters (n = 1, m < 4) well defined;
+    the guards substitute 1.  An unknown family, a dimension below 1, a
+    value beyond the float range, or not a number (a NaN constant or
+    epsilon) raises ``InvalidInputError``.
     """
+    if family not in FAMILIES:
+        raise InvalidInputError(f"unknown bound family: {family!r}")
+    if d < 1:
+        raise InvalidInputError(f"{family} bound needs d >= 1, got d={d}")
     if n < 1 or m < 0 or k < 1:
         raise InvalidInputError("need n >= 1, m >= 0, k >= 1")
     try:
-        value = constant * _bound_value(formula, n, m, k)
+        value = constant * _bound_value(family, d, epsilon, n, m, k)
     except OverflowError:
         value = math.inf
     if math.isinf(value):
         raise InvalidInputError(
-            f"{formula.family} bound at n={n} is beyond the float range")
+            f"{family} bound at n={n} is beyond the float range")
     if math.isnan(value):
-        raise InvalidInputError(
-            f"{formula.family} bound at n={n} is not a number")
+        raise InvalidInputError(f"{family} bound at n={n} is not a number")
     return value
 
 
-def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
-    fam, d = formula.family, formula.d
+def _bound_value(fam: str, d: int, epsilon: float, n: int, m: int,
+                 k: int) -> float:
     if fam == "ball":  # the paraboloid lift maps balls in R^d to halfspaces
         fam, d = "halfspace", d + 1
     if fam == "interval":
@@ -136,7 +124,7 @@ def _bound_value(formula: BoundFormula, n: int, m: int, k: int) -> float:
     elif fam == "box":
         ratio = _glog(n) / _gloglog(n)
         value = (k * n * ratio ** (d - 1)
-                 + k * m * _glog(n) ** (d - 2 + formula.epsilon))
+                 + k * m * _glog(n) ** (d - 2 + epsilon))
     elif fam == "halfspace":
         if d <= 3:
             value = k * (n + m)

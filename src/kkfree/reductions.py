@@ -18,7 +18,7 @@ from .incidence import incidences_bruteforce
 
 
 class ReductionCertificate:
-    """Record of one reduction with its edge-isomorphism verdict."""
+    """Name and index maps of one reduction; ``verify()`` gives the verdict."""
 
     def __init__(self, name: str, point_map: str, range_map: str,
                  swapped_sides: bool = False, notes: dict | None = None):
@@ -27,7 +27,6 @@ class ReductionCertificate:
         self.range_map = range_map
         self.swapped_sides = swapped_sides
         self.notes = {} if notes is None else notes
-        self.verified = False
 
 
 class Reduction:
@@ -47,8 +46,7 @@ class Reduction:
         src = incidences_bruteforce(self.source_points, self.source_ranges)
         tgt = incidences_bruteforce(self.target_points, self.target_ranges)
         expected = src.columns if self.certificate.swapped_sides else src.rows
-        self.certificate.verified = expected == tgt.rows
-        return self.certificate.verified
+        return expected == tgt.rows
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def orthants_to_halfspaces(points: list[Point],
                         | {corner(o, axis) for o in orthants})
         ranks.append({v: r for r, v in enumerate(values)})
     tgt_points = [
-        Point(tuple(Fraction(4) ** ranks[a][coord(p, a)] for a in range(3)))
+        Point(tuple(4 ** ranks[a][coord(p, a)] for a in range(3)))
         for p in points]
     tgt_halfspaces = [
         LinearHalfspace(tuple(Fraction(4) ** -ranks[a][corner(o, a)]
@@ -390,8 +388,7 @@ class OriginTriangleReduction:
             test = predicate(t)
             rows[j].extend(i for i in self.vertical_indices
                            if test(self.source_points[i].coords))
-        self.certificate.verified = list(map(sorted, rows)) == list(src.rows)
-        return self.certificate.verified
+        return list(map(sorted, rows)) == list(src.rows)
 
 
 def origin_triangle_to_curtain(points: list[Point],

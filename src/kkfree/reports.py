@@ -51,11 +51,12 @@ def write_json(path: str, obj) -> None:
 # SVG plotting (no external renderer)
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+_WIDTH, _HEIGHT = 640, 480
 
 
 def svg_plot(path: str, series: list[tuple[str, list[tuple[float, float]]]],
              title: str = "", xlabel: str = "", ylabel: str = "",
-             loglog: bool = True, width: int = 640, height: int = 480) -> None:
+             loglog: bool = True) -> None:
     """Minimal scatter/line plot; log-log axes by default for growth curves."""
 
     def tx(v: float) -> float:
@@ -64,7 +65,7 @@ def svg_plot(path: str, series: list[tuple[str, list[tuple[float, float]]]],
     pts = [(x, y) for _, data in series for x, y in data if
            (not loglog) or (x > 0 and y > 0)]
     if not pts:
-        write_text_atomic(path, _svg_empty(width, height, title))
+        write_text_atomic(path, _svg_empty(title))
         return
     xs = [tx(x) for x, _ in pts]
     ys = [tx(y) for _, y in pts]
@@ -75,28 +76,28 @@ def svg_plot(path: str, series: list[tuple[str, list[tuple[float, float]]]],
     if yhi == ylo:
         yhi = ylo + 1
     pad = 60
-    pw, ph = width - 2 * pad, height - 2 * pad
+    pw, ph = _WIDTH - 2 * pad, _HEIGHT - 2 * pad
 
     def px(x: float) -> float:
         return pad + (tx(x) - xlo) / (xhi - xlo) * pw
 
     def py(y: float) -> float:
-        return height - pad - (tx(y) - ylo) / (yhi - ylo) * ph
+        return _HEIGHT - pad - (tx(y) - ylo) / (yhi - ylo) * ph
 
-    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-           f'height="{height}" viewBox="0 0 {width} {height}">',
-           f'<rect width="{width}" height="{height}" fill="white"/>',
+    out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+           f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+           f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
            f'<rect x="{pad}" y="{pad}" width="{pw}" height="{ph}" '
            f'fill="none" stroke="#444"/>']
     if title:
-        out.append(f'<text x="{width / 2:.1f}" y="24" text-anchor="middle" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="24" text-anchor="middle" '
                    f'font-size="15">{title}</text>')
     if xlabel:
-        out.append(f'<text x="{width / 2:.1f}" y="{height - 12}" '
+        out.append(f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 12}" '
                    f'text-anchor="middle" font-size="12">{xlabel}</text>')
     if ylabel:
-        out.append(f'<text x="16" y="{height / 2:.1f}" font-size="12" '
-                   f'transform="rotate(-90 16 {height / 2:.1f})" '
+        out.append(f'<text x="16" y="{_HEIGHT / 2:.1f}" font-size="12" '
+                   f'transform="rotate(-90 16 {_HEIGHT / 2:.1f})" '
                    f'text-anchor="middle">{ylabel}</text>')
     for gi in range(5):
         gx = pad + pw * gi / 4
@@ -106,10 +107,10 @@ def svg_plot(path: str, series: list[tuple[str, list[tuple[float, float]]]],
         lx = f"1e{vx:.1f}" if loglog else f"{vx:.3g}"
         ly = f"1e{vy:.1f}" if loglog else f"{vy:.3g}"
         out.append(f'<line x1="{gx:.1f}" y1="{pad}" x2="{gx:.1f}" '
-                   f'y2="{height - pad}" stroke="#ddd"/>')
-        out.append(f'<line x1="{pad}" y1="{gy:.1f}" x2="{width - pad}" '
+                   f'y2="{_HEIGHT - pad}" stroke="#ddd"/>')
+        out.append(f'<line x1="{pad}" y1="{gy:.1f}" x2="{_WIDTH - pad}" '
                    f'y2="{gy:.1f}" stroke="#ddd"/>')
-        out.append(f'<text x="{gx:.1f}" y="{height - pad + 16}" '
+        out.append(f'<text x="{gx:.1f}" y="{_HEIGHT - pad + 16}" '
                    f'font-size="10" text-anchor="middle">{lx}</text>')
         out.append(f'<text x="{pad - 6}" y="{gy + 4:.1f}" font-size="10" '
                    f'text-anchor="end">{ly}</text>')
@@ -126,15 +127,15 @@ def svg_plot(path: str, series: list[tuple[str, list[tuple[float, float]]]],
         for x, y in clean:
             out.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="2.5" '
                        f'fill="{color}"/>')
-        out.append(f'<text x="{width - pad - 6}" '
+        out.append(f'<text x="{_WIDTH - pad - 6}" '
                    f'y="{pad + 16 + 14 * si}" font-size="11" fill="{color}" '
                    f'text-anchor="end">{label}</text>')
     out.append("</svg>")
     write_text_atomic(path, "\n".join(out) + "\n")
 
 
-def _svg_empty(width: int, height: int, title: str) -> str:
-    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}"><rect width="{width}" height="{height}" '
-            f'fill="white"/><text x="{width / 2}" y="{height / 2}" '
+def _svg_empty(title: str) -> str:
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}"><rect width="{_WIDTH}" height="{_HEIGHT}" '
+            f'fill="white"/><text x="{_WIDTH / 2}" y="{_HEIGHT / 2}" '
             f'text-anchor="middle">{title or "no data"}</text></svg>\n')

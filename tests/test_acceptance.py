@@ -15,9 +15,9 @@ import pytest
 from kkfree import generators as gens
 from kkfree.dyadic import canonical_decomposition
 from kkfree.extremal import elekes_grid
-from kkfree.fat import (SHIFTS, build_fat_structure, centroid_square,
-                        diameter_sq_of, fat_query)
-from kkfree.fat.quadtree import MAX_LEVEL, aligned_shift_index, cell_key
+from kkfree.fat.quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index,
+                                 cell_key, centroid_square, diameter_sq_of)
+from kkfree.fat.structure import build_fat_structure, fat_query
 from kkfree.geometry import (Ball, Hyperplane, Line2, Point, contains,
                              dualize, lift, lift_ball)
 from kkfree.incidence import (BicliqueCover, IncidenceGraph, build_box_cover,

@@ -250,6 +250,22 @@ def test_plot_of_an_overlay_beyond_float_is_an_input_error(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("args", [
+    ["--overlay", "box", "--d", 0],
+    ["--overlay", "box", "--d", -3],
+    ["--overlay", "halfspace", "--d", -4],
+], ids=["box-d-0", "box-d-minus-3", "halfspace-d-minus-4"])
+def test_plot_of_an_overlay_below_dimension_one_is_an_input_error(
+        tmp_path, capsys, args):
+    path = tmp_path / "t.csv"
+    path.write_text("r,observed\n1,2\n4,8\n")
+    assert run(["plot", path, "--x", "r", "--y", "observed", *args],
+               tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {args[1]} bound needs d >= 1, got d={args[3]}\n"
+    assert out == "" and not (tmp_path / "plot.svg").exists()
+
+
+@pytest.mark.parametrize("args", [
     ["--overlay", "box", "--constant", "nan"],
     ["--overlay", "box", "--epsilon", "nan"],
 ], ids=["constant-nan", "epsilon-nan"])

@@ -1,8 +1,8 @@
 import pytest
 
 from kkfree.errors import InvalidInputError
-from kkfree.extremal import (BoundFormula, elekes_grid, eval_bound,
-                             lower_bound_5d, verify_favorable)
+from kkfree.extremal import (elekes_grid, eval_bound, lower_bound_5d,
+                             verify_favorable)
 from kkfree.geometry import pt
 from kkfree.incidence import find_kkk, incidences_bruteforce
 
@@ -74,23 +74,29 @@ def test_favorable_iff_k22_free(rng):
 
 
 def test_eval_bound_interval_worked():
-    f = BoundFormula("interval")
-    assert eval_bound(f, 6, 2, 2) == 2 * 6 + 3 * 2 * 2 == 24
+    assert eval_bound("interval", 6, 2, 2) == 2 * 6 + 3 * 2 * 2 == 24
 
 
 def test_eval_bound_box_worked():
-    f = BoundFormula("box", d=2)
-    assert eval_bound(f, 2 ** 16, 0, 1) == 65536 * (16 / 4)
+    assert eval_bound("box", 2 ** 16, 0, 1, d=2) == 65536 * (16 / 4)
 
 
 def test_eval_bound_small_n_guard():
-    f = BoundFormula("box", d=3, epsilon=0.5)
-    assert eval_bound(f, 1, 7, 2, 1.5) == 1.5 * 2 * (1 + 7)
+    assert (eval_bound("box", 1, 7, 2, 1.5, d=3, epsilon=0.5)
+            == 1.5 * 2 * (1 + 7))
 
 
 def test_eval_bound_unknown_family():
     with pytest.raises(InvalidInputError):
-        BoundFormula("mystery")
+        eval_bound("mystery", 6, 2, 2)
+
+
+@pytest.mark.parametrize("family", ["interval", "box", "halfspace", "ball",
+                                    "fat"])
+@pytest.mark.parametrize("d", [0, -3])
+def test_eval_bound_refuses_a_dimension_below_one(family, d):
+    with pytest.raises(InvalidInputError, match=f"needs d >= 1, got d={d}"):
+        eval_bound(family, 6, 2, 2, d=d)
 
 
 @pytest.mark.parametrize("d", range(1, 9))
@@ -99,8 +105,8 @@ def test_ball_bound_is_the_lifted_halfspace_bound(d):
     # ball is an interval, whose lift is a halfplane family: k(n + m).
     h = (d + 1) // 2
     for n, m, k in ((1, 0, 1), (5, 7, 2), (1000, 40, 3), (4096, 10 ** 6, 8)):
-        ball = eval_bound(BoundFormula("ball", d=d), n, m, k)
-        assert ball == eval_bound(BoundFormula("halfspace", d=d + 1), n, m, k)
+        ball = eval_bound("ball", n, m, k, d=d)
+        assert ball == eval_bound("halfspace", n, m, k, d=d + 1)
         if d <= 2:
             assert ball == k * (n + m)
         else:
@@ -109,19 +115,17 @@ def test_ball_bound_is_the_lifted_halfspace_bound(d):
 
 
 def test_eval_bound_monotone():
-    fams = [BoundFormula("interval"), BoundFormula("box", d=2),
-            BoundFormula("box", d=3), BoundFormula("halfspace", d=3),
-            BoundFormula("halfspace", d=5), BoundFormula("ball", d=2),
-            BoundFormula("ball", d=4), BoundFormula("fat")]
+    fams = [("interval", 2), ("box", 2), ("box", 3), ("halfspace", 3),
+            ("halfspace", 5), ("ball", 2), ("ball", 4), ("fat", 2)]
     grid = [1, 2, 4, 5, 16, 64, 301, 4096, 10 ** 6]
-    for f in fams:
+    for f, d in fams:
         for k in (1, 2, 8):
-            vals = [eval_bound(f, n, 10, k) for n in grid]
+            vals = [eval_bound(f, n, 10, k, d=d) for n in grid]
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), f
-            vals = [eval_bound(f, 10, m, k) for m in grid]
+            vals = [eval_bound(f, 10, m, k, d=d) for m in grid]
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), f
         for n, m in ((5, 5), (1000, 40)):
-            vals = [eval_bound(f, n, m, k) for k in (1, 2, 3, 8, 32)]
+            vals = [eval_bound(f, n, m, k, d=d) for k in (1, 2, 3, 8, 32)]
             assert all(a <= b + 1e-9 for a, b in zip(vals, vals[1:])), f
 
 

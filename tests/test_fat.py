@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from kkfree import generators as gens
 from kkfree.errors import DimensionMismatchError, InvalidInputError
-from kkfree.fat import (MAX_LEVEL, SHIFTS, alignment_level,
-                        build_fat_structure, centroid_square, diameter_sq_of,
-                        fat_query, is_aligned)
-from kkfree.fat.quadtree import aligned_shift_index, cell_key
+from kkfree.fat.quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index,
+                                 alignment_level, cell_key, centroid_square,
+                                 diameter_sq_of, is_aligned)
 from kkfree.fat.slanted import QueryStats, SlantedRangeTree
+from kkfree.fat.structure import build_fat_structure, fat_query
 from kkfree.generators import min_angle
 from kkfree.geometry import Curtain, Triangle, contains, pt
 

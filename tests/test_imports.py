@@ -1,10 +1,7 @@
 """Every name a module of the package imports is read in that module, every
 name a package's ``__all__`` lists exists, every package name the
-benchmark's tracer patches exists, and importing the command line loads no
-``dataclasses``.
-
-The package ``__init__.py`` files are left out: they import names to
-re-export them.
+benchmark's tracer patches exists, importing the package loads none of its
+modules, and importing the command line loads no ``dataclasses``.
 """
 
 import ast
@@ -18,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "kkfree"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+MODULES = sorted(PACKAGE.rglob("*.py"))
 PACKAGES = sorted(p.parent for p in PACKAGE.rglob("__init__.py"))
 
 
@@ -83,6 +80,17 @@ def test_every_name_the_benchmark_tracer_patches_exists():
         if obj is None:
             missing.append(f"{module}.{attr}")
     assert missing == []
+
+
+def test_importing_the_package_loads_no_submodule():
+    # Each name is imported from its defining module, so the package
+    # ``__init__`` re-exports nothing.  -S leaves out site, as below.
+    code = ("import sys, kkfree; "
+            "print(sorted(m for m in sys.modules if m.startswith('kkfree.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
 
 
 def test_importing_the_cli_loads_no_dataclasses():
