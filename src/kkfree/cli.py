@@ -77,13 +77,17 @@ def _lower5d(a, rng):
     return 5, red.target_points, red.target_ranges, 2
 
 
-def _random(draw, dim=None):
-    """A family of --n random points of dimension ``dim``, else --d, then
-    the ranges ``draw(rng, args)``, with k from --k."""
+def _random(draw, width, dim=None):
+    """(size, make) of --n random points of dimension ``dim``, else --d, and
+    the --m ranges ``draw(rng, args)`` of ``width(d)`` numbers each."""
+    def size(a):
+        d = dim or a.d
+        return a.n * d + a.m * width(d)
+
     def make(a, rng):
         d = dim or a.d
         return d, gens.random_points(rng, a.n, d), draw(rng, a), a.k
-    return make
+    return size, make
 
 
 def _unit_frame(d: int) -> tuple[tuple[int, ...], ...]:
@@ -92,37 +96,58 @@ def _unit_frame(d: int) -> tuple[tuple[int, ...], ...]:
             (1,) * d)
 
 
-# Each family: (args, rng) -> (dimension, points, ranges, k).
+# Each family: (size, make).  size(args) counts from the arguments alone the
+# numbers (coordinates, range parameters) the family builds; make(args, rng)
+# -> (dimension, points, ranges, k), with k from --k for the random ones.
 _FAMILIES = {
-    "elekes": lambda a, rng: (2, *elekes_grid(a.N), 2),
-    "lower5d": _lower5d,
-    "census-halfplanes": lambda a, rng: (
-        2, *gens.census_halfplane_instance(a.n), 2),
-    "random-boxes": _random(lambda r, a: gens.random_boxes(r, a.m, a.d)),
+    # N * 2N^2 points and N^3 lines, two numbers each.
+    "elekes": (lambda a: 6 * a.N ** 3,
+               lambda a, rng: (2, *elekes_grid(a.N), 2)),
+    # The grid, and its 2N^3 points of 5 and N^3 halfspaces of 6 numbers.
+    "lower5d": (lambda a: 22 * a.N ** 3, _lower5d),
+    "census-halfplanes": (lambda a: 4 * a.n, lambda a, rng: (
+        2, *gens.census_halfplane_instance(a.n), 2)),
+    "random-boxes": _random(lambda r, a: gens.random_boxes(r, a.m, a.d),
+                            lambda d: 2 * d),
     "random-halfspaces": _random(
-        lambda r, a: gens.random_halfspaces(r, a.m, a.d, side=a.side)),
+        lambda r, a: gens.random_halfspaces(r, a.m, a.d, side=a.side),
+        lambda d: d),
     "random-fat": _random(
-        lambda r, a: gens.random_fat_triangles(r, a.m, a.delta), 2),
-    "random-curtains": _random(lambda r, a: gens.random_curtains(r, a.m), 2),
-    "random-polyhedra": _random(
-        lambda r, a: gens.random_polyhedra(r, a.m, _unit_frame(a.d))),
+        lambda r, a: gens.random_fat_triangles(r, a.m, a.delta),
+        lambda d: 6, 2),
+    "random-curtains": _random(lambda r, a: gens.random_curtains(r, a.m),
+                               lambda d: 4, 2),
+    # Each polyhedron repeats the frame's d + 1 normals of d numbers, and
+    # --m 0 builds no frame.
+    "random-polyhedra": _random(lambda r, a: gens.random_polyhedra(
+        r, a.m, _unit_frame(a.d) if a.m else ()), lambda d: (d + 1) * (d + 2)),
     "random-threesided": _random(
-        lambda r, a: gens.random_threesided(r, a.m), 2),
-    "random-orthants": _random(lambda r, a: gens.random_orthants(r, a.m), 3),
-    "random-balls": _random(lambda r, a: gens.random_balls(r, a.m, a.d)),
-    "random-wedges2": _random(lambda r, a: gens.random_wedges2(r, a.m), 2),
-    "random-wedges3": _random(lambda r, a: gens.random_wedges3(r, a.m), 3),
+        lambda r, a: gens.random_threesided(r, a.m), lambda d: 4, 2),
+    "random-orthants": _random(lambda r, a: gens.random_orthants(r, a.m),
+                               lambda d: 6, 3),
+    "random-balls": _random(lambda r, a: gens.random_balls(r, a.m, a.d),
+                            lambda d: d + 1),
+    "random-wedges2": _random(lambda r, a: gens.random_wedges2(r, a.m),
+                              lambda d: 3, 2),
+    "random-wedges3": _random(lambda r, a: gens.random_wedges3(r, a.m),
+                              lambda d: 3, 3),
     "random-origin-triangles": _random(
-        lambda r, a: gens.random_origin_triangles(r, a.m), 2),
+        lambda r, a: gens.random_origin_triangles(r, a.m), lambda d: 6, 2),
 }
+
+# gen refuses a family that would build more numbers than this.
+GEN_MAX_NUMBERS = 10 ** 7
 
 
 def _cmd_gen(args) -> int:
     if args.d < 1 or min(args.n, args.m) < 0:
         raise InvalidInputError("need --d >= 1, --n >= 0 and --m >= 0: "
                                 f"d={args.d} n={args.n} m={args.m}")
-    dim, points, ranges, k = _FAMILIES[args.family](
-        args, random.Random(args.seed))
+    size, make = _FAMILIES[args.family]
+    if (numbers := size(args)) > GEN_MAX_NUMBERS:
+        raise InvalidInputError(f"{args.family} would hold {numbers} numbers, "
+                                f"more than gen's cap of {GEN_MAX_NUMBERS}")
+    dim, points, ranges, k = make(args, random.Random(args.seed))
     prov = {"generator": args.family, "seed": args.seed,
             "params": {"n": args.n, "m": args.m, "d": dim, "N": args.N,
                        "k": args.k, "delta": args.delta}}
@@ -249,11 +274,11 @@ def _cmd_census(args) -> int:
     if args.kind == "schedule":
         k = 2 if args.k is None else args.k
         sched = census_schedule(k, args.m, args.mode, args.c)
-        rows = [[i, t] for i, t in enumerate(sched.thresholds)]
+        rows = [[i, t] for i, t in enumerate(sched)]
         write_csv(_out_path(args, "schedule.csv"), ["index", "threshold"],
                   rows, {"k": k, "m": args.m, "mode": args.mode,
                          "length": len(sched)})
-        print(f"thresholds={list(sched.thresholds)} length={len(sched)} "
+        print(f"thresholds={list(sched)} length={len(sched)} "
               f"log_star_m={iterated_log2(args.m)}")
         return EXIT_OK
     if args.instance is None:
@@ -362,15 +387,18 @@ def _cmd_plot(args) -> int:
         if name not in columns:
             raise InvalidInputError(
                 f"CSV has no column {name!r}; columns: {', '.join(columns)}")
+    if args.overlay:
+        bound = functools.partial(eval_bound, args.overlay, m=args.m,
+                                  k=args.k, constant=args.constant, d=args.d,
+                                  epsilon=args.epsilon)
+        bound(1)  # even with no rows: no row accepts what n=1 refuses
     for row in reader:
         x, y = (_plot_value(row, name) for name in (args.x, args.y))
         if x is not None and y is not None:
             xs_ys.append((x, y))
     series = [(args.y, xs_ys)]
     if args.overlay:
-        ref = [(x, eval_bound(args.overlay, max(int(x), 1), args.m, args.k,
-                              args.constant, d=args.d, epsilon=args.epsilon))
-               for x, _ in xs_ys]
+        ref = [(x, bound(max(int(x), 1))) for x, _ in xs_ys]
         series.append((f"{args.overlay} reference", ref))
     svg_plot(_out_path(args, args.out), series, title=args.title,
              xlabel=args.x, ylabel=args.y, loglog=not args.linear)

@@ -505,8 +505,7 @@ def _(r: Ball) -> Predicate:
 
 @predicate.register
 def _(r: Wedge2) -> Predicate:
-    a, b, xmax = r.a, r.b, r.c
-    return lambda c: c[0] <= xmax and c[1] <= a * c[0] + b
+    return predicate(Curtain(r.a, r.b, None, r.c))
 
 
 @predicate.register

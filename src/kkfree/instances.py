@@ -110,12 +110,9 @@ def range_to_json(r: Range) -> dict[str, Any]:
         return {"type": "ball",
                 "center": [rat_str(v) for v in r.center.coords],
                 "radius_sq": rat_str(r.radius_sq)}
-    if isinstance(r, Wedge2):
-        return {"type": "wedge2", "a": rat_str(r.a), "b": rat_str(r.b),
-                "c": rat_str(r.c)}
-    if isinstance(r, Wedge3):
-        return {"type": "wedge3", "a": rat_str(r.a), "b": rat_str(r.b),
-                "c": rat_str(r.c)}
+    if isinstance(r, (Wedge2, Wedge3)):
+        return {"type": f"wedge{r.dim}", "a": rat_str(r.a),
+                "b": rat_str(r.b), "c": rat_str(r.c)}
     if isinstance(r, Curtain):
         return {"type": "curtain", "a": rat_str(r.a), "b": rat_str(r.b),
                 "lo": _opt(r.lo), "hi": _opt(r.hi)}
@@ -145,10 +142,9 @@ def range_from_json(obj: dict[str, Any]) -> Range:
                                obj["sense"])
     if kind == "ball":
         return Ball(Point(_rats(obj["center"])), as_rat(obj["radius_sq"]))
-    if kind == "wedge2":
-        return Wedge2(as_rat(obj["a"]), as_rat(obj["b"]), as_rat(obj["c"]))
-    if kind == "wedge3":
-        return Wedge3(as_rat(obj["a"]), as_rat(obj["b"]), as_rat(obj["c"]))
+    if kind in ("wedge2", "wedge3"):
+        wedge = Wedge2 if kind == "wedge2" else Wedge3
+        return wedge(as_rat(obj["a"]), as_rat(obj["b"]), as_rat(obj["c"]))
     if kind == "curtain":
         return Curtain(as_rat(obj["a"]), as_rat(obj["b"]),
                        _opt_load(obj["lo"]), _opt_load(obj["hi"]))

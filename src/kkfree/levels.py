@@ -15,7 +15,8 @@ from typing import Callable, Sequence
 
 from .errors import InvalidInputError
 from .frozen import Frozen, set_field
-from .geometry import Halfspace, Hyperplane, Point, Range, Rat, contains
+from .geometry import (Halfspace, Hyperplane, Point, Range, Rat, contains,
+                       require_type)
 from .incidence import (DEFAULT_NODE_BUDGET, IncidenceGraph,
                         incidences_bruteforce, require_free)
 
@@ -104,9 +105,11 @@ def shallow_census(points: list[Point], halfspaces: list[Halfspace], k: int,
     The halfspaces must be upper halfspaces, so a point's level is the
     number of halfspaces holding it; the graph must be K_{k,k}-free.
     """
-    if not all(isinstance(h, Halfspace) and h.side == "upper"
-               for h in halfspaces):
-        raise InvalidInputError("shallow census expects upper halfspaces")
+    what = "shallow census needs upper halfspaces"
+    require_type(halfspaces, Halfspace, what)
+    for idx, h in enumerate(halfspaces):
+        if h.side != "upper":
+            raise InvalidInputError(f"{what}: range {idx} is lower")
     if not halfspaces:
         raise InvalidInputError("no halfspaces")
     d = halfspaces[0].dim
@@ -128,29 +131,10 @@ def depth_census(points: list[Point], shapes: list[Range], k: int,
 # ---------------------------------------------------------------------------
 # census schedules
 
-class CensusSchedule(Frozen):
-    """Strictly increasing depth thresholds t_0 < ... < t_l, t_0 = 2k, t_l >= m."""
-
-    __slots__ = ("thresholds", "mode", "k", "m")
-
-    def __init__(self, thresholds: tuple[int, ...], mode: str, k: int, m: int):
-        t = thresholds
-        if not t or t[0] != 2 * k or t[-1] < m:
-            raise InvalidInputError("malformed schedule")
-        if any(a >= b for a, b in zip(t, t[1:])):
-            raise InvalidInputError("thresholds must strictly increase")
-        set_field(self, "thresholds", thresholds)
-        set_field(self, "mode", mode)
-        set_field(self, "k", k)
-        set_field(self, "m", m)
-
-    def __len__(self) -> int:
-        return len(self.thresholds)
-
-
 def census_schedule(k: int, m: int, mode: str = "general",
-                    c: int = 4) -> CensusSchedule:
-    """Threshold sequence for banded censuses.
+                    c: int = 4) -> tuple[int, ...]:
+    """The thresholds t_0 < ... < t_l of a banded census, with t_0 = 2k and
+    t_l >= m, as a tuple of ints.
 
     general: double for c*log2(k) steps, then t -> ceil(t^(c/(c-1))),
     the least s with s^(c-1) >= t^c in integers, until >= m.
@@ -168,48 +152,40 @@ def census_schedule(k: int, m: int, mode: str = "general",
         raise InvalidInputError(f"unknown schedule mode: {mode!r}")
     if c < 2:
         raise InvalidInputError(f"schedule needs c >= 2: {c}")
-    t = 2 * k
-    out = [t]
     if mode == "general":
         doubling = math.ceil(c * math.log2(k)) if k > 1 else 0
-        i = 0
-        while t < m:
-            i += 1
-            if i <= doubling:
-                t = 2 * t
-            else:
-                t = max(t + 1, _ceil_root(t ** c, c - 1))
-            out.append(t)
     else:
         loglogk = math.log2(math.log2(k)) if k >= 2 else 0.0
         doubling = max(1, math.ceil(3 * loglogk))
-        i = 0
-        while t < m:
-            i += 1
-            if i <= doubling:
-                t = 2 * t
+    t = 2 * k
+    out = [t]
+    while t < m:
+        if len(out) <= doubling:
+            t = 2 * t
+        elif mode == "general":
+            t = max(t + 1, _ceil_root(t ** c, c - 1))
+        else:
+            # Tower step, capped just past m to avoid astronomically
+            # large final thresholds (bands beyond m are unreachable).
+            cap = max(m, 2 * t)
+            try:
+                exponent = math.sqrt(t / k)
+            except OverflowError:
+                # t / k is past 2^1024, so its root is past log2(cap).
+                exponent = math.inf
+            if exponent >= math.log2(cap):
+                step = cap
             else:
-                # Tower step, capped just past m to avoid astronomically
-                # large final thresholds (bands beyond m are unreachable).
-                cap = max(m, 2 * t)
                 try:
-                    exponent = math.sqrt(t / k)
+                    step = math.ceil(2 ** exponent)
                 except OverflowError:
-                    # t / k is past 2^1024, so its root is past log2(cap).
-                    exponent = math.inf
-                if exponent >= math.log2(cap):
-                    step = cap
-                else:
-                    try:
-                        step = math.ceil(2 ** exponent)
-                    except OverflowError:
-                        # 2^exponent = 2^f * 2^e with e = int(exponent).
-                        e = int(exponent)
-                        step = math.ceil(Fraction(2.0 ** (exponent - e))
-                                         * (1 << e))
-                t = max(2 * t, step)
-            out.append(t)
-    return CensusSchedule(tuple(out), mode, k, m)
+                    # 2^exponent = 2^f * 2^e with e = int(exponent).
+                    e = int(exponent)
+                    step = math.ceil(Fraction(2.0 ** (exponent - e))
+                                     * (1 << e))
+            t = max(2 * t, step)
+        out.append(t)
+    return tuple(out)
 
 
 def _ceil_root(x: int, e: int) -> int:

@@ -32,8 +32,8 @@ class SlabNode:
     weighted endpoint ledger of the box audit, and ``child_vertices`` the
     part of it handed down to the child slabs.  A box split node hands each
     leading-axis endpoint to the one slab that holds it, so there the two
-    are equal.  The instance dict holds the fields in this order, which the
-    audit JSON keeps.
+    are equal.  The audit JSON writes every field of the instance dict, its
+    keys sorted as ``reports.write_json`` sorts them.
     """
 
     def __init__(self, kind: str, depth: int, dim: int, n: int, m: int,

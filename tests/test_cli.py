@@ -265,6 +265,21 @@ def test_plot_of_an_overlay_below_dimension_one_is_an_input_error(
     assert out == "" and not (tmp_path / "plot.svg").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--overlay", "box", "--d", 0], "box bound needs d >= 1, got d=0"),
+    (["--overlay", "fat", "--k", 0], "need n >= 1, m >= 0, k >= 1"),
+], ids=["box-d-0", "fat-k-0"])
+def test_plot_of_no_rows_still_checks_the_overlay(tmp_path, capsys, args,
+                                                  message):
+    path = tmp_path / "e.csv"
+    path.write_text("r,observed\n")
+    assert run(["plot", path, "--x", "r", "--y", "observed", *args],
+               tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err == f"error: {message}\n"
+    assert out == "" and not (tmp_path / "plot.svg").exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--overlay", "box", "--constant", "nan"],
     ["--overlay", "box", "--epsilon", "nan"],
@@ -418,10 +433,11 @@ def test_report(tmp_path, capsys):
     assert (tmp_path / "summary.csv").exists()
 
 
-# SHA-256 of each family's file at fixed flags, as the if/elif chain that
-# preceded the family table wrote it, but with lower5d's provenance giving
-# d = 5, its dimension: a reordered draw, another k or another provenance
-# changes the file.
+# SHA-256 of each family's file at fixed flags: the first seven as the
+# if/elif chain that preceded the family table wrote them, but with
+# lower5d's provenance giving d = 5, its dimension; the rest as the family
+# table first wrote them.  A reordered draw, another k or another
+# provenance changes the file.
 _GEN_DIGESTS = {
     "elekes": (["--N", 3], "00ec805d404dd2172d054ecb5fcf5880"
                "f9c377f7ed2283f8450107f1e4964a65"),
@@ -441,6 +457,27 @@ _GEN_DIGESTS = {
                         "1a36e2b371749091da480cdd528f8133"),
     "census-halfplanes": (["--n", 32], "36eff49b1f06809fc687afc1812d408c"
                           "96bdfa242c6936e7fa9769fe92d192a1"),
+    "random-polyhedra": (["--n", 30, "--m", 20, "--d", 3, "--seed", 5],
+                         "f3a5c16ae4a769ddcacf36f9c2086e38"
+                         "2d0e8fb19a60f16eafeef9b707874ed7"),
+    "random-threesided": (["--n", 30, "--m", 20, "--seed", 5],
+                          "6a987c85ab0ffb5eccc2793e9f4a5a22"
+                          "a3c674783c9788ecc5f0cf8e88d2039e"),
+    "random-orthants": (["--n", 30, "--m", 20, "--seed", 5],
+                        "a932faf465828cdbe552f25575f41d72"
+                        "df3dc00aac021f0b9ad7d0a42f8daa79"),
+    "random-balls": (["--n", 30, "--m", 20, "--d", 3, "--seed", 5],
+                     "f68fa934ce91b80d57448e01afdc6db4"
+                     "daaaed3530372fa9bb6c42d486f59576"),
+    "random-wedges2": (["--n", 30, "--m", 20, "--seed", 5],
+                       "8367c872d27793d9c83d448aff8c2a08"
+                       "e9e3d72728331cb59a8bef42c71ce103"),
+    "random-wedges3": (["--n", 30, "--m", 20, "--seed", 5],
+                       "147aa8eee686f10f0bcd5da7a0e75550"
+                       "093e19dcf26e0ae4d6a7f5b9d3bcb1ea"),
+    "random-origin-triangles": (["--n", 30, "--m", 20, "--seed", 5],
+                                "c6f44f017d595004ce7c38b9b076eb8a"
+                                "b8c84c12b22786f619f37128e0a6eea0"),
 }
 
 
@@ -461,6 +498,45 @@ def test_gen_provenance_records_the_dimension(tmp_path, capsys, family):
                 "--out", out], tmp_path) == 0
     inst = load_instance(out)
     assert inst.provenance["params"]["d"] == inst.dimension
+
+
+# Each flag just past gen's cap of 10^7 numbers, and the count it gives:
+# 2n coordinates of points in the plane, 6N^3 numbers of the grid's points
+# and lines, and (d + 1)(d + 2) numbers of one polyhedron over the frame.
+@pytest.mark.parametrize("family, flags, numbers", [
+    ("random-boxes", ["--n", 5_000_001, "--m", 0], 10_000_002),
+    ("elekes", ["--N", 119], 10_110_954),
+    ("lower5d", ["--N", 77], 10_043_726),
+    ("random-polyhedra", ["--n", 0, "--m", 1, "--d", 3161], 10_001_406),
+], ids=["n", "N", "N-lower5d", "d"])
+def test_gen_refuses_a_family_past_the_cap(tmp_path, capsys, family, flags,
+                                           numbers):
+    out = tmp_path / "x.json"
+    assert run(["gen", family, *flags, "--out", out], tmp_path) == 1
+    assert capsys.readouterr().err == (
+        f"error: {family} would hold {numbers} numbers, more than gen's "
+        "cap of 10000000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family", sorted(set(kkfree.cli._FAMILIES)
+                                          - {"lower5d"}))
+def test_gen_size_counts_the_numbers_of_the_file(tmp_path, capsys, family):
+    # lower5d also counts the grid it reduces, which its file does not hold.
+    def numbers(value):
+        if isinstance(value, list):
+            return sum(map(numbers, value))
+        if isinstance(value, dict):
+            return sum(numbers(v) for key, v in value.items()
+                       if key not in ("type", "side", "sense"))
+        return 1
+    argv = ["gen", family, "--N", 2, "--n", 7, "--m", 5, "--d", 4, "--out",
+            tmp_path / "x.json"]
+    assert run(argv, tmp_path) == 0
+    size, _ = kkfree.cli._FAMILIES[family]
+    blob = json.loads((tmp_path / "x.json").read_text())
+    assert size(kkfree.cli.build_parser().parse_args(map(str, argv))) == (
+        numbers(blob["points"]) + numbers(blob["ranges"]))
 
 
 def test_usage_error_exit_code(tmp_path):
