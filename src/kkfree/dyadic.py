@@ -29,10 +29,10 @@ def canonical_decomposition(alpha: int, beta: int,
     out: list[tuple[int, int]] = []
     x = alpha
     while x <= beta:
-        # Largest rank i with x divisible by 2^i and x + 2^i - 1 <= beta.
-        i = (x & -x).bit_length() - 1 if x else n.bit_length() + beta.bit_length()
-        while (x >> i) << i != x or x + (1 << i) - 1 > beta:
-            i -= 1
+        # Largest rank i with x + 2^i - 1 <= beta and x divisible by 2^i.
+        i = (beta - x + 1).bit_length() - 1
+        if x:
+            i = min(i, (x & -x).bit_length() - 1)
         out.append((i, x >> i))
         x += 1 << i
     return out

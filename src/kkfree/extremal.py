@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidInputError
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .geometry import Box, Line2, Point, pt
 from .incidence import find_kkk, incidences_bruteforce
 from .levels import iterated_log2
@@ -50,10 +50,8 @@ class FavorabilityVerdict(Frozen):
 
     def __init__(self, favorable: bool, failed_condition: int | None = None,
                  witness: tuple = (), incidence_floor: int | None = None):
-        set_field(self, "favorable", favorable)
-        set_field(self, "failed_condition", failed_condition)
-        set_field(self, "witness", witness)
-        set_field(self, "incidence_floor", incidence_floor)
+        Frozen.__init__(self, favorable, failed_condition, witness,
+                        incidence_floor)
 
 
 def verify_favorable(points: list[Point], boxes: list[Box],

@@ -59,12 +59,10 @@ def alignment_level(diam_sq: int, unit: int) -> int:
         raise InvalidInputError("negative squared diameter")
     if diam_sq == 0:
         return MAX_LEVEL
-    level = 0
-    # side(level+1)^2 = 1 / 4^(level+1)
-    while (level < MAX_LEVEL
-           and (16 * diam_sq) << 2 * (level + 1) <= unit * unit):
-        level += 1
-    return level
+    # side(level)^2 = 1 / 4^level: the largest level with
+    # 16 * diam_sq * 4^level <= unit^2, that is 4^level <= q below.
+    q = unit * unit // (16 * diam_sq)
+    return min(MAX_LEVEL, max(0, (q.bit_length() - 1) // 2))
 
 
 def is_aligned(bbox: BBox, diam_sq: int, unit: int) -> bool:

@@ -1,10 +1,12 @@
 """Immutable value records, written out by hand.
 
-A subclass names its fields in ``__slots__`` and sets each one once in its
-own ``__init__`` through ``set_field``; after that, assigning or
-deleting an attribute raises ``AttributeError``.  Two records are equal
-when they are of the same class with equal fields, and equal records hash
-alike.
+A subclass names its fields in ``__slots__``.  ``Frozen.__init__`` takes
+one value per field, in that order; a record that checks its fields or has
+defaults writes its own ``__init__``, which either ends in
+``Frozen.__init__`` or sets each field once through ``set_field``.  After
+that, assigning or deleting an attribute raises ``AttributeError``.  Two
+records are equal when they are of the same class with equal fields, and
+equal records hash alike.
 """
 
 from __future__ import annotations
@@ -17,6 +19,13 @@ class Frozen:
     """Base of the immutable records; see the module docstring."""
 
     __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{self.__class__.__name__} takes "
+                            f"{len(self.__slots__)} fields, not {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            set_field(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))

@@ -246,30 +246,24 @@ class Wedge2(Frozen):
     """Planar wedge {(x, y) : y <= a x + b, x <= c}."""
 
     __slots__ = ("a", "b", "c")
+    dim = 2
 
     def __init__(self, a: Rat, b: Rat, c: Rat):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
 
 class Wedge3(Frozen):
     """Spatial wedge {(x, y, z) : y <= a x + b, z <= c}."""
 
     __slots__ = ("a", "b", "c")
+    dim = 3
 
     def __init__(self, a: Rat, b: Rat, c: Rat):
         set_field(self, "a", a)
         set_field(self, "b", b)
         set_field(self, "c", c)
-
-    @property
-    def dim(self) -> int:
-        return 3
 
 
 class Curtain(Frozen):
@@ -280,6 +274,7 @@ class Curtain(Frozen):
     """
 
     __slots__ = ("a", "b", "lo", "hi")
+    dim = 2
 
     def __init__(self, a: Rat, b: Rat, lo: Rat | None, hi: Rat | None):
         if lo is not None and hi is not None and lo > hi:
@@ -289,25 +284,18 @@ class Curtain(Frozen):
         set_field(self, "lo", lo)
         set_field(self, "hi", hi)
 
-    @property
-    def dim(self) -> int:
-        return 2
-
 
 class Triangle(Frozen):
     """Closed planar triangle given by its three vertices."""
 
     __slots__ = ("v0", "v1", "v2")
+    dim = 2
 
     def __init__(self, v0: Point, v1: Point, v2: Point):
         require_dim((v0, v1, v2), 2, "triangle vertex")
         set_field(self, "v0", v0)
         set_field(self, "v1", v1)
         set_field(self, "v2", v2)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
     @property
     def vertices(self) -> tuple[Point, Point, Point]:
@@ -325,14 +313,11 @@ class Line2(Frozen):
     """
 
     __slots__ = ("a", "b")
+    dim = 2
 
     def __init__(self, a: Rat, b: Rat):
         set_field(self, "a", a)
         set_field(self, "b", b)
-
-    @property
-    def dim(self) -> int:
-        return 2
 
 
 class Polyhedron(Frozen):

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from .dyadic import canonical_decomposition
 from .errors import InvalidInputError, NotApplicableError, UnknownVerdictError
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .geometry import (Box, Curtain, Halfspace, Line2, LinearHalfspace, Point,
                        Polyhedron, Range, Rat, Triangle, Wedge2, Wedge3,
                        _integer_form, closed_rank_range, linear_constraints,
@@ -227,10 +227,7 @@ class KkkResult(Frozen):
 
     def __init__(self, status: str, points: tuple[int, ...] = (),
                  ranges: tuple[int, ...] = (), nodes: int = 0):
-        set_field(self, "status", status)
-        set_field(self, "points", points)
-        set_field(self, "ranges", ranges)
-        set_field(self, "nodes", nodes)
+        Frozen.__init__(self, status, points, ranges, nodes)
 
     @property
     def found(self) -> bool:
@@ -354,7 +351,7 @@ class BicliqueCover(Frozen):
         for a, b in pairs:
             if not a or not b:
                 raise InvalidInputError("empty side in a cover pair")
-        set_field(self, "pairs", pairs)
+        Frozen.__init__(self, pairs)
 
     def size(self) -> int:
         """Sum of |A_i| + |B_i| over all pairs."""
@@ -382,10 +379,8 @@ class CoverBound(Frozen):
     def __init__(self, certified: bool, bound: int | None = None,
                  witness_points: tuple[int, ...] = (),
                  witness_ranges: tuple[int, ...] = ()):
-        set_field(self, "certified", certified)
-        set_field(self, "bound", bound)
-        set_field(self, "witness_points", witness_points)
-        set_field(self, "witness_ranges", witness_ranges)
+        Frozen.__init__(self, certified, bound, witness_points,
+                        witness_ranges)
 
 
 def cover_bound(cover: BicliqueCover, k: int) -> CoverBound:
@@ -412,21 +407,11 @@ class CoverLevelStats(Frozen):
 
     __slots__ = ("depth", "point_total", "box_total", "classes")
 
-    def __init__(self, depth: int, point_total: int, box_total: int,
-                 classes: int):
-        set_field(self, "depth", depth)
-        set_field(self, "point_total", point_total)
-        set_field(self, "box_total", box_total)
-        set_field(self, "classes", classes)
-
 
 class BoxCoverBuild(Frozen):
-    __slots__ = ("cover", "levels")
+    """A ``BicliqueCover`` and its ``CoverLevelStats``, one per axis."""
 
-    def __init__(self, cover: BicliqueCover,
-                 levels: tuple[CoverLevelStats, ...]):
-        set_field(self, "cover", cover)
-        set_field(self, "levels", levels)
+    __slots__ = ("cover", "levels")
 
 
 def build_box_cover(points: list[Point], boxes: list[Box]) -> BoxCoverBuild:
@@ -496,14 +481,6 @@ class IntervalBlockRow(Frozen):
 
     __slots__ = ("block", "size", "containing", "boundary", "incidences")
 
-    def __init__(self, block: int, size: int, containing: int, boundary: int,
-                 incidences: int):
-        set_field(self, "block", block)
-        set_field(self, "size", size)
-        set_field(self, "containing", containing)
-        set_field(self, "boundary", boundary)
-        set_field(self, "incidences", incidences)
-
 
 class IntervalAuditReport(Frozen):
     """``last_block_term`` is |P_N| * m, reported separately (the
@@ -511,18 +488,6 @@ class IntervalAuditReport(Frozen):
 
     __slots__ = ("n", "m", "k", "blocks", "incidences", "last_block_term",
                  "bound", "holds")
-
-    def __init__(self, n: int, m: int, k: int,
-                 blocks: tuple[IntervalBlockRow, ...], incidences: int,
-                 last_block_term: int, bound: int, holds: bool):
-        set_field(self, "n", n)
-        set_field(self, "m", m)
-        set_field(self, "k", k)
-        set_field(self, "blocks", blocks)
-        set_field(self, "incidences", incidences)
-        set_field(self, "last_block_term", last_block_term)
-        set_field(self, "bound", bound)
-        set_field(self, "holds", holds)
 
 
 def interval_audit(points: list[Point], intervals: list[Box], k: int,

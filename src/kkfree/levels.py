@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidInputError
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .geometry import (Halfspace, Hyperplane, Point, Range, Rat, contains,
                        require_type)
 from .incidence import (DEFAULT_NODE_BUDGET, IncidenceGraph,
@@ -43,14 +43,6 @@ class CensusRow(Frozen):
     """
 
     __slots__ = ("r", "observed", "observed_closed", "reference", "ratio")
-
-    def __init__(self, r: Rat, observed: int, observed_closed: int,
-                 reference: float, ratio: float | None):
-        set_field(self, "r", r)
-        set_field(self, "observed", observed)
-        set_field(self, "observed_closed", observed_closed)
-        set_field(self, "reference", reference)
-        set_field(self, "ratio", ratio)
 
     @staticmethod
     def csv_header() -> list[str]:

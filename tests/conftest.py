@@ -210,3 +210,12 @@ def reference_stratum(points, tri):
         if all(len(c) == 1 for c in cells):
             return idx
     return 0
+
+
+def json_nodes(node):
+    """Every value of a JSON document, the document itself first."""
+    yield node
+    children = (node.values() if isinstance(node, dict)
+                else node if isinstance(node, list) else ())
+    for child in children:
+        yield from json_nodes(child)

@@ -74,6 +74,38 @@ def test_alignment_level_rounding():
     assert alignment_level(1, 64) == 4
 
 
+def _alignment_level_by_steps(diam_sq, unit):
+    # Reference: raise the level while the next side^2 = 1/4^(level+1) still
+    # holds 16 * diam_sq.
+    if diam_sq == 0:
+        return MAX_LEVEL
+    level = 0
+    while (level < MAX_LEVEL
+           and (16 * diam_sq) << 2 * (level + 1) <= unit * unit):
+        level += 1
+    return level
+
+
+def test_alignment_level_matches_the_stepwise_reference():
+    rng = random.Random(28)
+    pairs = [(0, 1), (0, 3 * 2 ** 20), (1, 2 ** 80), (1, 2 ** 70), (1, 4),
+             (1, 3), (5, 8), (2, 1), (10 ** 9, 7)]
+    for _ in range(2000):
+        unit = rng.choice([rng.randrange(1, 100), rng.randrange(1, 2 ** 20),
+                           rng.randrange(1, 2 ** 90)])
+        pairs.append((rng.choice([0, rng.randrange(1, 50),
+                                  rng.randrange(1, unit * unit + 2),
+                                  rng.randrange(1, 2 ** 40)]), unit))
+    capped = below = 0
+    for diam_sq, unit in pairs:
+        level = alignment_level(diam_sq, unit)
+        assert level == _alignment_level_by_steps(diam_sq, unit), (diam_sq,
+                                                                   unit)
+        capped += diam_sq > 0 and level == MAX_LEVEL
+        below += unit * unit < 16 * diam_sq
+    assert capped and below
+
+
 def test_is_aligned_matches_exhaustive(rng):
     for _ in range(200):
         x = _u(rng.randint(0, 2 ** 16), 2 ** 18)

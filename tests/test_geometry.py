@@ -1,6 +1,5 @@
 import copy
 import fractions
-import inspect
 import pickle
 import sys
 from fractions import Fraction as F
@@ -19,7 +18,12 @@ from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              lift_ball,
                              linear_constraints, predicate, pt,
                              rat_str, triangle_edges)
-from kkfree.incidence import incidences_bruteforce
+from kkfree.extremal import FavorabilityVerdict
+from kkfree.incidence import (BicliqueCover, BoxCoverBuild, CoverBound,
+                              CoverLevelStats, IntervalAuditReport,
+                              IntervalBlockRow, KkkResult,
+                              incidences_bruteforce)
+from kkfree.levels import CensusRow
 from kkfree.packed import pack_columns
 
 from conftest import box2, brute_edges, interval, reference_contains
@@ -28,7 +32,8 @@ rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=64)
 
 
-# Each geometry type with two argument tuples that differ in one field.
+# Each geometry type and result record with two argument tuples that differ
+# in one field.
 VALUE_TYPES = [
     (Point, ((1, F(1, 2)),), ((1, 2),)),
     (Hyperplane, ((1, 2), 3), ((1, 2), 4)),
@@ -43,6 +48,20 @@ VALUE_TYPES = [
     (Line2, (1, F(1, 3)), (1, 0)),
     (Polyhedron, (((1, 0), (1, 1)), (0, None), (2, 3)),
      (((1, 0), (1, 1)), (0, 1), (2, 3))),
+    (KkkResult, ("found", (0, 1), (2, 3), 5), ("found", (0, 1), (2, 3), 6)),
+    (BicliqueCover, (((frozenset({0}), frozenset({1})),),),
+     (((frozenset({0}), frozenset({2})),),)),
+    (CoverBound, (True, 12, (), ()), (True, 13, (), ())),
+    (CoverLevelStats, (0, 10, 4, 3), (1, 10, 4, 3)),
+    (BoxCoverBuild, (BicliqueCover(()), (CoverLevelStats(0, 1, 1, 1),)),
+     (BicliqueCover(()), ())),
+    (IntervalBlockRow, (0, 2, 1, 1, 3), (0, 2, 1, 1, 4)),
+    (IntervalAuditReport, (4, 2, 2, (IntervalBlockRow(0, 2, 1, 1, 3),), 3, 2,
+                           20, True),
+     (4, 2, 2, (IntervalBlockRow(0, 2, 1, 1, 3),), 3, 2, 20, False)),
+    (CensusRow, (F(1, 2), 3, 4, 2.5, 1.2), (F(1, 2), 3, 4, 2.5, None)),
+    (FavorabilityVerdict, (False, 2, (0, 1, (2, 3)), None),
+     (True, None, (), 8)),
 ]
 
 
@@ -53,7 +72,7 @@ def test_value_types_compare_hash_and_refuse_assignment(cls, args, other):
     assert a is not b and a == b and hash(a) == hash(b)
     assert a != cls(*other) and a != args
     assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
-    for name in inspect.signature(cls).parameters:
+    for name in cls.__slots__:
         with pytest.raises(AttributeError):
             setattr(a, name, getattr(a, name))
         with pytest.raises(AttributeError):
@@ -61,6 +80,11 @@ def test_value_types_compare_hash_and_refuse_assignment(cls, args, other):
     with pytest.raises(AttributeError):
         a.extra = 1
     assert a == b and hash(a) == hash(b)
+    # One value per field: one too many, or none, is a TypeError.
+    with pytest.raises(TypeError):
+        cls(*args, None)
+    with pytest.raises(TypeError):
+        cls()
 
 
 def test_box_boundary_is_inside():

@@ -14,6 +14,8 @@ from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              Wedge3, pt)
 from kkfree.instances import Instance, instance_from_json, instance_to_json
 
+from conftest import json_nodes
+
 
 def _docs():
     half = Fraction(1, 2)
@@ -42,19 +44,11 @@ ODD_VALUES = st.one_of(
     st.text(alphabet="0123456789/-+._ x", max_size=6))
 
 
-def _containers(node):
-    yield node
-    children = (node.values() if isinstance(node, dict)
-                else node if isinstance(node, list) else ())
-    for child in children:
-        yield from _containers(child)
-
-
 def _mutate(doc, data):
     """One mutation at a drawn place: drop a key or element, retype a
     value, duplicate an element, or nest a value one level too deep or too
     shallow."""
-    nodes = [node for node in _containers(doc)
+    nodes = [node for node in json_nodes(doc)
              if isinstance(node, (dict, list)) and node]
     node = data.draw(st.sampled_from(nodes))
     key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
