@@ -210,6 +210,10 @@ def _cmd_cover(args) -> int:
 def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
+    # Only the interval audit searches, but every kind refuses a negative
+    # budget, as kkk does.
+    if args.budget < 0:
+        raise InvalidInputError("node budget must be >= 0")
     if args.kind == "interval":
         rep = interval_audit(inst.points, inst.ranges, k, args.budget)
         rows = [[r.block, r.size, r.containing, r.boundary, r.incidences]

@@ -7,7 +7,7 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from math import isqrt
 from operator import add, and_, eq, ge, le, lt, mul
 from typing import Sequence
@@ -249,9 +249,13 @@ def find_kkk(graph: IncidenceGraph, k: int,
     least k points with that intersection, found by counting co-occurrences
     over the ranges of its points; each child entered is one node.  The
     witness is the first k-set of ranges in that order with k common points,
-    and its k smallest common points.  k = 2 always decides; for k >= 3 more
-    than ``node_budget`` nodes give "unknown".  The search keeps its own
-    stack of frames, so k is not bounded by Python's recursion limit.
+    and its k smallest common points.  k = 2 always decides: ``_k22_free``
+    first marks the index pairs of the cheaper side, and when no pair
+    repeats the graph is "free" with no search node entered (``nodes`` is
+    0); only a graph holding a K_{2,2} is searched, for its witness.  For
+    k >= 3 more than ``node_budget`` nodes give "unknown".  The search
+    keeps its own stack of frames, so k is not bounded by Python's
+    recursion limit.
     """
     if k < 1:
         raise InvalidInputError("k must be >= 1")
@@ -264,6 +268,8 @@ def find_kkk(graph: IncidenceGraph, k: int,
         if firsts:
             i, j = min(firsts)
             return KkkResult("found", (i,), (j,))
+        return KkkResult("free")
+    if k == 2 and _k22_free(graph):
         return KkkResult("free")
 
     order, core, live_points, ranges_of = _kk_core(graph, k)
@@ -290,6 +296,33 @@ def find_kkk(graph: IncidenceGraph, k: int,
         stack.append((chosen, new,
                       sorted(c for c, t in shared.items() if t >= k), 0))
     return KkkResult("free", nodes=nodes)
+
+
+def _k22_free(graph: IncidenceGraph) -> bool:
+    """True iff no two ranges share two points, decided by pair marking.
+
+    Walks the side with the smaller sum of C(degree, 2): the ``rows``, also
+    on a tie, or the graph's cached ``columns``.  Each list's index pairs
+    (i, j) are marked in one set as ``i * width + j``, width being the size
+    of the other side, and a pair marked twice is a K_{2,2}.  The set never
+    holds more than min(sum C(degree, 2), C(width, 2)) keys, so no budget
+    is needed.
+    """
+    rows, columns = graph.rows, graph.columns
+    lists, width = rows, graph.n
+    if (sum(d * (d - 1) for d in map(len, columns))
+            < sum(d * (d - 1) for d in map(len, rows))):
+        lists, width = columns, graph.m
+    seen: set[int] = set()
+    for lst in lists:
+        if len(lst) < 2:  # no pair: skip building an empty key list
+            continue
+        keys = [i * width + j for i, j in combinations(lst, 2)]
+        size = len(seen)
+        seen.update(keys)
+        if len(seen) < size + len(keys):
+            return False
+    return True
 
 
 def _kk_core(graph: IncidenceGraph, k: int):

@@ -719,8 +719,11 @@ def test_zero_k_is_a_usage_error(tmp_path, capsys, argv):
     assert out == "" and [p.name for p in tmp_path.iterdir()] == ["iv.json"]
 
 
-@pytest.mark.parametrize("argv", [["kkk"], ["cover"], ["audit", "interval"]],
-                         ids=["kkk", "cover", "audit-interval"])
+@pytest.mark.parametrize(
+    "argv", [["kkk"], ["cover"]] + [["audit", kind] for kind in (
+        "interval", "rect", "box", "curtain", "fat")],
+    ids=["kkk", "cover", "audit-interval", "audit-rect", "audit-box",
+         "audit-curtain", "audit-fat"])
 def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
     path = _box_instance(tmp_path)
     assert run([*argv, path, "--k", 2, "--budget", -5], tmp_path) == 1

@@ -408,6 +408,47 @@ def test_find_kkk_k2_ignores_budget():
     assert find_kkk(g, 2, node_budget=0) == res
 
 
+def _with_edge(graph, i, j):
+    rows = list(graph.rows)
+    rows[j] = sorted([*rows[j], i])
+    return IncidenceGraph(graph.n, graph.m, rows)
+
+
+# Pair marking walks the side with the smaller sum of C(degree, 2): the
+# rows of the lines through every pair of 9 points, the columns of its
+# transpose, and either side of a 7-cycle, where each range holds 2 points
+# and each point lies in 2 ranges.  Each graph is free; one added edge
+# makes two ranges share two points.
+_PAIRS = IncidenceGraph(9, 36, list(map(list, itertools.combinations(
+    range(9), 2))))
+_CYCLE = IncidenceGraph(7, 7, [sorted((j, (j + 1) % 7)) for j in range(7)])
+
+
+@pytest.mark.parametrize("graph, edge", [
+    (_PAIRS, (2, 0)),                 # rows [0, 1, 2] and [0, 2]
+    (IncidenceGraph(36, 9, _PAIRS.columns), (0, 2)),  # point 0 in ranges 0-2
+    (_CYCLE, (2, 0)),                 # rows [0, 1, 2] and [1, 2]
+], ids=["rows-cheaper", "columns-cheaper", "tie"])
+def test_find_kkk_k2_pair_marking_on_either_side(graph, edge):
+    res = find_kkk(graph, 2)
+    assert not _exhaustive_kkk(graph, 2)
+    assert (res.status, res.nodes) == ("free", 0)
+    joined = _with_edge(graph, *edge)
+    res = find_kkk(joined, 2)
+    assert _exhaustive_kkk(joined, 2) and res.found
+    _assert_witness(joined, res, 2)
+    ref = _reference_bb(joined, 2, 10**9)
+    assert (res.points, res.ranges) == (ref.points, ref.ranges)
+
+
+def test_find_kkk_k2_free_verdict_enters_no_node():
+    # The line through two of 240 parabola points holds just those two:
+    # 28,680 two-point rows, free without a search node.
+    rows = list(map(list, itertools.combinations(range(240), 2)))
+    res = find_kkk(IncidenceGraph(240, len(rows), rows), 2)
+    assert (res.status, res.nodes) == ("free", 0)
+
+
 def test_find_kkk_rejects_negative_budget():
     g = incidences_bruteforce([pt(0, 0)], [box2(-1, 1, -1, 1)])
     for k in (1, 2, 3):
