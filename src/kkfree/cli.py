@@ -210,10 +210,13 @@ def _cmd_cover(args) -> int:
 def _cmd_audit(args) -> int:
     inst = load_instance(args.instance)
     k = _instance_k(args, inst)
-    # Only the interval audit searches, but every kind refuses a negative
-    # budget, as kkk does.
+    # Only the interval audit searches and only rect and box branch, but
+    # every kind refuses a negative budget, as kkk does, and a branching
+    # factor below 2.
     if args.budget < 0:
         raise InvalidInputError("node budget must be >= 0")
+    if args.b < 2:
+        raise InvalidInputError("branching factor must be >= 2")
     if args.kind == "interval":
         rep = interval_audit(inst.points, inst.ranges, k, args.budget)
         rows = [[r.block, r.size, r.containing, r.boundary, r.incidences]
@@ -258,7 +261,7 @@ def _audit_fat(args, inst) -> int:
     ok = True
     for j, tri in enumerate(inst.ranges):
         got, stats = fat_query(structure, tri)
-        ok = ok and sorted(got) == graph.rows[j]
+        ok = ok and got == graph.rows[j]
         rows.append([j, stats.reported, stats.nodes_visited,
                      stats.curtain_stats.nodes_visited, stats.point_tests,
                      stats.work, stats.stratum, int(stats.curtain_answers)])

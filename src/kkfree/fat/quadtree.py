@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import InvalidInputError
-from ..geometry import Rat
+from ..geometry import Rat, _over
 
 MAX_LEVEL = 64
 
@@ -92,7 +92,7 @@ def aligned_shift_index(bbox: BBox, diam_sq: int, unit: int) -> int | None:
     if unit % 3:
         raise InvalidInputError(f"unit {unit} is not a multiple of 3")
     for idx, shift in enumerate(SHIFTS):
-        off = shift.numerator * (unit // shift.denominator)
+        off = _over(shift, unit)
         if is_aligned(tuple(c + off for c in bbox), diam_sq, unit):
             return idx
     return None

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from ..geometry import (Point, Rat, Triangle, predicate, require_dim,
+from ..geometry import (Point, Triangle, _over, predicate, require_dim,
                         triangle_edges)
 from ..reductions import apex_cell_constraints
 from .quadtree import (MAX_LEVEL, SHIFTS, aligned_shift_index, cell_key,
@@ -121,8 +121,7 @@ class FatQueryStats:
         """Honest per-query work: every node touched plus every individual
         entry or point test, across the fat tree and its slanted trees."""
         return (self.nodes_visited + self.point_tests
-                + self.curtain_stats.nodes_visited
-                + self.curtain_stats.entry_tests)
+                + self.curtain_stats.work)
 
 
 def build_fat_structure(points: list[Point]) -> FatReportStructure:
@@ -166,11 +165,6 @@ def _to_frame(structure: FatReportStructure, p: Point,
     the structure was built on)."""
     cq, (ox, oy), k = structure.c * q, structure.origin, structure.k
     return (_over(p[0], cq) - ox * q) * k, (_over(p[1], cq) - oy * q) * k
-
-
-def _over(c: Rat, den: int) -> int:
-    """The numerator of c over ``den``, a multiple of its denominator."""
-    return c.numerator * (den // c.denominator)
 
 
 def _build_node(stratum: FatStratum, keys: list[tuple[int, int]],

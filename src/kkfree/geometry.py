@@ -415,8 +415,12 @@ def _integer_form(values: Sequence[Rat | None]) -> tuple[int | None, ...]:
     test on integer points then runs on ``int`` only.
     """
     scale = lcm(*(v.denominator for v in values if v is not None))
-    return tuple(None if v is None else v.numerator * (scale // v.denominator)
-                 for v in values)
+    return tuple(None if v is None else _over(v, scale) for v in values)
+
+
+def _over(c: Rat, den: int) -> int:
+    """The numerator of c over ``den``, a multiple of its denominator."""
+    return c.numerator * (den // c.denominator)
 
 
 # One integer constraint ``coeffs . x <= rhs``.

@@ -508,8 +508,8 @@ class IntervalBlockRow(Frozen):
     """Ledger row for one block of k consecutive points.
 
     ``containing`` counts the intervals covering the whole block hull;
-    ``boundary`` (e_i) those with an endpoint in the hull that do not cover
-    it.
+    ``boundary`` (e_i) those that hold a point of the block and do not cover
+    its hull, each of which has an endpoint in the hull.
     """
 
     __slots__ = ("block", "size", "containing", "boundary", "incidences")
@@ -528,8 +528,9 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
     """Audit the 1D incidence bound I <= k*n + 3*k*m block by block.
 
     Points are split in sorted order into blocks of k; for each block the
-    report counts intervals fully covering the block hull and intervals with
-    an endpoint inside it.  Requires the graph to be K_{k,k}-free.
+    report counts intervals fully covering the block hull and the other
+    intervals meeting the block, each with an endpoint inside the hull.
+    Requires the graph to be K_{k,k}-free.
     """
     require_type(intervals, Box, "interval audit needs intervals")
     require_dim(intervals, 1, "range")
@@ -547,20 +548,16 @@ def interval_audit(points: list[Point], intervals: list[Box], k: int,
         idxs = order[bi * k:(bi + 1) * k]
         lo = points[idxs[0]][0]
         hi = points[idxs[-1]][0]
-        containing = boundary = inc = 0
-        # Only intervals holding a point of the block meet it.
+        # Only intervals holding a point of the block meet it, and one that
+        # meets it without covering its hull has an endpoint in the hull.
         meeting = Counter(j for i in idxs for j in graph.columns[i])
-        for j, block_inc in meeting.items():
+        containing = 0
+        for j in meeting:
             blo, bhi = intervals[j].lows[0], intervals[j].highs[0]
-            inc += block_inc
-            covers = ((blo is None or blo <= lo)
-                      and (bhi is None or bhi >= hi))
-            endpoint_in = ((blo is not None and lo <= blo <= hi)
-                           or (bhi is not None and lo <= bhi <= hi))
-            if covers:
-                containing += 1
-            elif endpoint_in:
-                boundary += 1
+            containing += ((blo is None or blo <= lo)
+                           and (bhi is None or bhi >= hi))
+        boundary = len(meeting) - containing
+        inc = sum(meeting.values())
         rows.append(IntervalBlockRow(bi, len(idxs), containing, boundary, inc))
         total += inc
         if bi == nblocks - 1:

@@ -126,8 +126,7 @@ class _Fenwick:
             i += i & -i
 
     def prefix(self, i: int) -> int:
-        # count of inserted values with index <= i
-        i += 1
+        # count of inserted values with index < i
         total = 0
         while i > 0:
             total += self.tree[i]
@@ -137,36 +136,29 @@ class _Fenwick:
 
 def _count_rank_y(sorted_points: list[Coords],
                   queries: list[tuple[int, int, object, object]]) -> list[int]:
-    """For each (alpha, beta, ylo, yhi): count points with x-rank in
-    [alpha, beta] and y in the closed range.  Offline sweep with a Fenwick
+    """For each (start, stop, ylo, yhi): count points with x-rank in
+    [start, stop) and y in the closed range.  Offline sweep with a Fenwick
     tree over y-ranks; exact integer counting."""
     if not queries:
         return []
     ys = sorted({p[1] for p in sorted_points})
     rank = {y: i for i, y in enumerate(ys)}
+    # A query counts the points below x-rank stop, less those below start.
     events: list[tuple[int, int, int, int, int]] = []
-    for qi, (alpha, beta, ylo, yhi) in enumerate(queries):
-        if alpha > beta:
-            continue
-        ylo_r, ystop = closed_rank_range(ys, ylo, yhi)
-        if ylo_r >= ystop:
-            continue
-        events.append((beta, 1, ylo_r, ystop - 1, qi))
-        if alpha > 0:
-            events.append((alpha - 1, -1, ylo_r, ystop - 1, qi))
-    events.sort(key=lambda e: e[0])
+    for qi, (start, stop, ylo, yhi) in enumerate(queries):
+        ystart, ystop = closed_rank_range(ys, ylo, yhi)
+        if start < stop and ystart < ystop:
+            events.append((stop, 1, ystart, ystop, qi))
+            events.append((start, -1, ystart, ystop, qi))
+    events.sort(key=itemgetter(0))
     out = [0] * len(queries)
     fen = _Fenwick(len(ys))
-    ei = 0
-    for t, p in enumerate(sorted_points):
-        fen.add(rank[p[1]])
-        while ei < len(events) and events[ei][0] == t:
-            _, sign, ylo_r, yhi_r, qi = events[ei]
-            val = fen.prefix(yhi_r) - (fen.prefix(ylo_r - 1) if ylo_r else 0)
-            out[qi] += sign * val
-            ei += 1
-    # Events at t == -1 never occur (alpha > 0 guard); events beyond the last
-    # point cannot exist since beta <= n-1.
+    inserted = 0
+    for t, sign, ystart, ystop, qi in events:
+        while inserted < t:
+            fen.add(rank[sorted_points[inserted][1]])
+            inserted += 1
+        out[qi] += sign * (fen.prefix(ystop) - fen.prefix(ystart))
     return out
 
 
@@ -176,12 +168,6 @@ def _slab_cuts(n: int, b: int) -> list[int]:
 
 def _slab_of(cuts: list[int], rank: int) -> int:
     return bisect_right(cuts, rank) - 1
-
-
-def _coverage(xs: list, lo, hi) -> tuple[int, int]:
-    # The first and last rank in [lo, hi]; alpha > beta when none is.
-    alpha, stop = closed_rank_range(xs, lo, hi)
-    return alpha, stop - 1
 
 
 def _entry(points: list[Point], ranges: list[Range], dim: int,
@@ -199,9 +185,14 @@ def _entry(points: list[Point], ranges: list[Range], dim: int,
     return sorted((p.coords for p in points), key=itemgetter(0))
 
 
-def _count(coords: list[Coords], ranges: Sequence[Range]) -> int:
-    """Incidences between the points and the ranges, by compiled predicate."""
-    return sum(sum(map(predicate(r), coords)) for r in ranges)
+def _leaf(coords: list[Coords], ranges: Sequence[Range], depth: int,
+          dim: int) -> SlabNode:
+    """A leaf charges every range and attributes its incidences with the
+    points, counted by compiled predicate."""
+    return SlabNode("leaf", depth, dim, len(coords), len(ranges),
+                    charged=len(ranges),
+                    attributed=sum(sum(map(predicate(r), coords))
+                                   for r in ranges))
 
 
 # ---------------------------------------------------------------------------
@@ -226,23 +217,22 @@ def _rect_node(pts: list[Coords], rects: list[Box], b: int,
     """``pts`` are sorted by (x, index)."""
     n = len(pts)
     if n <= b or not rects:
-        return SlabNode("leaf", depth, 2, n, len(rects),
-                        charged=len(rects), attributed=_count(pts, rects))
+        return _leaf(pts, rects, depth, 2)
     xs = [p[0] for p in pts]
     cuts = _slab_cuts(n, b)
     inside: list[list[Box]] = [[] for _ in range(b)]
     queries = []
     threesided = crossing = 0
     for r in rects:
-        alpha, beta = _coverage(xs, r.lows[0], r.highs[0])
-        if alpha > beta:
+        start, stop = closed_rank_range(xs, r.lows[0], r.highs[0])
+        if start == stop:
             continue
-        sa, sb = _slab_of(cuts, alpha), _slab_of(cuts, beta)
+        sa, sb = _slab_of(cuts, start), _slab_of(cuts, stop - 1)
         bounded_x = r.lows[0] is not None and r.highs[0] is not None
         if sa == sb and bounded_x:
             inside[sa].append(r)
         else:
-            queries.append((alpha, beta, r.lows[1], r.highs[1]))
+            queries.append((start, stop, r.lows[1], r.highs[1]))
             if sb - sa >= 2:
                 crossing += 1
             else:
@@ -273,7 +263,7 @@ def box_audit(points: list[Point], boxes: list[Box], b: int,
     if b < 2:
         raise InvalidInputError("branching factor must be >= 2")
     if not points and not boxes:
-        return RecursionReport("box", b, k, SlabNode("leaf", 0, 0, 0, 0))
+        return RecursionReport("box", b, k, _leaf([], [], 0, 0))
     d = boxes[0].dim if boxes else points[0].dim
     coords = _entry(points, boxes, d, Box, "box audit needs boxes")
     if d < 2:
@@ -290,8 +280,7 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
         node.kind = "rect-base" if node.kind == "split" else node.kind
         return node
     if n <= b or not boxes:
-        return SlabNode("leaf", depth, d, n, len(boxes),
-                        charged=len(boxes), attributed=_count(coords, boxes))
+        return _leaf(coords, boxes, depth, d)
     xs = [c[0] for c in coords]
     cuts = _slab_cuts(n, b)
     inside: list[list[Box]] = [[] for _ in range(b)]
@@ -299,20 +288,21 @@ def _box_node(coords: list[Coords], boxes: list[Box], b: int,
     vertices = 0
     for box in boxes:
         lows, highs = box.lows, box.highs
-        alpha, beta = _coverage(xs, lows[0], highs[0])
-        if alpha > beta:
+        start, stop = closed_rank_range(xs, lows[0], highs[0])
+        if start == stop:
             continue
+        first, last = _slab_of(cuts, start), _slab_of(cuts, stop - 1)
         owners = set()
         if lows[0] is not None:
-            owners.add(_slab_of(cuts, alpha))
+            owners.add(first)
             vertices += 1 << (d - 1)
         if highs[0] is not None:
-            owners.add(_slab_of(cuts, beta))
+            owners.add(last)
             vertices += 1 << (d - 1)
         for s in owners:
             inside[s].append(box)
         proj = None
-        for s in range(_slab_of(cuts, alpha), _slab_of(cuts, beta) + 1):
+        for s in range(first, last + 1):
             if s in owners:
                 continue
             # Slab s is covered in full: project out the leading axis.
@@ -355,9 +345,7 @@ def _curtain_node(pts: list[Coords], curtains: list[Curtain],
     """``pts`` are sorted by (x, index)."""
     n = len(pts)
     if n <= 4 or not curtains:
-        return SlabNode("leaf", depth, 2, n, len(curtains),
-                        charged=len(curtains),
-                        attributed=_count(pts, curtains))
+        return _leaf(pts, curtains, depth, 2)
     xs = [p[0] for p in pts]
     mid = n // 2
     left: list[Curtain] = []
@@ -365,16 +353,16 @@ def _curtain_node(pts: list[Coords], curtains: list[Curtain],
     attributed = 0
     charged = 0
     for c in curtains:
-        alpha, beta = _coverage(xs, c.lo, c.hi)
-        if alpha > beta:
+        start, stop = closed_rank_range(xs, c.lo, c.hi)
+        if start == stop:
             continue
-        if beta < mid and c.lo is not None and c.hi is not None:
+        if stop <= mid and c.lo is not None and c.hi is not None:
             left.append(c)
-        elif alpha >= mid and c.lo is not None and c.hi is not None:
+        elif start >= mid and c.lo is not None and c.hi is not None:
             right.append(c)
         else:
             charged += 1
-            attributed += _count(pts[alpha:beta + 1], (c,))
+            attributed += sum(map(predicate(c), pts[start:stop]))
     node = SlabNode("split", depth, 2, n, len(curtains),
                     charged=charged, attributed=attributed,
                     inside_counts=(len(left), len(right)))

@@ -732,6 +732,25 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("kind, family", [
+    ("interval", ["random-boxes", "--d", 1]), ("rect", ["random-boxes"]),
+    ("box", ["random-boxes"]), ("curtain", ["random-curtains"]),
+    ("fat", ["random-fat"])])
+@pytest.mark.parametrize("b", [1, -3])
+def test_branching_below_two_is_a_usage_error(tmp_path, capsys, kind, family,
+                                              b):
+    # Only rect and box branch, but every kind refuses the flag's value
+    # before it runs, as it refuses a negative budget.
+    path = tmp_path / "src.json"
+    assert run(["gen", *family, "--n", 8, "--m", 4, "--seed", 1, "--out",
+                path], tmp_path) == 0
+    capsys.readouterr()
+    assert run(["audit", kind, path, "--k", 2, "--b", b], tmp_path) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: branching factor must be >= 2\n" and out == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["src.json"]
+
+
 _UPPER = Halfspace(Hyperplane((0,), 1), "upper")
 _UPPER_1D = Halfspace(Hyperplane((), 1), "upper")
 

@@ -47,9 +47,9 @@ ODD_VALUES = [0, -1, 10 ** 22, 2.5, float("nan"), float("inf"), True, None,
 # Edge values of a numeric flag.
 FLAG_VALUES = ["0", "-1", str(10 ** 22), "nan", "inf", "1e400", ""]
 
-# Each numeric flag with a command that reads it; {box} and {half} are a
-# box and an upper-halfspace instance, {csv} a census CSV and {gen} the
-# file gen writes.
+# Each numeric flag with a command that reads it; {box}, {interval},
+# {half}, {fat} and {curtain} are instances of the first five FAMILIES,
+# {csv} a census CSV and {gen} the file gen writes.
 FLAG_PROBES = [
     *(["gen", "random-boxes", "--out", "{gen}", "--n", 6, "--m", 4, flag]
       for flag in ("--n", "--m", "--d", "--k", "--seed")),
@@ -60,6 +60,9 @@ FLAG_PROBES = [
     *(["cover", "{box}", flag] for flag in ("--k", "--budget")),
     *(["audit", "rect", "{box}", flag] for flag in ("--b", "--k", "--budget")),
     ["audit", "box", "{box}", "--b"],
+    *(["audit", kind, src, "--b"]
+      for kind, src in (("curtain", "{curtain}"), ("interval", "{interval}"),
+                        ("fat", "{fat}"))),
     *(["census", "shallow", "{half}", flag]
       for flag in ("--k", "--r", "--budget")),
     *(["census", "schedule", flag] for flag in ("--k", "--m", "--c")),
@@ -120,11 +123,11 @@ def test_mutated_instances_exit_cleanly(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", FLAG_VALUES)
 def test_flag_edge_values_exit_cleanly(tmp_path, capsys, value):
-    files = {"box": tmp_path / "box.json", "half": tmp_path / "half.json",
-             "csv": tmp_path / "out" / "census_shallow.csv",
-             "gen": tmp_path / "gen.json"}
-    _gen(FAMILIES[0][0], files["box"], tmp_path, capsys)
-    _gen(FAMILIES[2][0], files["half"], tmp_path, capsys)
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("box", "interval", "half", "fat", "curtain", "gen")}
+    files["csv"] = tmp_path / "out" / "census_shallow.csv"
+    for i, name in enumerate(("box", "interval", "half", "fat", "curtain")):
+        _gen(FAMILIES[i][0], files[name], tmp_path, capsys)
     assert _check(["census", "shallow", files["half"]], tmp_path,
                   capsys) == 0
     for probe in FLAG_PROBES:

@@ -679,6 +679,34 @@ def test_interval_audit_no_intervals():
     assert rep.incidences == 0 and rep.holds
 
 
+def test_interval_audit_boundary_is_brute_force(rng):
+    # A block's boundary intervals hold a point of it, have an endpoint in
+    # its hull and do not cover the hull; the covering ones are the rest of
+    # the intervals that meet the block.
+    def holds(iv, x):
+        return ((iv.lows[0] is None or iv.lows[0] <= x)
+                and (iv.highs[0] is None or x <= iv.highs[0]))
+    for trial in range(100):
+        k = rng.randint(1, 4)
+        pts = gens.random_points(rng, rng.randint(1, 30), 1, 60)
+        ivs = gens.random_boxes(rng, rng.randint(0, 20), 1, 60, 25)
+        ivs += [interval(None, rng.randint(-60, 60)),
+                interval(rng.randint(-60, 60), None), interval(None, None)]
+        ivs = make_kkk_free(pts, ivs, k)
+        xs = sorted(p[0] for p in pts)
+        rep = interval_audit(pts, ivs, k)
+        for row in rep.blocks:
+            block = xs[row.block * k:(row.block + 1) * k]
+            lo, hi = block[0], block[-1]
+            meeting = [iv for iv in ivs if any(holds(iv, x) for x in block)]
+            boundary = [iv for iv in meeting
+                        if not (holds(iv, lo) and holds(iv, hi))
+                        and any(e is not None and lo <= e <= hi
+                                for e in (iv.lows[0], iv.highs[0]))]
+            assert row.boundary == len(boundary), trial
+            assert row.containing + row.boundary == len(meeting), trial
+
+
 def test_interval_audit_rejects_kkk():
     pts = [pt(0), pt(1)]
     boxes = [interval(-1, 2), interval(-2, 3)]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -9,7 +10,8 @@ from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import (Box, Curtain, Halfspace, Hyperplane, Triangle,
                              pt)
 from kkfree.incidence import incidences_bruteforce
-from kkfree.slab import box_audit, curtain_audit, fitted_constant, rect_audit
+from kkfree.slab import (_count_rank_y, box_audit, curtain_audit,
+                         fitted_constant, rect_audit)
 
 from conftest import box2
 
@@ -218,6 +220,25 @@ def test_audits_check_dimensions_with_an_empty_side():
     with pytest.raises(DimensionMismatchError,
                        match="range 0 has dimension 3, not 2"):
         rect_audit([], [Box((0, 0, 0), (1, 1, 1))], 2, 2)
+
+
+def test_count_rank_y_matches_brute_force(rng):
+    # Half-open x-rank ranges, empty ones too, and closed y extents: open at
+    # an end, empty, or on repeated values, over integers and fractions.
+    for trial in range(200):
+        n = rng.randint(0, 12)
+        pts = [(i, rng.choice((rng.randint(-3, 3), F(rng.randint(-6, 6), 2))))
+               for i in range(n)]
+        ends = [None, F(1, 3), -4, 4, *(p[1] for p in pts)]
+        queries = [(s, s, None, None) for s in range(n + 1)]
+        for _ in range(15):
+            start = rng.randint(0, n)
+            queries.append((start, rng.randint(start, n), rng.choice(ends),
+                            rng.choice(ends)))
+        want = [sum((ylo is None or ylo <= y) and (yhi is None or y <= yhi)
+                    for _, y in pts[start:stop])
+                for start, stop, ylo, yhi in queries]
+        assert _count_rank_y(pts, queries) == want, trial
 
 
 def test_empty_leaf_charges_every_range():
