@@ -384,7 +384,7 @@ def _cmd_plot(args) -> int:
     import csv as _csv
     xs_ys: list[tuple[float, float]] = []
     try:
-        with open(args.csv) as fh:
+        with open(args.csv, encoding="utf-8") as fh:
             lines = [ln for ln in fh if not ln.startswith("#")]
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"cannot read CSV file: {exc}") from exc

@@ -39,12 +39,7 @@ def as_rat(value) -> Rat:
     a decimal exponent beyond +-4300, before ``Fraction`` expands it into an
     integer of that many digits.
     """
-    if isinstance(value, bool):
-        raise InvalidInputError(f"not an exact rational: {value!r}")
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction):
-        return int(value) if value.denominator == 1 else value
+    # Strings first: every coordinate of an instance file is one.
     if isinstance(value, str):
         try:
             return int(value)
@@ -57,6 +52,12 @@ def as_rat(value) -> Rat:
                 raise InvalidInputError(
                     f"exponent beyond +-{_MAX_EXPONENT}: {value[:40]!r}")
         return as_rat(Fraction(value))
+    if isinstance(value, bool):
+        raise InvalidInputError(f"not an exact rational: {value!r}")
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction):
+        return int(value) if value.denominator == 1 else value
     raise InvalidInputError(f"not an exact rational: {value!r}")
 
 

@@ -87,11 +87,11 @@ def _items(v) -> list:
 
 
 def _rats(v) -> tuple:
-    return tuple(as_rat(c) for c in _items(v))
+    return tuple(map(as_rat, _items(v)))
 
 
 def _opt_rats(v) -> tuple:
-    return tuple(_opt_load(c) for c in _items(v))
+    return tuple(map(_opt_load, _items(v)))
 
 
 def range_to_json(r: Range) -> dict[str, Any]:
@@ -130,33 +130,42 @@ def range_to_json(r: Range) -> dict[str, Any]:
     raise InvalidInputError(f"unserializable range: {type(r).__name__}")
 
 
+def _triangle(obj) -> Triangle:
+    vs = [Point(_rats(v)) for v in _items(obj["vertices"])]
+    return Triangle(*vs)  # TypeError unless exactly three
+
+
+# One decoder per range type, keyed by the JSON "type" field.
+_DECODERS = {
+    "box": lambda o: Box(_opt_rats(o["lows"]), _opt_rats(o["highs"])),
+    "halfspace": lambda o: Halfspace(
+        Hyperplane(_rats(o["slopes"]), as_rat(o["offset"])), o["side"]),
+    "linear-halfspace": lambda o: LinearHalfspace(
+        _rats(o["coeffs"]), as_rat(o["rhs"]), o["sense"]),
+    "ball": lambda o: Ball(Point(_rats(o["center"])),
+                           as_rat(o["radius_sq"])),
+    "wedge2": lambda o: Wedge2(as_rat(o["a"]), as_rat(o["b"]),
+                               as_rat(o["c"])),
+    "wedge3": lambda o: Wedge3(as_rat(o["a"]), as_rat(o["b"]),
+                               as_rat(o["c"])),
+    "curtain": lambda o: Curtain(as_rat(o["a"]), as_rat(o["b"]),
+                                 _opt_load(o["lo"]), _opt_load(o["hi"])),
+    "triangle": _triangle,
+    "line": lambda o: Line2(as_rat(o["a"]), as_rat(o["b"])),
+    "polyhedron": lambda o: Polyhedron(
+        tuple(map(_rats, _items(o["normals"]))),
+        _opt_rats(o["lows"]), _opt_rats(o["highs"])),
+}
+
+
 def range_from_json(obj: dict[str, Any]) -> Range:
     kind = obj.get("type")
-    if kind == "box":
-        return Box(_opt_rats(obj["lows"]), _opt_rats(obj["highs"]))
-    if kind == "halfspace":
-        return Halfspace(Hyperplane(_rats(obj["slopes"]),
-                                    as_rat(obj["offset"])), obj["side"])
-    if kind == "linear-halfspace":
-        return LinearHalfspace(_rats(obj["coeffs"]), as_rat(obj["rhs"]),
-                               obj["sense"])
-    if kind == "ball":
-        return Ball(Point(_rats(obj["center"])), as_rat(obj["radius_sq"]))
-    if kind in ("wedge2", "wedge3"):
-        wedge = Wedge2 if kind == "wedge2" else Wedge3
-        return wedge(as_rat(obj["a"]), as_rat(obj["b"]), as_rat(obj["c"]))
-    if kind == "curtain":
-        return Curtain(as_rat(obj["a"]), as_rat(obj["b"]),
-                       _opt_load(obj["lo"]), _opt_load(obj["hi"]))
-    if kind == "triangle":
-        vs = [Point(_rats(v)) for v in _items(obj["vertices"])]
-        return Triangle(*vs)  # TypeError unless exactly three
-    if kind == "line":
-        return Line2(as_rat(obj["a"]), as_rat(obj["b"]))
-    if kind == "polyhedron":
-        return Polyhedron(tuple(_rats(nrm) for nrm in _items(obj["normals"])),
-                          _opt_rats(obj["lows"]), _opt_rats(obj["highs"]))
-    raise InvalidInputError(f"unknown range type: {kind!r}")
+    # Only a string can name a type; testing that first keeps an
+    # unhashable "type" (a list, an object) out of the table lookup.
+    decode = _DECODERS.get(kind) if isinstance(kind, str) else None
+    if decode is None:
+        raise InvalidInputError(f"unknown range type: {kind!r}")
+    return decode(obj)
 
 
 def instance_to_json(inst: Instance) -> dict[str, Any]:
@@ -197,7 +206,7 @@ def save_instance(inst: Instance, path) -> None:
 
 def load_instance(path) -> Instance:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, RecursionError, ValueError) as exc:
         # ValueError covers bad JSON and bytes that are not UTF-8.

@@ -1,32 +1,42 @@
-"""CSV and self-contained SVG emission for experiment output.
+"""CSV, JSON and self-contained SVG emission for experiment output.
 
 Outputs are deterministic for a fixed (config, seed): no timestamps, sorted
-keys, fixed float formatting.  Files are written atomically (temp + rename).
+keys, fixed float formatting.  Files are written atomically (temp + rename)
+as UTF-8.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
+import sys
 
 from .errors import InvalidInputError
 
 
 def write_text_atomic(path: str, payload: str) -> None:
-    """Write through a temp file and a rename; a failure is an input error."""
+    """Write UTF-8 through a temp file and a rename; a failure is an input
+    error.
+
+    Whatever the locale, text is written as UTF-8.  An argument that the
+    locale could not decode reaches here as escaped surrogates, and goes out
+    as the bytes it came in as; any other lone surrogate cannot be written.
+    """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
             fh.write(payload)
         os.replace(tmp, path)
-    except OSError as exc:
+    except (OSError, UnicodeEncodeError) as exc:
         with contextlib.suppress(OSError):   # none was made, or it is gone
             os.remove(tmp)
-        raise InvalidInputError(
-            f"cannot write {path}: {exc.strerror or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInputError(f"cannot write {path}: {reason}") from exc
 
 
 def write_csv(path: str, header: list[str], rows: list[list],
@@ -43,8 +53,110 @@ def write_csv(path: str, header: list[str], rows: list[list],
     write_text_atomic(path, buf.getvalue())
 
 
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=1, sort_keys=True) + "\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` before Python 3.13 runs the
+    pure-Python encoder, which yields one chunk per token.  This emitter
+    yields a scalar together with its key and separator as one chunk, so it
+    is faster and holds less memory.  Like ``json.dumps`` it raises
+    ``TypeError`` on a value or key JSON has no form for; it does not look
+    for reference cycles.
+    """
+    text = _scalar_text(obj)
+    if text is not None:
+        return text + "\n"
+    out: list[str] = []
+    out.append(_emit(obj, out, "", "\n") + "\n")
+    return "".join(out)
+
+
+def _stdlib_json_text(obj) -> str:
+    return json.dumps(obj, indent=1, sort_keys=True) + "\n"
+
+
+# From Python 3.13 on, json.dumps runs its C encoder with indent, and that
+# is faster than json_text.
+_json_text = json_text if sys.version_info < (3, 13) else _stdlib_json_text
+
+
 def write_json(path: str, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=1, sort_keys=True) + "\n")
+    write_text_atomic(path, _json_text(obj))
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _scalar_text(v) -> str | None:
+    """A value's JSON text, tested in json's order; None for a container."""
+    if isinstance(v, str):
+        return _encode_str(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float_text(v)
+    if isinstance(v, (list, tuple, dict)):
+        return None
+    raise TypeError(
+        f"Object of type {v.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A dict key's JSON text followed by the key separator."""
+    if isinstance(k, str):
+        return _encode_str(k) + ": "
+    if k is None or isinstance(k, (int, float)):   # bool is an int
+        return f'"{_scalar_text(k)}": '
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _emit(obj, out: list[str], lead: str, nl: str) -> str:
+    """Append the text of a list, tuple or dict to ``out``.
+
+    ``lead`` is text not yet appended that goes right before it; ``nl`` is
+    the newline and indent of its closing bracket.  Returns the text that
+    ends it, for the caller to put before its next chunk.
+    """
+    inner = nl + " "
+    if isinstance(obj, dict):
+        if not obj:
+            return lead + "{}"
+        # sorted(items) as json sorts them; keys are unique, so only the
+        # keys are compared.
+        items = [(_key_text(k), v) for k, v in sorted(obj.items())]
+        head, close = lead + "{" + inner, nl + "}"
+    else:
+        if not obj:
+            return lead + "[]"
+        items = zip(itertools.repeat(""), obj)
+        head, close = lead + "[" + inner, nl + "]"
+    tail = ""
+    for key, v in items:
+        text = _scalar_text(v)
+        if text is None:
+            tail = _emit(v, out, head + key, inner)
+        else:
+            out.append(head + key + text)
+            tail = ""
+        head = tail + "," + inner
+    return tail + close
 
 
 # ---------------------------------------------------------------------------

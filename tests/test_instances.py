@@ -2,12 +2,14 @@
 or raises KkfreeError."""
 
 import copy
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kkfree.cli import main
 from kkfree.errors import DimensionMismatchError, KkfreeError
 from kkfree.geometry import (Ball, Box, Curtain, Halfspace, Hyperplane, Line2,
                              LinearHalfspace, Polyhedron, Triangle, Wedge2,
@@ -115,3 +117,52 @@ def test_instance_names_the_last_object_of_another_dimension():
     with pytest.raises(DimensionMismatchError,
                        match="range 1 has dimension 1, not 2"):
         Instance(2, [pt(0, 0)], [square, Box((0,), (1,))])
+
+
+def _count_errors(tmp_path, capsys, doc) -> str:
+    # The loader's refusal as the command line prints it: exit 1 and its
+    # whole stderr.
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(doc))
+    assert main(["count", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+ONE_POINT = {"format_version": 1, "dimension": 1, "points": [["0"]]}
+
+
+@pytest.mark.parametrize("kind", [["box"], {"type": "box"}, 3, 2.5, None,
+                                  True, "Box", ""],
+                         ids=["list", "object", "int", "float", "null",
+                              "bool", "capitalised", "empty"])
+def test_a_range_of_no_known_type_is_named_as_such(tmp_path, capsys, kind):
+    # An unhashable "type" too: no TypeError, no "malformed instance".
+    doc = {**ONE_POINT, "ranges": [{"type": kind, "lows": ["0"],
+                                    "highs": ["1"]}]}
+    err = _count_errors(tmp_path, capsys, doc)
+    assert err == f"error: unknown range type: {kind!r}\n"
+
+
+@pytest.mark.parametrize("coord, message", [
+    (True, "not an exact rational: True"),
+    (False, "not an exact rational: False"),
+    (2.5, "not an exact rational: 2.5"),
+    (1.0, "not an exact rational: 1.0"),
+    ("1e4301", "exponent beyond +-4300: '1e4301'"),
+    ("-2.5E-4_301", "exponent beyond +-4300: '-2.5E-4_301'"),
+], ids=["true", "false", "float", "integral-float", "exponent",
+        "negative-exponent"])
+@pytest.mark.parametrize("where", ["point", "box", "line"])
+def test_a_coordinate_that_is_no_exact_rational_is_refused(
+        tmp_path, capsys, coord, message, where):
+    doc = {**ONE_POINT, "ranges": []}
+    if where == "point":
+        doc["points"] = [[coord]]
+    elif where == "box":
+        doc["ranges"] = [{"type": "box", "lows": [coord], "highs": ["1"]}]
+    else:
+        doc = {**doc, "dimension": 2, "points": [["0", "0"]],
+               "ranges": [{"type": "line", "a": "1", "b": coord}]}
+    assert _count_errors(tmp_path, capsys, doc) == f"error: {message}\n"

@@ -10,6 +10,7 @@ from kkfree.errors import DimensionMismatchError, InvalidInputError
 from kkfree.geometry import (Box, Curtain, Halfspace, Hyperplane, Triangle,
                              pt)
 from kkfree.incidence import incidences_bruteforce
+from kkfree.reports import json_text
 from kkfree.slab import (_count_rank_y, box_audit, curtain_audit,
                          fitted_constant, rect_audit)
 
@@ -309,6 +310,8 @@ def test_audit_json_pinned(name, seed, total, digest):
     # SHA-256 of the audit JSON as the CLI writes it: node kinds
     # ("rect-base", "projected"), depths and every ledger field.
     rep = _pinned_audit(name, seed)
-    text = json.dumps(rep.to_json_dict(), indent=1, sort_keys=True) + "\n"
+    text = json_text(rep.to_json_dict())
+    assert text == json.dumps(rep.to_json_dict(), indent=1,
+                              sort_keys=True) + "\n"
     assert rep.total == total
     assert hashlib.sha256(text.encode()).hexdigest() == digest
